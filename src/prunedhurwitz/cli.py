@@ -19,6 +19,7 @@ from typing import Sequence
 from . import __version__
 from .cache import CACHE_ENV_VAR, default_cache_path
 from .cutjoin import DEFAULT_SPLIT_RULE, VARIANTS, verify_recursion
+from .factorizations import search_work_bound
 from .forests import count_forests_with_degrees, enumerate_rooted_forests
 from .hurwitz import STABILITY_READINGS, Conventions, HurwitzEngine, Kind
 from .polynomiality import (
@@ -80,32 +81,23 @@ def _engine(args) -> HurwitzEngine:
         m0_pruned=args.m0_pruned_convention,
         stability_reading=args.stability_reading,
     )
-    return HurwitzEngine(conv, cache_path=args.cache, workers=args.threads)
-
-
-def _search_estimate(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
-    d = sum(mu)
-    m = 2 * g - 2 + len(mu) + len(nu)
-    if m <= 0:
-        return 1
-    return (d * (d - 1) // 2) ** m
+    return HurwitzEngine(conv, cache_path=args.cache)
 
 
 def _over_budget(args, g, mu, nu) -> bool:
     if args.force:
         return False
-    if _search_estimate(g, mu, nu) <= args.budget:
+    estimate = search_work_bound(g, mu, nu)
+    if estimate <= args.budget:
         return False
     sys.stderr.write(
-        f"refusing: estimated search size {_search_estimate(g, mu, nu)} exceeds "
+        f"refusing: estimated search size {estimate} exceeds "
         f"budget {args.budget}; rerun with --force to override\n"
     )
     return True
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker shards for the enumeration (results identical for any value)")
     parser.add_argument("--cache", default=default_cache_path(), metavar="PATH",
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
     parser.add_argument("--m0-pruned-convention", action="store_true",
@@ -113,7 +105,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
                         help="split-term exclusion rule for the recursion")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="refuse enumerations whose crude size bound exceeds this")
+                        help="refuse enumerations whose bound on the memoised search work exceeds this")
     parser.add_argument("--force", action="store_true", help="override the budget guard")
     parser.add_argument("--omit-timing", action="store_true",
                         help="drop timing fields for byte-stable output")

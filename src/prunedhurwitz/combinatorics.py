@@ -70,6 +70,19 @@ def centralizer_order(p: Sequence[int]) -> int:
     return out
 
 
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-element set (Bell triangle)."""
+    if n < 0:
+        raise ValueError("bell_number needs n >= 0")
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1), the number of injections of k slots into n
     labels.  Zero when k exceeds n; k must be non-negative."""

@@ -11,6 +11,14 @@ support of at least two of the transpositions.  Counts over all sigma1
 of type mu follow by conjugation invariance; the Hurwitz-number
 normalisation lives in :mod:`prunedhurwitz.hurwitz`.
 
+The count is not taken leaf by leaf.  Whether a partial sequence can be
+completed depends only on its search state (depth, running product,
+touches per sigma1-cycle clamped at 2, and the partition of the
+sigma1-cycles into joined components), so :func:`_search` counts the
+completions of each state once and memoises them.  The work grows with
+the number of distinct states, bounded by :func:`search_work_bound`,
+instead of with the count itself.
+
 Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
@@ -22,12 +30,12 @@ Pruned-ness conventions at the degenerate edge counts:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from .combinatorics import Partition, automorphism_factor, centralizer_order
+from .combinatorics import Partition, automorphism_factor, bell_number, centralizer_order
 from .permutations import (
     Permutation,
     all_transposition_pairs,
@@ -145,52 +153,55 @@ def _search(
     sigma1: Permutation,
     m: int,
     target: Partition,
-    first_choices: Sequence[tuple[int, int]],
-    all_choices: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
     track_touches: bool,
     cyc_of: Sequence[int],
-    leaf_accepts: Callable[[list[int], list[tuple[int, int]]], bool] | None = None,
+    leaf_accepts: Callable[[list[int]], bool] | None = None,
 ) -> int:
-    """Depth-first count of qualifying transposition sequences.
+    """Memoised count of qualifying transposition sequences.
 
-    Maintains the running product P = tau_k ... tau_1 sigma1 with O(1)
-    left-multiplication (swap the two output values), the cycle count of
-    P for a distance/parity bound, and, in pruned mode, the outstanding
-    touch deficit of the sigma1-cycles.  Transitivity and the exact
-    cycle type are checked at the leaves.
+    A search state after k transpositions is
+
+    * the running product P = tau_k ... tau_1 sigma1;
+    * in pruned mode, the touch vector of the sigma1-cycles clamped
+      at 2 (a transposition inside one cycle touches it twice);
+    * the partition of the sigma1-cycles into the components the
+      transpositions have joined so far, each cycle labelled by the
+      smallest cycle index of its component.
+
+    Every leaf test reads only the state: the cycle type of P, the touch
+    deficit, transitivity (a single component) and ``leaf_accepts``,
+    which sees the product alone.  So the number of qualifying
+    completions of a state is computed once per (depth, state) and
+    memoised under one ``bytes`` key.  P is updated by O(1)
+    left-multiplication (swap the two output values); the distance
+    cutoff drops a branch whose cycle count can no longer reach
+    l(target), and the parity cutoff, which is invariant along a
+    sequence, is checked once.  The memo is released on return.
     """
     d = len(sigma1)
     ltarget = len(target)
-    prod = list(sigma1)
+    ncycles_sigma1 = max(cyc_of) + 1
+    ncyc0 = len(cycles(sigma1))
+    if (ncyc0 - ltarget - m) % 2:
+        return 0
+    # one flat list packed into the memo key: P, clamped touches,
+    # component labels, depth
+    tbase = d
+    cbase = d + ncycles_sigma1
+    cend = cbase + ncycles_sigma1
+    state = list(sigma1) + [0] * ncycles_sigma1 + list(range(ncycles_sigma1)) + [0]
+    pack = bytes if d <= 256 and m < 256 else tuple
     pos = [0] * d
-    for i, v in enumerate(prod):
+    for i, v in enumerate(sigma1):
         pos[v] = i
-    ncyc = len(cycles(sigma1))
-    ncycles_sigma1 = max(cyc_of) + 1 if d else 0
-    touch = [0] * ncycles_sigma1
-    # outstanding touch units: each cycle needs 2, each tau provides at most 2
-    short = 2 * ncycles_sigma1 if track_touches else 0
-    chosen: list[tuple[int, int]] = []
-    count = 0
+    memo: dict = {}
 
-    def transitive_at_leaf() -> bool:
-        parent = list(range(ncycles_sigma1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in chosen:
-            ra, rb = find(cyc_of[a]), find(cyc_of[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(c) for c in range(ncycles_sigma1)}) == 1
-
-    def leaf_type_matches() -> bool:
-        if ncyc != ltarget:
-            return False
+    def leaf(ncyc: int, short: int) -> int:
+        if short or ncyc != ltarget:
+            return 0
+        if any(state[cbase:cend]):
+            return 0  # not transitive: some cycle is outside component 0
         seen = [False] * d
         lengths = []
         for start in range(d):
@@ -198,66 +209,76 @@ def _search(
                 continue
             n = 1
             seen[start] = True
-            x = prod[start]
+            x = state[start]
             while x != start:
                 seen[x] = True
                 n += 1
-                x = prod[x]
+                x = state[x]
             lengths.append(n)
         lengths.sort(reverse=True)
-        return tuple(lengths) == target
+        if tuple(lengths) != target:
+            return 0
+        if leaf_accepts is not None and not leaf_accepts(state[:d]):
+            return 0
+        return 1
 
-    def recurse(depth: int) -> None:
-        nonlocal ncyc, short, count
-        if depth == m:
-            if short == 0 and leaf_type_matches() and transitive_at_leaf():
-                if leaf_accepts is None or leaf_accepts(prod, chosen):
-                    count += 1
-            return
+    def completions(depth: int, ncyc: int, short: int) -> int:
         remaining = m - depth - 1
-        candidates = first_choices if depth == 0 else all_choices
-        for a, b in candidates:
+        total = 0
+        for a, b in pairs:
             # left-multiplying by (a b): same cycle splits, two cycles merge
-            y = prod[a]
+            y = state[a]
             while y != a and y != b:
-                y = prod[y]
-            new_ncyc = ncyc + (1 if y == b else -1)
+                y = state[y]
+            new_ncyc = ncyc + 1 if y == b else ncyc - 1
             if abs(new_ncyc - ltarget) > remaining:
                 continue
-            if (new_ncyc - ltarget - remaining) % 2 != 0:
-                continue
+            ca, cb = cyc_of[a], cyc_of[b]
+            new_short = short
             if track_touches:
-                gain = 0
-                ca, cb = cyc_of[a], cyc_of[b]
-                ta, tb = touch[ca], touch[cb]
+                ta, tb = state[tbase + ca], state[tbase + cb]
                 if ca == cb:
-                    gain = min(2, 2 - ta) if ta < 2 else 0
+                    new_short -= 2 - ta
                 else:
-                    gain = (1 if ta < 2 else 0) + (1 if tb < 2 else 0)
-                if short - gain > 2 * remaining:
+                    new_short -= (ta < 2) + (tb < 2)
+                if new_short > 2 * remaining:
                     continue
-                touch[ca] += 1
-                touch[cb] += 1
-                short -= gain
+                if ca == cb:
+                    state[tbase + ca] = 2
+                else:
+                    state[tbase + ca] = ta + (ta < 2)
+                    state[tbase + cb] = tb + (tb < 2)
+            la, lb = state[cbase + ca], state[cbase + cb]
+            if la != lb:
+                saved = state[cbase:cend]
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                for i in range(cbase, cend):
+                    if state[i] == hi:
+                        state[i] = lo
             pa, pb = pos[a], pos[b]
-            prod[pa], prod[pb] = b, a
+            state[pa], state[pb] = b, a
             pos[a], pos[b] = pb, pa
-            old_ncyc = ncyc
-            ncyc = new_ncyc
-            chosen.append((a, b))
-            recurse(depth + 1)
-            chosen.pop()
-            ncyc = old_ncyc
-            prod[pa], prod[pb] = a, b
+            if remaining == 0:
+                total += leaf(new_ncyc, new_short)
+            else:
+                state[-1] = depth + 1
+                key = pack(state)
+                n = memo.get(key)
+                if n is None:
+                    n = memo[key] = completions(depth + 1, new_ncyc, new_short)
+                total += n
+            state[pa], state[pb] = a, b
             pos[a], pos[b] = pa, pb
+            if la != lb:
+                state[cbase:cend] = saved
             if track_touches:
-                touch[ca] -= 1
-                touch[cb] -= 1
-                short += gain
-        return
+                state[tbase + ca], state[tbase + cb] = ta, tb
+        return total
 
-    recurse(0)
-    return count
+    try:
+        return completions(0, ncyc0, 2 * ncycles_sigma1 if track_touches else 0)
+    finally:
+        memo.clear()
 
 
 def _count_m0(
@@ -265,7 +286,7 @@ def _count_m0(
     target: Partition,
     pruned: bool,
     m0_pruned: bool,
-    leaf_accepts: Callable[[list[int], list[tuple[int, int]]], bool] | None = None,
+    leaf_accepts: Callable[[list[int]], bool] | None = None,
 ) -> int:
     """The empty-sequence case: sigma2 = sigma1^(-1)."""
     if tuple(sorted(mu, reverse=True)) != target:
@@ -276,7 +297,7 @@ def _count_m0(
         return 0
     if leaf_accepts is not None:
         sigma1 = canonical_permutation(mu)
-        if not leaf_accepts(list(sigma1), []):
+        if not leaf_accepts(list(sigma1)):
             return 0
     return 1
 
@@ -288,14 +309,10 @@ def count_factorizations(
     pruned: bool = False,
     *,
     m0_pruned: bool = False,
-    workers: int = 1,
 ) -> int:
     """Number of qualifying transposition sequences with sigma1 frozen.
 
-    Returns 0 when m = 2g - 2 + l(mu) + l(nu) is negative.  With
-    ``workers`` > 1 the search is sharded on the first transposition and
-    the shard counts added exactly, so the result is independent of the
-    shard count.
+    Returns 0 when m = 2g - 2 + l(mu) + l(nu) is negative.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -311,20 +328,29 @@ def count_factorizations(
     if pruned and m == 1 and len(mu) != 1:
         return 0
     track_touches = pruned and m > 1
-    sigma1 = canonical_permutation(mu)
-    cyc_of = cycle_index_map(mu)
-    pairs = all_transposition_pairs(d)
     if track_touches and 2 * len(mu) > 2 * m:
         return 0
+    return _search(
+        canonical_permutation(mu), m, target, all_transposition_pairs(d),
+        track_touches, cycle_index_map(mu),
+    )
 
-    def run(first: Sequence[tuple[int, int]]) -> int:
-        return _search(sigma1, m, target, first, pairs, track_touches, cyc_of)
 
-    if workers <= 1 or len(pairs) <= 1:
-        return run(pairs)
-    shards = [pairs[i::workers] for i in range(min(workers, len(pairs)))]
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        return sum(pool.map(run, shards))
+def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
+    """Upper bound on the transpositions :func:`_search` tries.
+
+    At depth k there are at most min(P^k, d! * 3^l(mu) * Bell(l(mu)))
+    memoised states (sequences so far, against distinct products, clamped
+    touch vectors and component partitions), and each tries the P =
+    d(d-1)/2 transpositions.
+    """
+    d = sum(mu)
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if m <= 0:
+        return 1
+    pairs = d * (d - 1) // 2
+    states = math.factorial(d) * 3 ** len(mu) * bell_number(len(mu))
+    return pairs * sum(min(pairs**k, states) for k in range(m))
 
 
 def _rotation_centralizer(mu: Partition) -> list[Permutation]:
@@ -384,7 +410,7 @@ def count_isomorphism_classes(
     for z in _rotation_centralizer(mu):
         fixed_pairs = [(a, b) for a, b in pairs if {z[a], z[b]} == {a, b}]
 
-        def sigma2_cycles_fixed(prod: list[int], _chosen: list[tuple[int, int]]) -> bool:
+        def sigma2_cycles_fixed(prod: list[int]) -> bool:
             # cycles of sigma2 = cycles of the product, as point sets
             cid = [-1] * d
             nxt = 0
@@ -403,7 +429,7 @@ def count_isomorphism_classes(
             total += _count_m0(mu, target, pruned, m0_pruned, sigma2_cycles_fixed)
         else:
             total += _search(
-                sigma1, m, target, fixed_pairs, fixed_pairs,
+                sigma1, m, target, fixed_pairs,
                 track_touches, cyc_of, leaf_accepts=sigma2_cycles_fixed,
             )
 

@@ -115,13 +115,10 @@ class HurwitzEngine:
         self,
         conventions: Conventions | None = None,
         cache_path: str | None = None,
-        workers: int = 1,
     ) -> None:
         self.conventions = conventions or Conventions()
-        self.workers = workers
         self.cache_path = cache_path
         self._values: dict[cache_io.CacheKey, Fraction] = {}
-        self._counts: dict[tuple, int] = {}
         if cache_path:
             self._values.update(
                 cache_io.load_cache(cache_path, self.conventions.as_dict())
@@ -130,20 +127,14 @@ class HurwitzEngine:
     # -- raw sequence counts -------------------------------------------------
 
     def tuple_count(self, g: int, mu: Sequence[int], nu: Sequence[int], pruned: bool) -> int:
-        """N(g, mu, nu): qualifying sequences with sigma1 canonical."""
-        key = (
-            g,
-            tuple(sorted(mu, reverse=True)),
-            tuple(sorted(nu, reverse=True)),
-            pruned,
-        )
-        if key not in self._counts:
-            self._counts[key] = count_factorizations(
-                g, key[1], key[2], pruned,
-                m0_pruned=self.conventions.m0_pruned,
-                workers=self.workers,
-            )
-        return self._counts[key]
+        """N(g, mu, nu): qualifying sequences with sigma1 canonical,
+        recovered from the H or PH value by inverting the normalisation,
+        so a memoised or file-cached value needs no enumeration."""
+        value = self.value(g, mu, nu, Kind.PRUNED if pruned else Kind.FULL)
+        n = value * centralizer_order(mu) / (automorphism_factor(mu) * automorphism_factor(nu))
+        if n.denominator != 1:
+            raise ArithmeticError(f"value {value} does not come from an integer count; bug")
+        return n.numerator
 
     # -- the three value flavours ---------------------------------------------
 
@@ -173,7 +164,7 @@ class HurwitzEngine:
         return val
 
     def _normalised(self, g: int, mu: Partition, nu: Partition, pruned: bool) -> Fraction:
-        n = self.tuple_count(g, mu, nu, pruned)
+        n = count_factorizations(g, mu, nu, pruned, m0_pruned=self.conventions.m0_pruned)
         return Fraction(
             n * automorphism_factor(mu) * automorphism_factor(nu),
             centralizer_order(mu),

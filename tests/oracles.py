@@ -134,3 +134,32 @@ def partitions(n, max_part=None):
     for k in range(min(n, max_part), 0, -1):
         for rest in partitions(n - k, k):
             yield (k,) + rest
+
+
+def fully_ramified_orbit_count(n, g, m0_pruned=False):
+    """Isomorphism classes of pruned (n)|(n) tuples at genus g: the
+    qualifying transposition sequences for the fixed n-cycle sigma1,
+    taken modulo simultaneous conjugation by its centralizer <sigma1>,
+    each orbit found by its least conjugate."""
+    sigma1 = tuple(list(range(1, n)) + [0])
+    m = 2 * g
+    taus = all_transpositions(n)
+    powers = [tuple(range(n))]
+    for _ in range(n - 1):
+        powers.append(apply_after(sigma1, powers[-1]))
+    # (z, z^-1) for each z in <sigma1>; z^-1 = sigma1^(n-k) for z = sigma1^k
+    conjugators = [(powers[k], powers[-k % n]) for k in range(n)]
+    orbits = set()
+    for seq in product(taus, repeat=m):
+        prod = sigma1
+        for t in seq:
+            prod = apply_after(t, prod)
+        if perm_type(prod) != (n,) or not bfs_transitive(n, (sigma1,) + seq):
+            continue
+        if not pruned_by_touch_count(sigma1, seq, m0_pruned):
+            continue
+        orbits.add(min(
+            tuple(apply_after(apply_after(z, t), z_inv) for t in seq)
+            for z, z_inv in conjugators
+        ))
+    return len(orbits)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prunedhurwitz import hurwitz
 from prunedhurwitz.cli import main
 
 
@@ -130,16 +131,6 @@ def test_verify_cut_and_join_corrected_passes(capsys):
     assert rows[-1]["all_match"] is True
 
 
-def test_thread_count_does_not_change_output(capsys):
-    outputs = []
-    for threads in ("1", "2", "8"):
-        code = main(["compute", "--genus", "1", "--mu", "2,2", "--nu", "2,1,1",
-                     "--kind", "pruned", "--threads", threads, "--omit-timing"])
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_cache_file_roundtrip(tmp_path, capsys):
     cache = tmp_path / "values.jsonl"
     for _ in range(2):
@@ -184,3 +175,20 @@ def test_warm_cache_output_is_byte_identical(tmp_path, capsys):
     assert main(argv) == 0          # answered from the cache file now
     warm = capsys.readouterr().out
     assert cold == warm
+
+
+def test_warm_compute_does_not_enumerate(tmp_path, capsys, monkeypatch):
+    # the tuple count of a modified pruned value comes from the cached PH
+    cache = tmp_path / "warm.jsonl"
+    argv = ["compute", "--genus", "1", "--mu", "3", "--nu", "3",
+            "--kind", "modified-pruned", "--cache", str(cache), "--omit-timing"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a cached value")
+
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
+    monkeypatch.setattr(hurwitz, "count_isomorphism_classes", no_enumeration)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold

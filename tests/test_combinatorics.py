@@ -2,6 +2,7 @@ import math
 
 from prunedhurwitz.combinatorics import (
     automorphism_factor,
+    bell_number,
     bounded_tuples,
     centralizer_order,
     compositions,
@@ -133,3 +134,14 @@ def test_fraction_arithmetic_is_exact_and_reduced():
             assert p.numerator * b * d == a * c * p.denominator
             assert gcd(abs(s.numerator), s.denominator) == 1
             assert s.denominator > 0
+
+
+def test_bell_numbers():
+    assert [bell_number(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    # against the set partitions of a 5-element set, counted directly
+    blocks = {
+        frozenset(frozenset(b) for b in parts if b)
+        for k in range(1, 6)
+        for parts in ordered_set_partitions(range(5), k)
+    }
+    assert len(blocks) == bell_number(5)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order
 from prunedhurwitz.factorizations import (
     FactorizationTuple,
@@ -11,10 +12,16 @@ from prunedhurwitz.factorizations import (
     is_pruned,
     is_transitive,
     iter_factorization_tuples,
+    search_work_bound,
 )
 from prunedhurwitz.permutations import canonical_permutation
 
-from oracles import naive_tuple_counts, partitions, pruned_by_valency
+from oracles import (
+    fully_ramified_orbit_count,
+    naive_tuple_counts,
+    partitions,
+    pruned_by_valency,
+)
 
 
 def make_tuple(mu, pairs):
@@ -84,17 +91,29 @@ def test_count_factorizations_examples():
 
 
 def test_count_matches_naive_filter():
-    # the DFS counter against the naive product-and-filter enumeration
-    for g, mu, nu, pruned in [
-        (0, (2, 1), (1, 1, 1), False),
-        (0, (2, 1), (1, 1, 1), True),
-        (0, (3,), (1, 1, 1), True),
-        (1, (2,), (1, 1), False),
-        (1, (1, 1), (2,), True),
-        (0, (2, 2), (2, 1, 1), True),
-    ]:
-        naive = sum(1 for _ in iter_factorization_tuples(g, mu, nu, pruned))
-        assert count_factorizations(g, mu, nu, pruned) == naive
+    # the memoised counter against the naive product-and-filter
+    # enumeration: every (g <= 1, d <= 4, m <= 4) case, both modes, both
+    # m = 0 conventions
+    for d in range(1, 5):
+        for g in (0, 1):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    m = 2 * g - 2 + len(mu) + len(nu)
+                    if m < 0 or m > 4:
+                        continue
+                    tuples = list(iter_factorization_tuples(g, mu, nu))
+                    assert count_factorizations(g, mu, nu) == len(tuples)
+                    for m0_pruned in (False, True):
+                        naive = sum(is_pruned(t, m0_pruned=m0_pruned) for t in tuples)
+                        got = count_factorizations(g, mu, nu, True, m0_pruned=m0_pruned)
+                        assert got == naive, (g, mu, nu, m0_pruned)
+
+
+def test_pruned_counts_beyond_the_naive_reach():
+    # N for two rows of the ROADMAP baseline table, too large for the
+    # naive filter
+    assert count_factorizations(2, (3, 3), (2, 4), True) == 2_971_404
+    assert count_factorizations(1, (2, 2, 2), (3, 2, 1), True) == 3_386_880
 
 
 def test_pruned_count_never_exceeds_full():
@@ -129,18 +148,22 @@ def test_conjugation_consistency_against_all_sigma1():
                     assert got[1] == count_factorizations(g, mu, nu, True) * klass
 
 
-def test_sharding_is_deterministic():
-    for workers in (1, 2, 3, 7, 50):
-        assert count_factorizations(0, (2, 2), (2, 1, 1), True, workers=workers) == \
-            count_factorizations(0, (2, 2), (2, 1, 1), True)
-        assert count_factorizations(1, (2, 1), (1, 1, 1), False, workers=workers) == \
-            count_factorizations(1, (2, 1), (1, 1, 1), False)
-
-
 def test_isomorphism_class_examples():
     assert count_isomorphism_classes(1, (2,), (2,), pruned=True) == 1
     assert count_isomorphism_classes(0, (2,), (1, 1), pruned=True) == 1
     assert count_isomorphism_classes(0, (1,), (1,)) == 1
+
+
+def test_isomorphism_classes_match_brute_force_orbits():
+    # fully ramified (n)|(n): Burnside against orbits of the centralizer
+    # counted one by one
+    for n in range(1, 5):
+        for g in range(3):
+            for m0_pruned in (False, True):
+                expected = fully_ramified_orbit_count(n, g, m0_pruned)
+                assert count_isomorphism_classes(
+                    g, (n,), (n,), pruned=True, m0_pruned=m0_pruned,
+                ) == expected, (n, g, m0_pruned)
 
 
 def test_orbit_counts_match_free_action_formula():
@@ -176,3 +199,16 @@ def test_minimal_transitive_factorizations_closed_form():
     for d in range(2, 7):
         expected = math.factorial(d - 1) * d ** (d - 2)
         assert count_factorizations(0, (1,) * d, (d,)) == expected
+
+
+def test_search_work_bound():
+    # m = 3, P = 3 pairs, at most 3! * 3^2 * Bell(2) = 108 states per depth
+    assert search_work_bound(0, (2, 1), (1, 1, 1)) == 3 * (1 + 3 + 9)
+    # (3)|(3) at g = 3: m = 6, the state bound 3! * 3 * 1 = 18 caps
+    # depths 3 to 5
+    assert search_work_bound(3, (3,), (3,)) == 3 * (1 + 3 + 9 + 18 + 18 + 18)
+    assert search_work_bound(0, (2,), (2,)) == 1  # m = 0
+    # the default CLI budget admits g = 2, (4,4)|(3,5), which P^m = 28^6
+    # would refuse, and still refuses d = 24, m = 17
+    assert search_work_bound(2, (4, 4), (3, 5)) <= DEFAULT_BUDGET < 28**6
+    assert search_work_bound(6, (6, 6, 6, 6), (8, 8, 8)) > DEFAULT_BUDGET

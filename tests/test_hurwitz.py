@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from prunedhurwitz import hurwitz
 from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
 
 from oracles import partitions
@@ -133,16 +134,22 @@ def test_query_validation():
         ENGINE.double(0, (2, 0), (1, 1))
 
 
-def test_persistent_cache_roundtrip(tmp_path):
+def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     first = HurwitzEngine(cache_path=str(path))
     value = first.double(0, (2, 3), (1, 4))
     assert value == 8
     assert path.exists()
-    # a fresh engine answers from the file, sorted-key lookup included
+    # a fresh engine answers from the file, sorted-key lookup included,
+    # and recovers the tuple count from the cached value
     second = HurwitzEngine(cache_path=str(path))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a cached value")
+
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
     assert second.double(0, (3, 2), (4, 1)) == 8
-    assert not second._counts  # no enumeration happened
+    assert second.tuple_count(0, (3, 2), (4, 1), pruned=False) == 48
 
 
 def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
@@ -178,8 +185,11 @@ def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):
     assert any("not writable" in r.message for r in caplog.records)
 
 
-def test_engine_values_independent_of_workers():
-    sharded = HurwitzEngine(workers=3)
-    for g, mu, nu in [(0, (2, 3), (1, 4)), (1, (2, 2), (2, 1, 1)), (0, (3, 2), (2, 2, 1))]:
-        assert sharded.double(g, mu, nu) == ENGINE.double(g, mu, nu)
-        assert sharded.pruned(g, mu, nu) == ENGINE.pruned(g, mu, nu)
+def test_tuple_count_inverts_the_value():
+    engine = HurwitzEngine()
+    assert engine.tuple_count(1, (4, 4), (3, 5), pruned=True) == 100352
+    assert engine.pruned(1, (4, 4), (3, 5)) == 6272
+    # a value that no integer count normalises to is refused
+    engine._values[(0, (2,), (1, 1), "H")] = Fraction(1, 3)
+    with pytest.raises(ArithmeticError):
+        engine.tuple_count(0, (2,), (1, 1), pruned=False)
