@@ -25,14 +25,7 @@ from .cutjoin import (
     cut_and_join_terms,
     verify_recursion,
 )
-from .factorizations import (
-    FactorizationTuple,
-    count_factorizations,
-    count_isomorphism_classes,
-    is_pruned,
-    is_transitive,
-    iter_factorization_tuples,
-)
+from .factorizations import count_factorizations, count_isomorphism_classes
 from .forests import RootedForest, count_forests_with_degrees, enumerate_rooted_forests
 from .hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
 from .permutations import canonical_permutation, compose, cycle_type, cycles, inverse

@@ -3,12 +3,13 @@
 One JSON object per line:
 
     {"g": 0, "mu": [3, 2], "nu": [4, 1], "kind": "H",
-     "num": "8", "den": "1",
-     "conv": {"m0_pruned": false, "stability_reading": "literal"}}
+     "num": "8", "den": "1", "conv": {"m0_pruned": false}}
 
 Partitions are stored sorted descending (values depend only on the
-multisets).  Records whose conventions differ from the active run are
-ignored; malformed lines are skipped with a warning and never trusted.
+multisets).  Of the conventions only ``m0_pruned`` changes a value, so
+a record carries only it, and records made under the other m = 0
+convention are ignored; malformed lines are skipped with a warning and
+never trusted.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ def default_cache_path() -> str | None:
 
 
 def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, Fraction]:
-    """Read every valid record matching ``conventions`` from ``path``."""
+    """Read every valid record made under the ``m0_pruned`` convention
+    of ``conventions`` from ``path``."""
     out: dict[CacheKey, Fraction] = {}
-    conv = dict(conventions)
+    m0_pruned = conventions["m0_pruned"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -46,7 +48,8 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                 except (ValueError, KeyError, TypeError) as exc:
                     log.warning("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
-                if rec.get("conv") != conv:
+                conv = rec.get("conv")
+                if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
                     continue
                 out[key] = value
     except FileNotFoundError:
@@ -93,7 +96,7 @@ def append_record(
         "kind": kind,
         "num": str(value.numerator),
         "den": str(value.denominator),
-        "conv": dict(conventions),
+        "conv": {"m0_pruned": conventions["m0_pruned"]},
     }
     try:
         with open(path, "a", encoding="utf-8") as fh:

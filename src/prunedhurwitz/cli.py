@@ -149,10 +149,50 @@ def _partitions(n: int, max_part: int | None = None):
             yield (k,) + rest
 
 
+def _instances(args, min_nu_parts: int, min_m: int):
+    """(g, mu, nu) with d <= max_d, g <= max_g, min_m <= m <= max_m and
+    at least ``min_nu_parts`` parts in nu."""
+    for d in range(1, args.max_d + 1):
+        parts = list(_partitions(d))
+        for g in range(args.max_g + 1):
+            for mu in parts:
+                for nu in parts:
+                    m = 2 * g - 2 + len(mu) + len(nu)
+                    if len(nu) >= min_nu_parts and min_m <= m <= args.max_m:
+                        yield g, mu, nu
+
+
+def _main_theorem_instances(args):
+    return _instances(args, min_nu_parts=2, min_m=0)
+
+
+def _cut_and_join_instances(args):
+    return _instances(args, min_nu_parts=3, min_m=1)
+
+
+def _enumerated_instances(args):
+    """Every instance a battery enumerates directly: the main-theorem
+    and cut-and-join instances, and each scaled point of the poly
+    battery; the forests battery enumerates none."""
+    if args.which == "main-theorem":
+        return _main_theorem_instances(args)
+    if args.which == "cut-and-join":
+        return _cut_and_join_instances(args)
+    if args.which == "poly":
+        return (
+            (0, tuple(t * x for x in mu), tuple(t * x for x in nu))
+            for mu, nu in INTERIOR_BASE_POINTS
+            for t in range(1, args.t_max + 1)
+        )
+    return ()
+
+
 def cmd_verify(args) -> int:
     if args.which == "poly" and args.t_max < 2:
         sys.stderr.write("the poly battery needs --t-max >= 2\n")
         return EXIT_USAGE
+    if any(_over_budget(args, g, mu, nu) for g, mu, nu in _enumerated_instances(args)):
+        return EXIT_BUDGET
     engine = _engine(args)
     runner = {
         "main-theorem": _verify_main_theorem,
@@ -173,75 +213,61 @@ def cmd_verify(args) -> int:
 
 def _verify_main_theorem(args, engine) -> bool:
     all_match = True
-    for d in range(1, args.max_d + 1):
-        parts = list(_partitions(d))
-        for g in range(args.max_g + 1):
-            for mu in parts:
-                for nu in parts:
-                    m = 2 * g - 2 + len(mu) + len(nu)
-                    if len(nu) < 2 or m < 0 or m > args.max_m:
-                        continue
-                    direct = engine.double(g, mu, nu)
-                    by_degrees = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
-                    by_forests = reconstruct_via_forests(g, mu, nu, engine.phat)
-                    match = direct == by_degrees == by_forests
-                    all_match &= match
-                    _emit({
-                        "type": "main-theorem",
-                        "genus": g, "mu": list(mu), "nu": list(nu),
-                        "direct": _fraction_obj(direct),
-                        "reconstruction": _fraction_obj(by_degrees),
-                        "forest_form": _fraction_obj(by_forests),
-                        "match": match,
-                    }, args)
+    for g, mu, nu in _main_theorem_instances(args):
+        direct = engine.double(g, mu, nu)
+        by_degrees = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
+        by_forests = reconstruct_via_forests(g, mu, nu, engine.phat)
+        match = direct == by_degrees == by_forests
+        all_match &= match
+        _emit({
+            "type": "main-theorem",
+            "genus": g, "mu": list(mu), "nu": list(nu),
+            "direct": _fraction_obj(direct),
+            "reconstruction": _fraction_obj(by_degrees),
+            "forest_form": _fraction_obj(by_forests),
+            "match": match,
+        }, args)
     return all_match
 
 
 def _verify_cut_and_join(args, engine) -> bool:
     all_match = True
     first_failure_reported = False
-    for d in range(1, args.max_d + 1):
-        parts = list(_partitions(d))
-        for g in range(args.max_g + 1):
-            for mu in parts:
-                for nu in parts:
-                    m = 2 * g - 2 + len(mu) + len(nu)
-                    if len(nu) < 3 or m <= 0 or m > args.max_m:
-                        continue
-                    report = verify_recursion(
-                        g, mu, nu, engine,
-                        stability_reading=args.stability_reading,
-                        split_rule=args.split_rule,
-                        variant=args.variant,
-                    )
-                    all_match &= report.match
-                    _emit({
-                        "type": "cut-and-join",
-                        "genus": g, "mu": list(mu), "nu": list(nu),
-                        "variant": report.variant,
-                        "stability_reading": report.stability_reading,
-                        "lhs": _fraction_obj(report.lhs),
-                        "rhs": _fraction_obj(report.rhs),
-                        "cases": {k: _fraction_obj(v) for k, v in report.per_case_totals.items()},
-                        "match": report.match,
-                    }, args)
-                    if not report.match and not first_failure_reported:
-                        first_failure_reported = True
-                        detailed = verify_recursion(
-                            g, mu, nu, engine,
-                            stability_reading=args.stability_reading,
-                            split_rule=args.split_rule,
-                            variant=args.variant,
-                            keep_terms=True,
-                        )
-                        for term in detailed.terms:
-                            _emit({
-                                "type": "cut-and-join-term",
-                                "genus": g, "mu": list(mu), "nu": list(nu),
-                                "case": term.case,
-                                "params": {k: str(v) for k, v in term.params.items()},
-                                "value": _fraction_obj(term.value),
-                            }, args)
+    for g, mu, nu in _cut_and_join_instances(args):
+        report = verify_recursion(
+            g, mu, nu, engine,
+            stability_reading=args.stability_reading,
+            split_rule=args.split_rule,
+            variant=args.variant,
+        )
+        all_match &= report.match
+        _emit({
+            "type": "cut-and-join",
+            "genus": g, "mu": list(mu), "nu": list(nu),
+            "variant": report.variant,
+            "stability_reading": report.stability_reading,
+            "lhs": _fraction_obj(report.lhs),
+            "rhs": _fraction_obj(report.rhs),
+            "cases": {k: _fraction_obj(v) for k, v in report.per_case_totals.items()},
+            "match": report.match,
+        }, args)
+        if not report.match and not first_failure_reported:
+            first_failure_reported = True
+            detailed = verify_recursion(
+                g, mu, nu, engine,
+                stability_reading=args.stability_reading,
+                split_rule=args.split_rule,
+                variant=args.variant,
+                keep_terms=True,
+            )
+            for term in detailed.terms:
+                _emit({
+                    "type": "cut-and-join-term",
+                    "genus": g, "mu": list(mu), "nu": list(nu),
+                    "case": term.case,
+                    "params": {k: str(v) for k, v in term.params.items()},
+                    "value": _fraction_obj(term.value),
+                }, args)
     return all_match
 
 

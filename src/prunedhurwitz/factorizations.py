@@ -19,6 +19,16 @@ completions of each state once and memoises them.  The work grows with
 the number of distinct states, bounded by :func:`search_work_bound`,
 instead of with the count itself.
 
+The first transposition is tried once per orbit.  Any z commuting with
+sigma1 maps a sequence (tau_i) to (z tau_i z^-1): the product is
+conjugated by z, so its cycle type is kept; transitivity is kept; and
+the touch counts are permuted along with the sigma1-cycles, so the
+pruned condition is kept too.  Hence the sequences starting with tau
+are as many as those starting with z tau z^-1, and the search counts
+the completions of one representative per orbit of first
+transpositions (:func:`_root_orbits`) and multiplies by the orbit size.
+Deeper levels, the memo key and every leaf test are unchanged.
+
 Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
@@ -31,122 +41,53 @@ Pruned-ness conventions at the degenerate edge counts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import Partition, automorphism_factor, bell_number, centralizer_order
 from .permutations import (
     Permutation,
     all_transposition_pairs,
     canonical_permutation,
-    compose,
     cycle_index_map,
-    cycle_type,
     cycles,
-    identity_permutation,
-    inverse,
-    transposition,
 )
 
 
-@dataclass(frozen=True)
-class FactorizationTuple:
-    """A tuple (sigma1, tau_1...tau_m, sigma2) with product identity."""
-
-    sigma1: Permutation
-    transpositions: tuple[tuple[int, int], ...]
-    sigma2: Permutation
-
-    @property
-    def degree(self) -> int:
-        return len(self.sigma1)
-
-    def product_is_identity(self) -> bool:
-        prod = self.sigma1
-        d = self.degree
-        for a, b in self.transpositions:
-            prod = compose(transposition(d, a, b), prod)
-        return compose(self.sigma2, prod) == identity_permutation(d)
-
-
-def is_transitive(t: FactorizationTuple) -> bool:
-    """True iff the cycles of sigma1 together with the transposition
-    supports connect {0, ..., d-1} (union-find)."""
-    d = t.degree
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for cyc in cycles(t.sigma1):
-        for x in cyc[1:]:
-            union(cyc[0], x)
-    for a, b in t.transpositions:
-        union(a, b)
-    return len({find(x) for x in range(d)}) == 1
-
-
-def is_pruned(t: FactorizationTuple, m0_pruned: bool = False) -> bool:
-    """The pruned condition on a factorization tuple.
-
-    For m > 1 transpositions: every cycle of sigma1 must meet the
-    support of at least two distinct transpositions.  For m = 1 the
-    condition is that sigma1 is a single cycle; for m = 0 it is the
-    ``m0_pruned`` convention.
-    """
-    m = len(t.transpositions)
-    sigma1_cycles = cycles(t.sigma1)
-    if m == 0:
-        return m0_pruned
-    if m == 1:
-        return len(sigma1_cycles) == 1
-    for cyc in sigma1_cycles:
-        support = set(cyc)
-        touching = sum(1 for a, b in t.transpositions if a in support or b in support)
-        if touching < 2:
-            return False
-    return True
-
-
-def iter_factorization_tuples(
-    g: int,
+def _root_orbits(
     mu: Sequence[int],
-    nu: Sequence[int],
-    pruned: bool = False,
-    m0_pruned: bool = False,
-) -> Iterator[FactorizationTuple]:
-    """Naive reference enumeration (sigma1 canonical): filter the full
-    Cartesian product of transposition sequences.  Small inputs only."""
-    d = sum(mu)
-    if sum(nu) != d or d < 1:
-        raise ValueError("mu and nu must be partitions of the same d >= 1")
-    m = 2 * g - 2 + len(mu) + len(nu)
-    if m < 0:
-        return
-    sigma1 = canonical_permutation(mu)
-    target = tuple(sorted(nu, reverse=True))
-    pairs = all_transposition_pairs(d)
-    for seq in product(pairs, repeat=m):
-        prod = sigma1
-        for a, b in seq:
-            prod = compose(transposition(d, a, b), prod)
-        if cycle_type(prod) != target:
-            continue
-        t = FactorizationTuple(sigma1, seq, inverse(prod))
-        if not is_transitive(t):
-            continue
-        if pruned and not is_pruned(t, m0_pruned=m0_pruned):
-            continue
-        yield t
+    pairs: Sequence[tuple[int, int]],
+    swap_equal_cycles: bool,
+) -> list[tuple[int, int, int]]:
+    """One representative (a, b, orbit size) per orbit of ``pairs``
+    under conjugation by a subgroup of the centralizer of the canonical
+    permutation of mu.
+
+    The subgroup is generated by the cycle rotations and, when
+    ``swap_equal_cycles``, the swaps of equal-length cycles; conjugation
+    sends (a b) to (z(a) z(b)).  The rotations move a pair inside one
+    cycle to every pair of that cycle at the same cyclic distance, and a
+    pair across two cycles to every pair across the same two; a swap
+    carries a cycle onto any other of its length.  So an orbit is keyed
+    by (cycle, distance) or by its two cycles, each cycle named by its
+    length when equal cycles may be swapped and by its index otherwise.
+    ``pairs`` (each a < b) must be a union of orbits.
+    """
+    cyc_of = cycle_index_map(mu)
+    name = tuple(mu) if swap_equal_cycles else range(len(mu))
+    representative: dict[tuple, tuple[int, int]] = {}
+    size: Counter[tuple] = Counter()
+    for a, b in pairs:
+        ca, cb = cyc_of[a], cyc_of[b]
+        if ca == cb:
+            k = b - a  # canonical cycles are consecutive blocks
+            key = (True, name[ca], min(k, mu[ca] - k))
+        else:
+            key = (False,) + tuple(sorted((name[ca], name[cb])))
+        representative.setdefault(key, (a, b))
+        size[key] += 1
+    return [(a, b, size[key]) for key, (a, b) in representative.items()]
 
 
 def _search(
@@ -154,6 +95,7 @@ def _search(
     m: int,
     target: Partition,
     pairs: Sequence[tuple[int, int]],
+    roots: Sequence[tuple[int, int, int]],
     track_touches: bool,
     cyc_of: Sequence[int],
     leaf_accepts: Callable[[list[int]], bool] | None = None,
@@ -178,6 +120,14 @@ def _search(
     cutoff drops a branch whose cycle count can no longer reach
     l(target), and the parity cutoff, which is invariant along a
     sequence, is checked once.  The memo is released on return.
+
+    At depth 0 the loop runs over ``roots`` instead of ``pairs``: one
+    (a, b, orbit size) per orbit of the first transposition under a
+    group of permutations commuting with sigma1 and preserving ``pairs``
+    and ``leaf_accepts``, which maps qualifying sequences starting in
+    one orbit element bijectively onto those starting in any other (see
+    the module docstring), so each representative's count is multiplied
+    by its orbit size.
     """
     d = len(sigma1)
     ltarget = len(target)
@@ -222,10 +172,12 @@ def _search(
             return 0
         return 1
 
+    unit_pairs = [(a, b, 1) for a, b in pairs]
+
     def completions(depth: int, ncyc: int, short: int) -> int:
         remaining = m - depth - 1
         total = 0
-        for a, b in pairs:
+        for a, b, weight in unit_pairs if depth else roots:
             # left-multiplying by (a b): same cycle splits, two cycles merge
             y = state[a]
             while y != a and y != b:
@@ -259,14 +211,14 @@ def _search(
             state[pa], state[pb] = b, a
             pos[a], pos[b] = pb, pa
             if remaining == 0:
-                total += leaf(new_ncyc, new_short)
+                total += weight * leaf(new_ncyc, new_short)
             else:
                 state[-1] = depth + 1
                 key = pack(state)
                 n = memo.get(key)
                 if n is None:
                     n = memo[key] = completions(depth + 1, new_ncyc, new_short)
-                total += n
+                total += weight * n
             state[pa], state[pb] = a, b
             pos[a], pos[b] = pa, pb
             if la != lb:
@@ -330,8 +282,10 @@ def count_factorizations(
     track_touches = pruned and m > 1
     if track_touches and 2 * len(mu) > 2 * m:
         return 0
+    pairs = all_transposition_pairs(d)
     return _search(
-        canonical_permutation(mu), m, target, all_transposition_pairs(d),
+        canonical_permutation(mu), m, target, pairs,
+        _root_orbits(mu, pairs, swap_equal_cycles=True),
         track_touches, cycle_index_map(mu),
     )
 
@@ -388,7 +342,10 @@ def count_isomorphism_classes(
     Only centralizer elements fixing every sigma1-cycle setwise can fix
     a labelled tuple, so the sum runs over the cycle rotations; a fixed
     tuple additionally needs all transpositions invariant under z and
-    every sigma2-cycle fixed setwise by z.
+    every sigma2-cycle fixed setwise by z.  That leaf test depends on z,
+    so the root orbits use only the rotations: they commute with z, so
+    they preserve the z-invariant pairs and the test, whereas a swap of
+    equal cycles need not.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -430,6 +387,7 @@ def count_isomorphism_classes(
         else:
             total += _search(
                 sigma1, m, target, fixed_pairs,
+                _root_orbits(mu, fixed_pairs, swap_equal_cycles=False),
                 track_touches, cyc_of, leaf_accepts=sigma2_cycles_fixed,
             )
 

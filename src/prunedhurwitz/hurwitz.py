@@ -51,8 +51,8 @@ class Conventions:
     evaluator applies to split terms ("literal": drop factors with
     (genus, #inherited faces) = (0, 2); "facecount": drop factors whose
     full face argument has (genus, length) = (0, 2), i.e. one inherited
-    face plus the new one).  Only ``m0_pruned`` affects cached values,
-    but both are recorded so cached runs never silently mix settings.
+    face plus the new one).  Only ``m0_pruned`` affects values, so cache
+    records are keyed on it alone.
     """
 
     m0_pruned: bool = False

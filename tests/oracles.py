@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's enumeration code:
 permutations are composed positionally, transitivity is a BFS, the
-leaf condition is a vertex/edge incidence count.  These are the
-references the fast engine is checked against.
+leaf condition is a vertex/edge incidence count.  Only the convention
+for the canonical sigma1 is shared.  These are the references the fast
+engine is checked against.
 """
 
+from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
+
+from prunedhurwitz.permutations import canonical_permutation
 
 
 def apply_after(a, b):
@@ -42,14 +46,21 @@ def all_permutations_of_type(d, mu):
             yield images
 
 
+def perm_inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def transposition_images(d, a, b):
+    images = list(range(d))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
 def all_transpositions(d):
-    out = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            images = list(range(d))
-            images[a], images[b] = b, a
-            out.append(tuple(images))
-    return out
+    return [transposition_images(d, a, b) for a in range(d) for b in range(a + 1, d)]
 
 
 def bfs_transitive(d, generators):
@@ -163,3 +174,94 @@ def fully_ramified_orbit_count(n, g, m0_pruned=False):
             for z, z_inv in conjugators
         ))
     return len(orbits)
+
+
+@dataclass(frozen=True)
+class FactorizationTuple:
+    """A tuple (sigma1, tau_1...tau_m, sigma2) with product identity,
+    each transposition given as a pair (a, b)."""
+
+    sigma1: tuple
+    transpositions: tuple
+    sigma2: tuple
+
+    @property
+    def degree(self):
+        return len(self.sigma1)
+
+    def product_is_identity(self):
+        d = self.degree
+        prod = self.sigma1
+        for a, b in self.transpositions:
+            prod = apply_after(transposition_images(d, a, b), prod)
+        return apply_after(self.sigma2, prod) == tuple(range(d))
+
+
+def is_transitive(t):
+    """True iff the sigma1-cycles and the transpositions connect all
+    points."""
+    taus = [transposition_images(t.degree, a, b) for a, b in t.transpositions]
+    return bfs_transitive(t.degree, [t.sigma1] + taus)
+
+
+def is_pruned(t, m0_pruned=False):
+    """The pruned condition on a factorization tuple: for m > 1, every
+    sigma1-cycle meets at least two of the transpositions."""
+    taus = [transposition_images(t.degree, a, b) for a, b in t.transpositions]
+    return pruned_by_touch_count(t.sigma1, taus, m0_pruned)
+
+
+def iter_factorization_tuples(g, mu, nu, pruned=False, m0_pruned=False):
+    """Naive enumeration with sigma1 canonical: filter the full Cartesian
+    product of transposition sequences.  Small inputs only."""
+    d = sum(mu)
+    if sum(nu) != d or d < 1:
+        raise ValueError("mu and nu must be partitions of the same d >= 1")
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if m < 0:
+        return
+    sigma1 = canonical_permutation(mu)
+    target = tuple(sorted(nu, reverse=True))
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for seq in product(pairs, repeat=m):
+        prod = sigma1
+        for a, b in seq:
+            prod = apply_after(transposition_images(d, a, b), prod)
+        if perm_type(prod) != target:
+            continue
+        t = FactorizationTuple(sigma1, seq, perm_inverse(prod))
+        if not is_transitive(t):
+            continue
+        if pruned and not is_pruned(t, m0_pruned=m0_pruned):
+            continue
+        yield t
+
+
+def centralizer(sigma1, fix_cycles=False):
+    """All permutations commuting with sigma1, found among all of S_d;
+    with ``fix_cycles`` only those mapping each sigma1-cycle onto
+    itself (the cycle rotations)."""
+    d = len(sigma1)
+    cycle_of = {x: i for i, cyc in enumerate(perm_cycles(sigma1)) for x in cyc}
+    out = []
+    for z in iter_permutations(range(d)):
+        if apply_after(z, sigma1) != apply_after(sigma1, z):
+            continue
+        if fix_cycles and any(cycle_of[z[x]] != cycle_of[x] for x in range(d)):
+            continue
+        out.append(z)
+    return out
+
+
+def pair_orbits(pairs, group):
+    """Orbits of the transpositions ``pairs`` (each a < b) under
+    conjugation by the permutations in ``group``, as frozensets."""
+    seen = set()
+    out = []
+    for a, b in pairs:
+        if (a, b) in seen:
+            continue
+        orbit = frozenset(tuple(sorted((z[a], z[b]))) for z in group)
+        seen |= orbit
+        out.append(orbit)
+    return out

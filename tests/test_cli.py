@@ -68,6 +68,23 @@ def test_budget_refusal_exit_3(capsys):
     assert code == 0 and rows[0]["value"] == {"num": "24", "den": "1"}
 
 
+def test_verify_budget_refusal_exit_3(capsys):
+    # every battery instance is checked before any report line
+    code, rows, err = run_cli(capsys, "verify", "main-theorem", "--max-d", "3", "--budget", "10")
+    assert code == 3 and not rows and "budget" in err
+    code, rows, _ = run_cli(
+        capsys, "verify", "main-theorem", "--max-d", "3", "--budget", "10",
+        "--force", "--omit-timing",
+    )
+    assert code == 0 and rows[-1]["all_match"] is True
+    # the poly base points are within 1000, the points scaled by 3 are not
+    code, rows, err = run_cli(capsys, "verify", "poly", "--t-max", "3", "--budget", "1000")
+    assert code == 3 and not rows and "budget" in err
+    # the default budget refuses a main-theorem battery up to d = 9
+    code, rows, err = run_cli(capsys, "verify", "main-theorem", "--max-d", "9")
+    assert code == 3 and not rows and "budget" in err
+
+
 def test_wall_refusal_exit_4(capsys):
     code, rows, err = run_cli(capsys, "fit", "--mu", "2,3", "--nu", "2,3")
     assert code == 4 and not rows and "wall" in err

@@ -1,38 +1,46 @@
 import math
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
+from prunedhurwitz import factorizations
 from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order
 from prunedhurwitz.factorizations import (
-    FactorizationTuple,
+    _root_orbits,
     count_factorizations,
     count_isomorphism_classes,
+    search_work_bound,
+)
+from prunedhurwitz.hurwitz import HurwitzEngine, Kind
+from prunedhurwitz.permutations import all_transposition_pairs, canonical_permutation
+from prunedhurwitz.polynomiality import finite_difference_degree, scaling_values
+
+from oracles import (
+    FactorizationTuple,
+    apply_after,
+    centralizer,
+    fully_ramified_orbit_count,
     is_pruned,
     is_transitive,
     iter_factorization_tuples,
-    search_work_bound,
-)
-from prunedhurwitz.permutations import canonical_permutation
-
-from oracles import (
-    fully_ramified_orbit_count,
     naive_tuple_counts,
+    pair_orbits,
     partitions,
+    perm_inverse,
     pruned_by_valency,
+    transposition_images,
 )
 
 
 def make_tuple(mu, pairs):
-    from prunedhurwitz.permutations import compose, inverse, transposition
-
     sigma1 = canonical_permutation(mu)
     d = len(sigma1)
     prod = sigma1
     for a, b in pairs:
-        prod = compose(transposition(d, a, b), prod)
-    return FactorizationTuple(sigma1, tuple(pairs), inverse(prod))
+        prod = apply_after(transposition_images(d, a, b), prod)
+    return FactorizationTuple(sigma1, tuple(pairs), perm_inverse(prod))
 
 
 def test_product_identity_holds_for_enumerated_tuples():
@@ -64,8 +72,6 @@ def test_is_pruned_examples():
 def test_pruned_equals_no_leaf_condition_on_transitive_tuples():
     # for m > 1, the two-transpositions-per-cycle condition is the
     # graph no-leaf condition (loops count twice), given transitivity
-    from prunedhurwitz.permutations import transposition
-
     for mu in [(2,), (1, 1), (2, 1), (3,), (2, 2)]:
         d = sum(mu)
         sigma1 = canonical_permutation(mu)
@@ -75,7 +81,7 @@ def test_pruned_equals_no_leaf_condition_on_transitive_tuples():
                 t = make_tuple(mu, list(seq))
                 if not is_transitive(t):
                     continue
-                taus = [transposition(d, a, b) for a, b in seq]
+                taus = [transposition_images(d, a, b) for a, b in seq]
                 assert is_pruned(t) == pruned_by_valency(sigma1, taus)
 
 
@@ -212,3 +218,82 @@ def test_search_work_bound():
     # would refuse, and still refuses d = 24, m = 17
     assert search_work_bound(2, (4, 4), (3, 5)) <= DEFAULT_BUDGET < 28**6
     assert search_work_bound(6, (6, 6, 6, 6), (8, 8, 8)) > DEFAULT_BUDGET
+
+
+def _assert_roots_are_orbits(roots, pairs, group):
+    orbit_of = {pair: orbit for orbit in pair_orbits(pairs, group) for pair in orbit}
+    assert sum(size for _a, _b, size in roots) == len(pairs)
+    # one representative per orbit, weighted by the orbit size
+    assert len({orbit_of[a, b] for a, b, _size in roots}) == len(roots) == \
+        len(set(orbit_of.values()))
+    for a, b, size in roots:
+        assert size == len(orbit_of[a, b]), (a, b)
+
+
+def test_root_orbits_match_brute_force_centralizer_orbits():
+    # every ordering of every mu with d <= 6: the full centralizer for
+    # the plain count; the rotations, on all pairs and on the pairs each
+    # rotation fixes, for the Burnside path
+    for d in range(1, 7):
+        pairs = all_transposition_pairs(d)
+        for part in partitions(d):
+            for mu in set(permutations(part)):
+                sigma1 = canonical_permutation(mu)
+                roots = _root_orbits(mu, pairs, swap_equal_cycles=True)
+                _assert_roots_are_orbits(roots, pairs, centralizer(sigma1))
+                rotations = centralizer(sigma1, fix_cycles=True)
+                for z in rotations:
+                    fixed = [(a, b) for a, b in pairs if {z[a], z[b]} == {a, b}]
+                    roots = _root_orbits(mu, fixed, swap_equal_cycles=False)
+                    _assert_roots_are_orbits(roots, fixed, rotations)
+
+
+def test_burnside_roots_are_rotation_orbits(monkeypatch):
+    # the Burnside leaf test depends on the rotation z, so only the
+    # rotations, which commute with z, may share a first transposition's
+    # count.  No value shows a merge of equal cycles: for l(mu) >= 2 only
+    # z = id has transitive fixed sequences, so the roots are checked
+    calls = []
+    search = factorizations._search
+
+    def recording_search(sigma1, m, target, pairs, roots, *args, **kwargs):
+        calls.append((pairs, roots))
+        return search(sigma1, m, target, pairs, roots, *args, **kwargs)
+
+    monkeypatch.setattr(factorizations, "_search", recording_search)
+    mu = (2, 2, 1)
+    count_isomorphism_classes(0, mu, (3, 2), pruned=True)
+    rotations = centralizer(canonical_permutation(mu), fix_cycles=True)
+    assert len(calls) == len(rotations)
+    for pairs, roots in calls:
+        _assert_roots_are_orbits(roots, pairs, rotations)
+
+
+def test_counts_are_constant_on_root_orbits():
+    # the naive counts grouped by first transposition are constant on
+    # each centralizer orbit, so weighting one representative per orbit
+    # is exact
+    for d in range(1, 5):
+        pairs = all_transposition_pairs(d)
+        for mu in partitions(d):
+            orbits = pair_orbits(pairs, centralizer(canonical_permutation(mu)))
+            for g in (0, 1):
+                for nu in partitions(d):
+                    m = 2 * g - 2 + len(mu) + len(nu)
+                    if m < 1 or m > 4:
+                        continue
+                    tuples = list(iter_factorization_tuples(g, mu, nu))
+                    full = Counter(t.transpositions[0] for t in tuples)
+                    pruned = Counter(t.transpositions[0] for t in tuples if is_pruned(t))
+                    for by_first in (full, pruned):
+                        for orbit in orbits:
+                            assert len({by_first[pair] for pair in orbit}) == 1, \
+                                (g, mu, nu, sorted(orbit))
+
+
+def test_poly_battery_reach():
+    # PH0 = 2tc along the scaled chamber point (4,5)|(3,6) up to t = 8,
+    # d = 72, a degree-1 polynomial
+    values = scaling_values(0, (4, 5), (3, 6), Kind.PRUNED, 8, HurwitzEngine())
+    assert values == [2 * t * 3 for t in range(1, 9)]
+    assert finite_difference_degree(values) == 1

@@ -152,6 +152,27 @@ def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
     assert second.tuple_count(0, (3, 2), (4, 1), pruned=False) == 48
 
 
+def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
+    # the stability reading changes no value, so a cache filled under
+    # one reading answers under the other
+    path = tmp_path / "cache.jsonl"
+    first = HurwitzEngine(Conventions(stability_reading="facecount"), cache_path=str(path))
+    value = first.pruned(1, (3,), (2, 1))
+    assert {json.dumps(json.loads(line)["conv"]) for line in path.read_text().splitlines()} \
+        == {'{"m0_pruned": false}'}
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a cached value")
+
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
+    second = HurwitzEngine(Conventions(stability_reading="literal"), cache_path=str(path))
+    assert second.pruned(1, (3,), (2, 1)) == value
+    # the other m = 0 convention still keeps to its own records
+    other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
+    with pytest.raises(AssertionError, match="enumerated"):
+        other.pruned(1, (3,), (2, 1))
+
+
 def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     conv = Conventions().as_dict()

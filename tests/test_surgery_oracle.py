@@ -25,10 +25,9 @@ from functools import cache
 
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order
 from prunedhurwitz.cutjoin import GENUS_DROP, JOIN, SPLIT, cut_and_join_terms
-from prunedhurwitz.factorizations import iter_factorization_tuples
 from prunedhurwitz.hurwitz import HurwitzEngine
 
-from oracles import apply_after, perm_cycles
+from oracles import apply_after, iter_factorization_tuples, perm_cycles
 
 ENGINE = HurwitzEngine()
 
