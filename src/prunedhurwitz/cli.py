@@ -20,7 +20,11 @@ from . import __version__
 from .cache import CACHE_ENV_VAR, default_cache_path
 from .cutjoin import DEFAULT_SPLIT_RULE, VARIANTS, verify_recursion
 from .factorizations import search_work_bound
-from .forests import count_forests_with_degrees, enumerate_rooted_forests
+from .forests import (
+    DEFAULT_ENUMERATION_BOUND,
+    count_forests_with_degrees,
+    enumerate_rooted_forests,
+)
 from .hurwitz import STABILITY_READINGS, Conventions, HurwitzEngine, Kind
 from .polynomiality import (
     degree_bound,
@@ -190,6 +194,12 @@ def _enumerated_instances(args):
 def cmd_verify(args) -> int:
     if args.which == "poly" and args.t_max < 2:
         sys.stderr.write("the poly battery needs --t-max >= 2\n")
+        return EXIT_USAGE
+    if args.which == "forests" and args.max_n > DEFAULT_ENUMERATION_BOUND:
+        sys.stderr.write(
+            f"the forests battery enumerates n <= {DEFAULT_ENUMERATION_BOUND} only; "
+            f"got --max-n {args.max_n}\n"
+        )
         return EXIT_USAGE
     if any(_over_budget(args, g, mu, nu) for g, mu, nu in _enumerated_instances(args)):
         return EXIT_BUDGET

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import product
 from typing import Callable, Sequence
 
 from .combinatorics import Partition, automorphism_factor, bell_number, centralizer_order
@@ -307,26 +306,6 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     return pairs * sum(min(pairs**k, states) for k in range(m))
 
 
-def _rotation_centralizer(mu: Partition) -> list[Permutation]:
-    """Elements of the centralizer of the canonical permutation of mu
-    that fix every cycle setwise: independent rotations of the cycles."""
-    blocks = []
-    start = 0
-    for part in mu:
-        blocks.append(list(range(start, start + part)))
-        start += part
-    d = start
-    out = []
-    for offsets in product(*(range(len(b)) for b in blocks)):
-        images = [0] * d
-        for block, off in zip(blocks, offsets):
-            k = len(block)
-            for s, x in enumerate(block):
-                images[x] = block[(s + off) % k]
-        out.append(tuple(images))
-    return out
-
-
 def count_isomorphism_classes(
     g: int,
     mu: Sequence[int],
@@ -346,6 +325,11 @@ def count_isomorphism_classes(
     so the root orbits use only the rotations: they commute with z, so
     they preserve the z-invariant pairs and the test, whereas a swap of
     equal cycles need not.
+
+    For l(mu) >= 2 only z = id contributes.  A rotation z moving cycle
+    j has no fixed point on it, so a transposition fixed by z that
+    touches cycle j is swapped by z and lies inside cycle j; no fixed
+    sequence joins cycle j to another cycle, so none is transitive.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -363,8 +347,12 @@ def count_isomorphism_classes(
     cyc_of = cycle_index_map(mu)
     pairs = all_transposition_pairs(d)
 
+    if len(mu) == 1:  # the rotations of the d-cycle sigma1: x -> x + k mod d
+        rotations = [tuple((x + k) % d for x in range(d)) for k in range(d)]
+    else:
+        rotations = [tuple(range(d))]
     total = 0
-    for z in _rotation_centralizer(mu):
+    for z in rotations:
         fixed_pairs = [(a, b) for a, b in pairs if {z[a], z[b]} == {a, b}]
 
         def sigma2_cycles_fixed(prod: list[int]) -> bool:

@@ -11,14 +11,15 @@ degree sequence (delta_1, ..., delta_n) is
 
     sum_{i in S} multinomial(n - |S| - 1; delta_1, ..., delta_i - 1, ..., delta_n)
 
-which the zero-extended multinomial makes total; the brute-force
-enumeration below is the independent oracle for it.
+which the zero-extended multinomial makes total.  The library checks
+it against :func:`enumerate_rooted_forests`, which generates the forests
+directly by a depth-first walk over parent choices; the test suite's
+oracle instead filters every parent map for acyclicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import multinomial
@@ -41,8 +42,9 @@ class RootedForest:
         return frozenset(v for v, p in enumerate(self.parent) if p is None)
 
     def out_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for p in self.parent:
+        parent = self.parent
+        degs = [0] * len(parent)
+        for p in parent:
             if p is not None:
                 degs[p] += 1
         return tuple(degs)
@@ -78,8 +80,17 @@ def enumerate_rooted_forests(
     roots: Iterable[int],
     bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> Iterator[RootedForest]:
-    """Brute-force enumeration: all parent assignments on the non-root
-    vertices, filtered for acyclicity.  Refuses n above ``bound``."""
+    """Every rooted forest on n vertices with the given root set, in
+    lexicographic order of the parent tuple.  Refuses n above ``bound``.
+
+    The parents of the non-roots are assigned in increasing vertex order
+    by an iterative depth-first walk, candidates in increasing order.
+    Vertices not yet assigned act as roots, so the assigned part is
+    always a forest and the parent chain from a candidate u ends; u is
+    rejected as the parent of v when that chain reaches v.  A map is a
+    forest iff no prefix closes a cycle, so exactly the forests are
+    generated, and every partial assignment extends to one.
+    """
     if n > bound:
         raise ValueError(f"n={n} exceeds enumeration bound {bound}")
     root_set = sorted(set(roots))
@@ -87,32 +98,33 @@ def enumerate_rooted_forests(
         raise ValueError("root set must be non-empty")
     if any(r < 0 or r >= n for r in root_set):
         raise ValueError("root indices out of range")
-    is_root = [False] * n
-    for r in root_set:
-        is_root[r] = True
-    non_roots = [v for v in range(n) if not is_root[v]]
-    candidates = [[u for u in range(n) if u != v] for v in non_roots]
-    for choice in product(*candidates):
-        parent: list[int | None] = [None] * n
-        for v, p in zip(non_roots, choice):
-            parent[v] = p
-        if _is_forest(parent):
+    parent: list[int | None] = [None] * n
+    non_roots = [v for v in range(n) if v not in root_set]
+    k = len(non_roots)
+    if k == 0:
+        yield RootedForest(tuple(parent))
+        return
+    # choice[i]: the candidate last tried as the parent of non_roots[i]
+    choice = [-1] * k
+    depth = 0
+    while depth >= 0:
+        v = non_roots[depth]
+        parent[v] = None
+        u = choice[depth] + 1
+        while u < n:
+            w: int | None = u
+            while w is not None and w != v:
+                w = parent[w]
+            if w is None:
+                break
+            u += 1
+        if u == n:
+            choice[depth] = -1
+            depth -= 1
+            continue
+        choice[depth] = u
+        parent[v] = u
+        if depth + 1 == k:
             yield RootedForest(tuple(parent))
-
-
-def _is_forest(parent: Sequence[int | None]) -> bool:
-    n = len(parent)
-    state = [0] * n  # 0 unknown, 1 in progress, 2 reaches a root
-    for start in range(n):
-        path = []
-        v: int | None = start
-        while v is not None and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = parent[v]
-        ok = v is None or state[v] == 2
-        for u in path:
-            state[u] = 2 if ok else 1
-        if not ok:
-            return False
-    return True
+        else:
+            depth += 1

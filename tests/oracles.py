@@ -265,3 +265,38 @@ def pair_orbits(pairs, group):
         seen |= orbit
         out.append(orbit)
     return out
+
+
+def is_forest(parent):
+    """True iff following parents from every vertex ends at a root
+    (None) without revisiting a vertex."""
+    n = len(parent)
+    state = [0] * n  # 0 unknown, 1 in progress, 2 reaches a root
+    for start in range(n):
+        path = []
+        v = start
+        while v is not None and state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = parent[v]
+        ok = v is None or state[v] == 2
+        for u in path:
+            state[u] = 2 if ok else 1
+        if not ok:
+            return False
+    return True
+
+
+def filtered_parent_maps(n, roots):
+    """Parent tuples of the rooted forests on n vertices with the given
+    root set: every map of the non-roots to other vertices, in
+    lexicographic order, filtered for acyclicity."""
+    root_set = set(roots)
+    non_roots = [v for v in range(n) if v not in root_set]
+    candidates = [[u for u in range(n) if u != v] for v in non_roots]
+    for choice in product(*candidates):
+        parent = [None] * n
+        for v, p in zip(non_roots, choice):
+            parent[v] = p
+        if is_forest(parent):
+            yield tuple(parent)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from prunedhurwitz import hurwitz
+from prunedhurwitz import cli, hurwitz
 from prunedhurwitz.cli import main
 
 
@@ -111,6 +111,18 @@ def test_verify_forests(capsys):
     assert code == 0
     assert rows[-1]["all_match"] is True
     assert all(r["match"] for r in rows if r.get("type") == "forests")
+
+
+def test_verify_forests_refuses_max_n_above_the_bound(capsys, monkeypatch):
+    # refused before any enumeration or report line, not after
+    # enumerating every n up to the bound
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated forests")
+
+    monkeypatch.setattr(cli, "enumerate_rooted_forests", no_enumeration)
+    code, rows, err = run_cli(capsys, "verify", "forests", "--max-n", "9")
+    assert code == 2 and not rows
+    assert err.count("\n") == 1 and "--max-n 9" in err
 
 
 def test_verify_poly(capsys):

@@ -20,6 +20,7 @@ from prunedhurwitz.polynomiality import finite_difference_degree, scaling_values
 from oracles import (
     FactorizationTuple,
     apply_after,
+    bfs_transitive,
     centralizer,
     fully_ramified_orbit_count,
     is_pruned,
@@ -249,10 +250,11 @@ def test_root_orbits_match_brute_force_centralizer_orbits():
 
 
 def test_burnside_roots_are_rotation_orbits(monkeypatch):
-    # the Burnside leaf test depends on the rotation z, so only the
-    # rotations, which commute with z, may share a first transposition's
-    # count.  No value shows a merge of equal cycles: for l(mu) >= 2 only
-    # z = id has transitive fixed sequences, so the roots are checked
+    # for l(mu) >= 2 only z = id has transitive fixed sequences, so the
+    # Burnside path runs a single search, for the identity, whose first
+    # transpositions are still grouped by the rotation orbits of all
+    # pairs (a merge of equal cycles would change no value, so the roots
+    # are checked)
     calls = []
     search = factorizations._search
 
@@ -264,9 +266,33 @@ def test_burnside_roots_are_rotation_orbits(monkeypatch):
     mu = (2, 2, 1)
     count_isomorphism_classes(0, mu, (3, 2), pruned=True)
     rotations = centralizer(canonical_permutation(mu), fix_cycles=True)
-    assert len(calls) == len(rotations)
-    for pairs, roots in calls:
-        _assert_roots_are_orbits(roots, pairs, rotations)
+    ((pairs, roots),) = calls
+    assert pairs == all_transposition_pairs(sum(mu))
+    _assert_roots_are_orbits(roots, pairs, rotations)
+
+
+def test_non_identity_rotations_fix_no_transitive_sequence():
+    # why the Burnside path skips them: for l(mu) >= 2 no sequence of
+    # transpositions fixed by a rotation z != id is transitive together
+    # with sigma1, whatever its product
+    for d in range(2, 6):
+        identity = tuple(range(d))
+        for part in partitions(d):
+            if len(part) < 2:
+                continue
+            for mu in set(permutations(part)):
+                sigma1 = canonical_permutation(mu)
+                for z in centralizer(sigma1, fix_cycles=True):
+                    if z == identity:
+                        continue
+                    fixed = [
+                        transposition_images(d, a, b)
+                        for a, b in all_transposition_pairs(d)
+                        if {z[a], z[b]} == {a, b}
+                    ]
+                    for m in range(4):
+                        for seq in product(fixed, repeat=m):
+                            assert not bfs_transitive(d, (sigma1,) + seq), (mu, z, seq)
 
 
 def test_counts_are_constant_on_root_orbits():

@@ -5,6 +5,8 @@ import pytest
 
 from prunedhurwitz.forests import count_forests_with_degrees, enumerate_rooted_forests
 
+from oracles import filtered_parent_maps
+
 
 def test_closed_form_examples():
     assert count_forests_with_degrees((2, 0, 0), [0]) == 1
@@ -18,6 +20,23 @@ def test_enumeration_examples():
     assert sum(1 for _ in enumerate_rooted_forests(3, [0])) == 3
     assert sum(1 for _ in enumerate_rooted_forests(2, [0, 1])) == 1
     assert sum(1 for _ in enumerate_rooted_forests(1, [0])) == 1
+
+
+def test_enumeration_matches_filtered_parent_maps():
+    # exactly the oracle's parent tuples, in the same (lexicographic)
+    # order, each once
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for roots in combinations(range(n), r):
+                got = [forest.parent for forest in enumerate_rooted_forests(n, roots)]
+                assert got == list(filtered_parent_maps(n, roots)), (n, roots)
+                assert len(set(got)) == len(got)
+
+
+def test_enumeration_reach_at_the_bound():
+    # n = 8 is the default bound: r * n^(n-r-1) forests
+    assert sum(1 for _ in enumerate_rooted_forests(8, [0])) == 8**6 == 262_144
+    assert sum(1 for _ in enumerate_rooted_forests(8, [0, 1])) == 2 * 8**5 == 65_536
 
 
 def test_forest_structure():
