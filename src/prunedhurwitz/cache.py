@@ -6,10 +6,10 @@ One JSON object per line:
      "num": "8", "den": "1", "conv": {"m0_pruned": false}}
 
 Partitions are stored sorted descending (values depend only on the
-multisets).  Of the conventions only ``m0_pruned`` changes a value, so
-a record carries only it, and records made under the other m = 0
-convention are ignored; malformed lines are skipped with a warning and
-never trusted.
+multisets).  Records made under the other m = 0 convention are
+ignored, other keys of ``conv`` are not read (older records also carry
+the cut-and-join stability reading), and malformed lines are skipped
+with a warning and never trusted.
 """
 
 from __future__ import annotations

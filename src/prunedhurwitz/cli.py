@@ -18,14 +18,14 @@ from typing import Sequence
 
 from . import __version__
 from .cache import CACHE_ENV_VAR, default_cache_path
-from .cutjoin import DEFAULT_SPLIT_RULE, VARIANTS, verify_recursion
+from .cutjoin import STABILITY_READINGS, VARIANTS, verify_recursion
 from .factorizations import search_work_bound
 from .forests import (
     DEFAULT_ENUMERATION_BOUND,
     count_forests_with_degrees,
     enumerate_rooted_forests,
 )
-from .hurwitz import STABILITY_READINGS, Conventions, HurwitzEngine, Kind
+from .hurwitz import Conventions, HurwitzEngine, Kind
 from .polynomiality import (
     degree_bound,
     finite_difference_degree,
@@ -81,11 +81,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _engine(args) -> HurwitzEngine:
-    conv = Conventions(
-        m0_pruned=args.m0_pruned_convention,
-        stability_reading=args.stability_reading,
-    )
-    return HurwitzEngine(conv, cache_path=args.cache)
+    return HurwitzEngine(Conventions(m0_pruned=args.m0_pruned_convention), cache_path=args.cache)
 
 
 def _over_budget(args, g, mu, nu) -> bool:
@@ -106,8 +102,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
     parser.add_argument("--m0-pruned-convention", action="store_true",
                         help="treat the edgeless tuple (m=0) as pruned")
-    parser.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
-                        help="split-term exclusion rule for the recursion")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="refuse enumerations whose bound on the memoised search work exceeds this")
     parser.add_argument("--force", action="store_true", help="override the budget guard")
@@ -247,7 +241,6 @@ def _verify_cut_and_join(args, engine) -> bool:
         report = verify_recursion(
             g, mu, nu, engine,
             stability_reading=args.stability_reading,
-            split_rule=args.split_rule,
             variant=args.variant,
         )
         all_match &= report.match
@@ -266,7 +259,6 @@ def _verify_cut_and_join(args, engine) -> bool:
             detailed = verify_recursion(
                 g, mu, nu, engine,
                 stability_reading=args.stability_reading,
-                split_rule=args.split_rule,
                 variant=args.variant,
                 keep_terms=True,
             )
@@ -397,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=4, help="scaling window (poly)")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="recursion evaluator (cut-and-join)")
-    p.add_argument("--split-rule", choices=["half", "delta-ordered", "delta-unordered"],
-                   default=DEFAULT_SPLIT_RULE)
+    p.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
+                   help="split-term exclusion rule of the plain recursion (cut-and-join)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

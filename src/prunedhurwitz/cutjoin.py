@@ -42,9 +42,15 @@ exactly on every tested instance:
   binomial(m - 1 - p; m1) factor absent from the plain form.
 
 A cycle half means genus 0 with two faces in total, i.e. an inherited
-face count of 1; the "facecount" stability reading excludes exactly
-those from the plain split sum, the "literal" reading excludes
-(genus, inherited faces) = (0, 2) instead.
+face count of 1.  The plain split sum's stability clause has two
+readings, an argument of ``verify_recursion`` and not an engine
+convention (no Hurwitz value depends on it): "facecount" excludes
+exactly the cycle halves, "literal" excludes (genus, inherited faces)
+= (0, 2) instead.
+
+Both evaluators visit split configurations with g1 <= g2; on a genus
+tie each unordered configuration is visited in both orders, so it
+enters with weight 1/2.
 
 The evaluator is total for g >= 0 (negative-genus and degenerate
 oracle arguments contribute zero).  It is verification machinery, not
@@ -60,7 +66,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from .combinatorics import falling_factorial, subsets
-from .hurwitz import STABILITY_READINGS, HurwitzEngine
+from .hurwitz import HurwitzEngine
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
 
@@ -69,39 +75,11 @@ SPLIT = "SPLIT"
 JOIN = "JOIN"
 
 VARIANTS = ("plain", "corrected")
-
-# Pairing rules for the two halves of a split term; the enumeration
-# visits every ordered pair ((g1,I1,J1,alpha),(g2,I2,J2,beta)) with
-# g1 <= g2, and on genus ties both orderings of an unordered
-# configuration appear, so a weight must make each configuration count
-# once overall.
-#
-# "half":          1 when g1 < g2, 1/2 on every genus tie; this is the
-#                  counting-consistent rule and the default.
-# "delta-ordered": on genus ties, 1/2 only when the size signatures
-#                  (|I|,|J|,perimeter) agree, 1 otherwise -- the delta
-#                  factor of the customary statement read literally.
-# "delta-unordered": the same delta applied per unordered visit, i.e.
-#                  an extra half on size-symmetric tied configurations.
-#
-# The three rules coincide on every instance tested at desk scale
-# (tied, size-asymmetric configurations with non-zero halves do not
-# arise there), so the choice is recorded but undiscriminated.
-SPLIT_RULES = ("half", "delta-ordered", "delta-unordered")
-DEFAULT_SPLIT_RULE = "half"
+STABILITY_READINGS = ("literal", "facecount")
 
 
-def _split_weight(rule: str, g1: int, g2: int, sig1: tuple, sig2: tuple) -> Fraction:
-    if g1 < g2:
-        return Fraction(1)
-    matches = sig1 == sig2
-    if rule == "half":
-        return Fraction(1, 2)
-    if rule == "delta-ordered":
-        return Fraction(1, 2) if matches else Fraction(1)
-    if rule == "delta-unordered":
-        return Fraction(1, 4) if matches else Fraction(1, 2)
-    raise ValueError(f"unknown split rule {rule!r}; choose from {SPLIT_RULES}")
+def _split_weight(g1: int, g2: int) -> Fraction:
+    return Fraction(1) if g1 < g2 else Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -120,7 +98,6 @@ class RecursionReport:
     rhs: Fraction
     per_case_totals: dict[str, Fraction]
     stability_reading: str
-    split_rule: str
     variant: str
     terms: list[RecursionTerm] = field(default_factory=list)
 
@@ -133,11 +110,7 @@ def _stability_excluded(reading: str, g_t: int, inherited_faces: int) -> bool:
     """Whether a split half is excluded by the stability rule."""
     if reading == "facecount":
         return g_t == 0 and inherited_faces == 1
-    if reading == "literal":
-        return (g_t, inherited_faces) == (0, 2)
-    raise ValueError(
-        f"unknown stability reading {reading!r}; choose from {STABILITY_READINGS}"
-    )
+    return (g_t, inherited_faces) == (0, 2)
 
 
 def _check_arguments(g: int, mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
@@ -152,6 +125,15 @@ def _check_arguments(g: int, mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     return m
 
 
+def _attachment(mu: tuple, removed: Sequence[int], m: int) -> int:
+    """(p + 1)! * (m-1)!/(m-p-1)! * prod(mu_removed) for a path through
+    the p removed vertices; 0 when the path needs more than m - 1 labels."""
+    attach = falling_factorial(m - 1, len(removed)) * factorial(len(removed) + 1)
+    for x in removed:
+        attach *= mu[x]
+    return attach
+
+
 def _genus_drop_terms(
     g: int, mu: tuple, nu: tuple, m: int, phat: PhatOracle
 ) -> Iterator[RecursionTerm]:
@@ -163,11 +145,9 @@ def _genus_drop_terms(
             budget = nu[i] - sum(mu[x] for x in removed)
             if budget < 2:
                 continue
-            attach = falling_factorial(m - 1, len(removed)) * factorial(len(removed) + 1)
+            attach = _attachment(mu, removed, m)
             if attach == 0:
                 continue
-            for x in removed:
-                attach *= mu[x]
             mu_core = tuple(mu[x] for x in core)
             for alpha in range(1, budget):
                 beta = budget - alpha
@@ -192,11 +172,9 @@ def _join_terms(
             alpha = nu[i] + nu[j] - sum(mu[x] for x in removed)
             if alpha < 1:
                 continue
-            attach = falling_factorial(m - 1, len(removed)) * factorial(len(removed) + 1)
+            attach = _attachment(mu, removed, m)
             if attach == 0:
                 continue
-            for x in removed:
-                attach *= mu[x]
             value = phat(g, tuple(mu[x] for x in core), other_faces + (alpha,))
             if value == 0:
                 continue
@@ -224,11 +202,9 @@ def _split_data(mu: tuple, nu: tuple, m: int, i: int):
             budget = nu[i] - sum(mu[x] for x in removed)
             if budget < 2:
                 continue
-            attach = falling_factorial(m - 1, len(removed)) * factorial(len(removed) + 1)
+            attach = _attachment(mu, removed, m)
             if attach == 0:
                 continue
-            for x in removed:
-                attach *= mu[x]
             yield tuple(part1), tuple(part2), tuple(removed), faces1, faces2, budget, attach
 
 
@@ -239,7 +215,6 @@ def _split_terms_plain(
     m: int,
     phat: PhatOracle,
     stability_reading: str,
-    split_rule: str,
 ) -> Iterator[RecursionTerm]:
     for i in range(len(nu)):
         for part1, part2, removed, faces1, faces2, budget, attach in _split_data(mu, nu, m, i):
@@ -251,13 +226,9 @@ def _split_terms_plain(
                     continue
                 if _stability_excluded(stability_reading, g2, len(faces2)):
                     continue
+                weight = _split_weight(g1, g2)
                 for alpha in range(1, budget):
                     beta = budget - alpha
-                    weight = _split_weight(
-                        split_rule, g1, g2,
-                        (len(part1), len(faces1), alpha),
-                        (len(part2), len(faces2), beta),
-                    )
                     v1 = phat(g1, tuple(mu[x] for x in part1),
                               tuple(nu[f] for f in faces1) + (alpha,))
                     if v1 == 0:
@@ -283,7 +254,6 @@ def _split_terms_corrected(
     nu: tuple,
     m: int,
     ph: PhatOracle,
-    split_rule: str,
 ) -> Iterator[RecursionTerm]:
     for i in range(len(nu)):
         for part1, part2, removed, faces1, faces2, budget, attach in _split_data(mu, nu, m, i):
@@ -302,13 +272,9 @@ def _split_terms_corrected(
                 if m1 < 0 or m2 < 0 or m1 + m2 != m - 1 - p:
                     continue
                 interleave = comb(m - 1 - p, m1)
+                weight = _split_weight(g1, g2)
                 for alpha in range(1, budget):
                     beta = budget - alpha
-                    weight = _split_weight(
-                        split_rule, g1, g2,
-                        (len(part1), len(faces1), alpha),
-                        (len(part2), len(faces2), beta),
-                    )
                     v1 = ph(g1, tuple(mu[x] for x in part1),
                             tuple(nu[f] for f in faces1) + (alpha,))
                     if v1 == 0:
@@ -334,26 +300,32 @@ def cut_and_join_terms(
     nu: Sequence[int],
     phat: PhatOracle,
     stability_reading: str = "literal",
-    split_rule: str = DEFAULT_SPLIT_RULE,
     variant: str = "plain",
     ph: PhatOracle | None = None,
 ) -> Iterator[RecursionTerm]:
     """Yield every non-zero term of the recursion right-hand side.
 
-    ``phat`` supplies modified pruned values; the corrected variant
-    additionally needs ``ph`` (automorphism-weighted pruned values) for
-    the split halves and falls back to ``phat`` when not given.
+    ``phat`` supplies modified pruned values.  The corrected variant
+    also needs ``ph`` (automorphism-weighted pruned values) for the
+    split halves and raises ``ValueError`` without it.  Only the plain
+    variant reads ``stability_reading``.
     """
     mu = tuple(mu)
     nu = tuple(nu)
     m = _check_arguments(g, mu, nu)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    if stability_reading not in STABILITY_READINGS:
+        raise ValueError(
+            f"unknown stability reading {stability_reading!r}; choose from {STABILITY_READINGS}"
+        )
+    if variant == "corrected" and ph is None:
+        raise ValueError("the corrected variant needs the pruned oracle ph")
     yield from _genus_drop_terms(g, mu, nu, m, phat)
     if variant == "plain":
-        yield from _split_terms_plain(g, mu, nu, m, phat, stability_reading, split_rule)
+        yield from _split_terms_plain(g, mu, nu, m, phat, stability_reading)
     else:
-        yield from _split_terms_corrected(g, mu, nu, m, ph or phat, split_rule)
+        yield from _split_terms_corrected(g, mu, nu, m, ph)
     yield from _join_terms(g, mu, nu, m, phat)
 
 
@@ -363,14 +335,13 @@ def cut_and_join_rhs(
     nu: Sequence[int],
     phat: PhatOracle,
     stability_reading: str = "literal",
-    split_rule: str = DEFAULT_SPLIT_RULE,
     variant: str = "plain",
     ph: PhatOracle | None = None,
 ) -> Fraction:
     """Total of the recursion right-hand side."""
     return sum(
         (t.value for t in cut_and_join_terms(
-            g, mu, nu, phat, stability_reading, split_rule, variant, ph)),
+            g, mu, nu, phat, stability_reading, variant, ph)),
         Fraction(0),
     )
 
@@ -380,8 +351,7 @@ def verify_recursion(
     mu: Sequence[int],
     nu: Sequence[int],
     engine: HurwitzEngine | None = None,
-    stability_reading: str | None = None,
-    split_rule: str = DEFAULT_SPLIT_RULE,
+    stability_reading: str = "literal",
     variant: str = "plain",
     keep_terms: bool = False,
 ) -> RecursionReport:
@@ -391,13 +361,11 @@ def verify_recursion(
     (optionally) every term for mismatch forensics.
     """
     engine = engine or HurwitzEngine()
-    if stability_reading is None:
-        stability_reading = engine.conventions.stability_reading
     lhs = engine.pruned(g, mu, nu)
     totals = {GENUS_DROP: Fraction(0), SPLIT: Fraction(0), JOIN: Fraction(0)}
     terms = []
     for term in cut_and_join_terms(
-        g, mu, nu, engine.phat, stability_reading, split_rule, variant, engine.ph
+        g, mu, nu, engine.phat, stability_reading, variant, engine.ph
     ):
         totals[term.case] += term.value
         if keep_terms:
@@ -410,7 +378,6 @@ def verify_recursion(
         rhs=sum(totals.values(), Fraction(0)),
         per_case_totals=totals,
         stability_reading=stability_reading,
-        split_rule=split_rule,
         variant=variant,
         terms=terms,
     )

@@ -19,7 +19,6 @@ oracle instead filters every parent map for acyclicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import multinomial
@@ -27,27 +26,18 @@ from .combinatorics import multinomial
 DEFAULT_ENUMERATION_BOUND = 8
 
 
-@dataclass(frozen=True)
 class RootedForest:
-    """Parent representation: parent[v] is None exactly for roots."""
+    """Parent representation: parent[v] is None exactly for roots; the
+    out-degrees are stored beside it, as the enumeration counts them."""
 
-    parent: tuple[int | None, ...]
+    __slots__ = ("parent", "_degrees")
 
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    @property
-    def roots(self) -> frozenset[int]:
-        return frozenset(v for v, p in enumerate(self.parent) if p is None)
+    def __init__(self, parent: tuple[int | None, ...], degrees: tuple[int, ...]) -> None:
+        self.parent = parent
+        self._degrees = degrees
 
     def out_degrees(self) -> tuple[int, ...]:
-        parent = self.parent
-        degs = [0] * len(parent)
-        for p in parent:
-            if p is not None:
-                degs[p] += 1
-        return tuple(degs)
+        return self._degrees
 
 
 def count_forests_with_degrees(degrees: Sequence[int], roots: Iterable[int]) -> int:
@@ -89,7 +79,8 @@ def enumerate_rooted_forests(
     always a forest and the parent chain from a candidate u ends; u is
     rejected as the parent of v when that chain reaches v.  A map is a
     forest iff no prefix closes a cycle, so exactly the forests are
-    generated, and every partial assignment extends to one.
+    generated, and every partial assignment extends to one.  The walk
+    counts the out-degrees as it assigns and withdraws parents.
     """
     if n > bound:
         raise ValueError(f"n={n} exceeds enumeration bound {bound}")
@@ -99,18 +90,22 @@ def enumerate_rooted_forests(
     if any(r < 0 or r >= n for r in root_set):
         raise ValueError("root indices out of range")
     parent: list[int | None] = [None] * n
+    deg = [0] * n
     non_roots = [v for v in range(n) if v not in root_set]
     k = len(non_roots)
     if k == 0:
-        yield RootedForest(tuple(parent))
+        yield RootedForest(tuple(parent), tuple(deg))
         return
     # choice[i]: the candidate last tried as the parent of non_roots[i]
     choice = [-1] * k
     depth = 0
     while depth >= 0:
         v = non_roots[depth]
+        u = choice[depth]
+        if u >= 0:
+            deg[u] -= 1
         parent[v] = None
-        u = choice[depth] + 1
+        u += 1
         while u < n:
             w: int | None = u
             while w is not None and w != v:
@@ -124,7 +119,8 @@ def enumerate_rooted_forests(
             continue
         choice[depth] = u
         parent[v] = u
+        deg[u] += 1
         if depth + 1 == k:
-            yield RootedForest(tuple(parent))
+            yield RootedForest(tuple(parent), tuple(deg))
         else:
             depth += 1

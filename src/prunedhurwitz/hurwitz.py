@@ -31,8 +31,6 @@ from .combinatorics import (
 )
 from .factorizations import count_factorizations, count_isomorphism_classes
 
-STABILITY_READINGS = ("literal", "facecount")
-
 
 class Kind(enum.Enum):
     """The three value flavours, named by their cache tags."""
@@ -44,23 +42,12 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class Conventions:
-    """Resolutions of the two degenerate-case ambiguities.
+    """The value conventions, which cache records are keyed on.
 
     ``m0_pruned``: whether the edgeless tuple (m = 0) counts as pruned.
-    ``stability_reading``: which exclusion rule the cut-and-join
-    evaluator applies to split terms ("literal": drop factors with
-    (genus, #inherited faces) = (0, 2); "facecount": drop factors whose
-    full face argument has (genus, length) = (0, 2), i.e. one inherited
-    face plus the new one).  Only ``m0_pruned`` affects values, so cache
-    records are keyed on it alone.
     """
 
     m0_pruned: bool = False
-    stability_reading: str = "literal"
-
-    def __post_init__(self) -> None:
-        if self.stability_reading not in STABILITY_READINGS:
-            raise ValueError(f"stability_reading must be one of {STABILITY_READINGS}")
 
     def as_dict(self) -> dict:
         return asdict(self)

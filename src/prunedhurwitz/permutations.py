@@ -18,10 +18,6 @@ def identity_permutation(d: int) -> Permutation:
     return tuple(range(d))
 
 
-def is_permutation(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """The product a*b, i.e. apply b first: x -> a(b(x))."""
     if len(a) != len(b):

@@ -46,6 +46,22 @@ def test_compute_pruned_and_modified(capsys):
     assert code == 0 and rows[0]["value"] == {"num": "1", "den": "2"}
 
 
+def test_conventions_carry_only_the_m0_convention(capsys):
+    code, rows, _ = run_cli(
+        capsys, "compute", "--genus", "0", "--mu", "2", "--nu", "1,1",
+        "--kind", "pruned", "--omit-timing",
+    )
+    assert code == 0 and rows[0]["conventions"] == {"m0_pruned": False}
+    # the stability reading is a verify option only
+    for argv in (
+        ["compute", "--genus", "0", "--mu", "2", "--nu", "1,1", "--stability-reading", "facecount"],
+        ["fit", "--mu", "2,3", "--nu", "1,4", "--stability-reading", "facecount"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--genus", "0", "--mu", "nonsense", "--nu", "2"])

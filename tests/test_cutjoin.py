@@ -105,10 +105,7 @@ def test_split_half_rule_counts_unordered_configurations_once():
                         term = v1 * v2 * alpha * beta * attach
                         full_range += term
                         if g1 <= g2:
-                            evaluator += term * _split_weight(
-                                "half", g1, g2,
-                                (len(part1), len(faces1), alpha),
-                                (len(part2), len(faces2), beta))
+                            evaluator += term * _split_weight(g1, g2)
         assert evaluator == full_range / 2
 
 
@@ -127,6 +124,13 @@ def test_preconditions():
         cut_and_join_rhs(0, (2, 2), (2, 1, 1), ENGINE.phat, stability_reading="bogus")
     with pytest.raises(ValueError):
         cut_and_join_rhs(0, (2, 2), (2, 1, 1), ENGINE.phat, variant="bogus")
+    # the corrected split halves need the weighted count: the modified
+    # one in their place would give 10,416
+    with pytest.raises(ValueError):
+        cut_and_join_rhs(1, (3, 2), (3, 1, 1), ENGINE.phat, variant="corrected")
+    assert cut_and_join_rhs(
+        1, (3, 2), (3, 1, 1), ENGINE.phat, variant="corrected", ph=ENGINE.ph
+    ) == ENGINE.pruned(1, (3, 2), (3, 1, 1)) == 10380
 
 
 def test_corrected_variant_at_degree_six():
@@ -136,11 +140,17 @@ def test_corrected_variant_at_degree_six():
 
 
 def test_corrected_variant_wider_shapes():
-    # four faces, degree seven, and genus two at degree four
+    # four faces, degree seven, and genus two at degree four; the genus
+    # two cases pin the tied split weight 1/2, where weighting tied
+    # configurations by their size signatures gives rhs 69,868 on the
+    # first (lhs 69,888) and 791,756 on the second (lhs 791,616)
     for g, mu, nu in [
         (0, (4, 3), (3, 2, 1, 1)),
         (0, (2, 2, 2), (3, 2, 1)),
         (2, (2, 2), (2, 1, 1)),
+        (2, (2, 1, 1), (2, 1, 1)),
     ]:
         report = verify_recursion(g, mu, nu, ENGINE, variant="corrected")
         assert report.match, (g, mu, nu, report.lhs, report.rhs)
+    assert ENGINE.pruned(2, (2, 2), (2, 1, 1)) == 69888
+    assert ENGINE.pruned(2, (2, 1, 1), (2, 1, 1)) == 791616

@@ -28,9 +28,14 @@ def test_enumeration_matches_filtered_parent_maps():
     for n in range(1, 7):
         for r in range(1, n + 1):
             for roots in combinations(range(n), r):
-                got = [forest.parent for forest in enumerate_rooted_forests(n, roots)]
-                assert got == list(filtered_parent_maps(n, roots)), (n, roots)
-                assert len(set(got)) == len(got)
+                forests = list(enumerate_rooted_forests(n, roots))
+                expected = list(filtered_parent_maps(n, roots))
+                assert [forest.parent for forest in forests] == expected, (n, roots)
+                assert len(set(expected)) == len(expected)
+                # and the out-degrees the walk carries are the parent counts
+                for forest, parent in zip(forests, expected):
+                    counts = Counter(p for p in parent if p is not None)
+                    assert forest.out_degrees() == tuple(counts[v] for v in range(n))
 
 
 def test_enumeration_reach_at_the_bound():
@@ -41,7 +46,7 @@ def test_enumeration_reach_at_the_bound():
 
 def test_forest_structure():
     for forest in enumerate_rooted_forests(4, [1]):
-        assert forest.roots == {1}
+        assert [v for v, p in enumerate(forest.parent) if p is None] == [1]
         assert sum(forest.out_degrees()) == 3
 
 

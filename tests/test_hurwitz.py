@@ -153,20 +153,19 @@ def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
 
 
 def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
-    # the stability reading changes no value, so a cache filled under
-    # one reading answers under the other
+    # records written while the conventions still carried the cut-and-join
+    # stability reading answer without enumeration
     path = tmp_path / "cache.jsonl"
-    first = HurwitzEngine(Conventions(stability_reading="facecount"), cache_path=str(path))
-    value = first.pruned(1, (3,), (2, 1))
-    assert {json.dumps(json.loads(line)["conv"]) for line in path.read_text().splitlines()} \
-        == {'{"m0_pruned": false}'}
+    path.write_text(json.dumps({
+        "g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1",
+        "conv": {"m0_pruned": False, "stability_reading": "facecount"},
+    }) + "\n")
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated a cached value")
 
     monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
-    second = HurwitzEngine(Conventions(stability_reading="literal"), cache_path=str(path))
-    assert second.pruned(1, (3,), (2, 1)) == value
+    assert HurwitzEngine(cache_path=str(path)).pruned(1, (3,), (2, 1)) == 9
     # the other m = 0 convention still keeps to its own records
     other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
     with pytest.raises(AssertionError, match="enumerated"):
