@@ -6,10 +6,12 @@ One JSON object per line:
      "num": "8", "den": "1", "conv": {"m0_pruned": false}}
 
 Partitions are stored sorted descending (values depend only on the
-multisets).  Records made under the other m = 0 convention are
-ignored, other keys of ``conv`` are not read (older records also carry
-the cut-and-join stability reading), and malformed lines are skipped
-with a warning and never trusted.
+multisets).  The genus and the parts must be JSON integers (not
+booleans), ``num`` and ``den`` JSON integers or decimal-integer
+strings.  Records made under the other m = 0 convention are ignored,
+other keys of ``conv`` are not read (older records also carry the
+cut-and-join stability reading), and malformed lines are skipped with a
+warning and never trusted.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -59,21 +62,37 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
     return out
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but true/false
+    are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_integer(x: object, what: str) -> int:
+    """A JSON integer or a decimal-integer string; floats, booleans and
+    strings ``int()`` would also take (spaces, underscores) are refused."""
+    if _is_int(x):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"bad {what} {x!r}")
+
+
 def _parse_record(rec: dict) -> tuple[CacheKey, Fraction]:
     g = rec["g"]
     mu = tuple(rec["mu"])
     nu = tuple(rec["nu"])
     kind = rec["kind"]
-    if not isinstance(g, int) or g < 0:
+    if not _is_int(g) or g < 0:
         raise ValueError("bad genus")
     if kind not in ("H", "PH", "PHHAT"):
         raise ValueError(f"bad kind {kind!r}")
-    if not mu or not nu or any(not isinstance(x, int) or x < 1 for x in mu + nu):
+    if not mu or not nu or any(not _is_int(x) or x < 1 for x in mu + nu):
         raise ValueError("bad partition")
     if sum(mu) != sum(nu):
         raise ValueError("degree mismatch")
-    num = int(rec["num"])
-    den = int(rec["den"])
+    num = _parse_integer(rec["num"], "numerator")
+    den = _parse_integer(rec["den"], "denominator")
     if den <= 0:
         raise ValueError("denominator must be positive")
     mu = tuple(sorted(mu, reverse=True))

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .cache import CACHE_ENV_VAR, default_cache_path
+from .combinatorics import partitions
 from .cutjoin import STABILITY_READINGS, VARIANTS, verify_recursion
 from .factorizations import search_work_bound
 from .forests import (
@@ -136,22 +137,11 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _partitions(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
 def _instances(args, min_nu_parts: int, min_m: int):
     """(g, mu, nu) with d <= max_d, g <= max_g, min_m <= m <= max_m and
     at least ``min_nu_parts`` parts in nu."""
     for d in range(1, args.max_d + 1):
-        parts = list(_partitions(d))
+        parts = list(partitions(d))
         for g in range(args.max_g + 1):
             for mu in parts:
                 for nu in parts:

@@ -48,6 +48,20 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
+def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+    """All partitions of n into parts of at most ``max_part`` (default
+    n), each with its parts descending, the largest part first: (n)
+    first and (1, ..., 1) last."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, max_part), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
 def part_multiplicities(p: Sequence[int]) -> Counter:
     return Counter(p)
 

@@ -29,6 +29,12 @@ the completions of one representative per orbit of first
 transpositions (:func:`_root_orbits`) and multiplies by the orbit size.
 Deeper levels, the memo key and every leaf test are unchanged.
 
+Isomorphism classes (:func:`count_isomorphism_classes`) need no search
+of their own.  By Burnside's lemma over the cycle rotations they are N
+itself, except for mu = (d): there every rotation fixes the empty
+sequence at m = 0, and for even d the half-turn fixes the (d/2)^m words
+of diameters when nu = (d); the proof is in that function's docstring.
+
 Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
@@ -42,64 +48,43 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .combinatorics import Partition, automorphism_factor, bell_number, centralizer_order
-from .permutations import (
-    Permutation,
-    all_transposition_pairs,
-    canonical_permutation,
-    cycle_index_map,
-    cycles,
-)
+from .permutations import all_transposition_pairs, canonical_permutation, cycle_index_map
 
 
-def _root_orbits(
-    mu: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
-    swap_equal_cycles: bool,
-) -> list[tuple[int, int, int]]:
-    """One representative (a, b, orbit size) per orbit of ``pairs``
-    under conjugation by a subgroup of the centralizer of the canonical
+def _root_orbits(mu: Sequence[int]) -> list[tuple[int, int, int]]:
+    """One representative (a, b, orbit size) per orbit of the
+    transpositions under conjugation by the centralizer of the canonical
     permutation of mu.
 
-    The subgroup is generated by the cycle rotations and, when
-    ``swap_equal_cycles``, the swaps of equal-length cycles; conjugation
-    sends (a b) to (z(a) z(b)).  The rotations move a pair inside one
-    cycle to every pair of that cycle at the same cyclic distance, and a
-    pair across two cycles to every pair across the same two; a swap
-    carries a cycle onto any other of its length.  So an orbit is keyed
-    by (cycle, distance) or by its two cycles, each cycle named by its
-    length when equal cycles may be swapped and by its index otherwise.
-    ``pairs`` (each a < b) must be a union of orbits.
+    The centralizer is generated by the cycle rotations and the swaps of
+    equal-length cycles; conjugation sends (a b) to (z(a) z(b)).  The
+    rotations move a pair inside one cycle to every pair of that cycle
+    at the same cyclic distance, and a pair across two cycles to every
+    pair across the same two; a swap carries a cycle onto any other of
+    its length.  So an orbit is keyed by (cycle length, distance) or by
+    the lengths of its two cycles.
     """
     cyc_of = cycle_index_map(mu)
-    name = tuple(mu) if swap_equal_cycles else range(len(mu))
     representative: dict[tuple, tuple[int, int]] = {}
     size: Counter[tuple] = Counter()
-    for a, b in pairs:
+    for a, b in all_transposition_pairs(len(cyc_of)):
         ca, cb = cyc_of[a], cyc_of[b]
         if ca == cb:
             k = b - a  # canonical cycles are consecutive blocks
-            key = (True, name[ca], min(k, mu[ca] - k))
+            key = (True, mu[ca], min(k, mu[ca] - k))
         else:
-            key = (False,) + tuple(sorted((name[ca], name[cb])))
+            key = (False,) + tuple(sorted((mu[ca], mu[cb])))
         representative.setdefault(key, (a, b))
         size[key] += 1
     return [(a, b, size[key]) for key, (a, b) in representative.items()]
 
 
-def _search(
-    sigma1: Permutation,
-    m: int,
-    target: Partition,
-    pairs: Sequence[tuple[int, int]],
-    roots: Sequence[tuple[int, int, int]],
-    track_touches: bool,
-    cyc_of: Sequence[int],
-    leaf_accepts: Callable[[list[int]], bool] | None = None,
-) -> int:
-    """Memoised count of qualifying transposition sequences.
+def _search(mu: Partition, m: int, target: Partition, track_touches: bool) -> int:
+    """Memoised count of qualifying transposition sequences with sigma1
+    the canonical permutation of mu.
 
     A search state after k transpositions is
 
@@ -111,28 +96,26 @@ def _search(
       smallest cycle index of its component.
 
     Every leaf test reads only the state: the cycle type of P, the touch
-    deficit, transitivity (a single component) and ``leaf_accepts``,
-    which sees the product alone.  So the number of qualifying
-    completions of a state is computed once per (depth, state) and
-    memoised under one ``bytes`` key.  P is updated by O(1)
+    deficit and transitivity (a single component).  So the number of
+    qualifying completions of a state is computed once per (depth,
+    state) and memoised under one ``bytes`` key.  P is updated by O(1)
     left-multiplication (swap the two output values); the distance
     cutoff drops a branch whose cycle count can no longer reach
     l(target), and the parity cutoff, which is invariant along a
     sequence, is checked once.  The memo is released on return.
 
-    At depth 0 the loop runs over ``roots`` instead of ``pairs``: one
-    (a, b, orbit size) per orbit of the first transposition under a
-    group of permutations commuting with sigma1 and preserving ``pairs``
-    and ``leaf_accepts``, which maps qualifying sequences starting in
-    one orbit element bijectively onto those starting in any other (see
-    the module docstring), so each representative's count is multiplied
-    by its orbit size.
+    At depth 0 the loop runs over :func:`_root_orbits` instead of all
+    pairs: conjugation by the centralizer of sigma1 maps qualifying
+    sequences starting in one orbit element bijectively onto those
+    starting in any other (see the module docstring), so each
+    representative's count is multiplied by its orbit size.
     """
+    sigma1 = canonical_permutation(mu)
+    cyc_of = cycle_index_map(mu)
     d = len(sigma1)
     ltarget = len(target)
-    ncycles_sigma1 = max(cyc_of) + 1
-    ncyc0 = len(cycles(sigma1))
-    if (ncyc0 - ltarget - m) % 2:
+    ncycles_sigma1 = len(mu)
+    if (ncycles_sigma1 - ltarget - m) % 2:
         return 0
     # one flat list packed into the memo key: P, clamped touches,
     # component labels, depth
@@ -165,13 +148,10 @@ def _search(
                 x = state[x]
             lengths.append(n)
         lengths.sort(reverse=True)
-        if tuple(lengths) != target:
-            return 0
-        if leaf_accepts is not None and not leaf_accepts(state[:d]):
-            return 0
-        return 1
+        return int(tuple(lengths) == target)
 
-    unit_pairs = [(a, b, 1) for a, b in pairs]
+    roots = _root_orbits(mu)
+    unit_pairs = [(a, b, 1) for a, b in all_transposition_pairs(d)]
 
     def completions(depth: int, ncyc: int, short: int) -> int:
         remaining = m - depth - 1
@@ -227,18 +207,12 @@ def _search(
         return total
 
     try:
-        return completions(0, ncyc0, 2 * ncycles_sigma1 if track_touches else 0)
+        return completions(0, ncycles_sigma1, 2 * ncycles_sigma1 if track_touches else 0)
     finally:
         memo.clear()
 
 
-def _count_m0(
-    mu: Partition,
-    target: Partition,
-    pruned: bool,
-    m0_pruned: bool,
-    leaf_accepts: Callable[[list[int]], bool] | None = None,
-) -> int:
+def _count_m0(mu: Partition, target: Partition, pruned: bool, m0_pruned: bool) -> int:
     """The empty-sequence case: sigma2 = sigma1^(-1)."""
     if tuple(sorted(mu, reverse=True)) != target:
         return 0
@@ -246,10 +220,6 @@ def _count_m0(
         return 0
     if pruned and not m0_pruned:
         return 0
-    if leaf_accepts is not None:
-        sigma1 = canonical_permutation(mu)
-        if not leaf_accepts(list(sigma1)):
-            return 0
     return 1
 
 
@@ -281,12 +251,7 @@ def count_factorizations(
     track_touches = pruned and m > 1
     if track_touches and 2 * len(mu) > 2 * m:
         return 0
-    pairs = all_transposition_pairs(d)
-    return _search(
-        canonical_permutation(mu), m, target, pairs,
-        _root_orbits(mu, pairs, swap_equal_cycles=True),
-        track_touches, cycle_index_map(mu),
-    )
+    return _search(mu, m, target, track_touches)
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -316,69 +281,46 @@ def count_isomorphism_classes(
 ) -> int:
     """Number of simultaneous-conjugation classes of qualifying tuples
     with labelled sigma1/sigma2 cycles, by Burnside's lemma over the
-    centralizer of the canonical sigma1.
+    centralizer of the canonical sigma1, in closed form from the count
+    N of :func:`count_factorizations`.
 
     Only centralizer elements fixing every sigma1-cycle setwise can fix
-    a labelled tuple, so the sum runs over the cycle rotations; a fixed
-    tuple additionally needs all transpositions invariant under z and
-    every sigma2-cycle fixed setwise by z.  That leaf test depends on z,
-    so the root orbits use only the rotations: they commute with z, so
-    they preserve the z-invariant pairs and the test, whereas a swap of
-    equal cycles need not.
+    a labelled tuple, so the sum runs over the cycle rotations z; a
+    fixed tuple has every transposition invariant under z and every
+    sigma2-cycle fixed setwise by z.  The identity fixes all N tuples.
 
     For l(mu) >= 2 only z = id contributes.  A rotation z moving cycle
     j has no fixed point on it, so a transposition fixed by z that
     touches cycle j is swapped by z and lies inside cycle j; no fixed
     sequence joins cycle j to another cycle, so none is transitive.
+
+    For mu = (d), sigma1 is x -> x + 1 mod d and the rotations are
+    x -> x + k.  At m = 0 every rotation fixes the empty sequence, so
+    the sum is d * N.  For m >= 1, a rotation fixes a transposition
+    {a, b} only when k = 0, or when k = h = d/2 and {a, b} = {a, a + h}
+    is a diameter; so besides the identity only the half-turn of an
+    even d contributes, through words of m diameters.  The diameters
+    are disjoint, so they commute, and the product T of a word is the
+    product of the set R of diameters used an odd number of times, with
+    |R| = m (mod 2).  So P = T sigma1 sends x to x + 1, plus h when
+    x + 1 lies on a diameter in R.  Modulo h, P is an h-cycle, and
+    along any h consecutive steps each diameter is met once, so
+    P^h(x) = x + h(1 + |R|).  Hence P is a d-cycle when |R| is even,
+    and two h-cycles, swapped by the half-turn, when |R| is odd.  Such
+    a word is transitive (sigma1 is one cycle) and pruned (each
+    diameter touches that cycle twice).  With nu = (d), m = 2g is even
+    and all h^m words qualify.  For any other nu none does: P must then
+    be two h-cycles, and the half-turn swaps them instead of fixing
+    each.
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
+    n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned)
     d = sum(mu)
-    if d < 1 or sum(nu) != d:
-        raise ValueError("mu and nu must be partitions of the same d >= 1")
     m = 2 * g - 2 + len(mu) + len(nu)
-    if m < 0:
-        return 0
-    target = tuple(sorted(nu, reverse=True))
-    if pruned and m == 1 and len(mu) != 1:
-        return 0
-    track_touches = pruned and m > 1
-    sigma1 = canonical_permutation(mu)
-    cyc_of = cycle_index_map(mu)
-    pairs = all_transposition_pairs(d)
-
-    if len(mu) == 1:  # the rotations of the d-cycle sigma1: x -> x + k mod d
-        rotations = [tuple((x + k) % d for x in range(d)) for k in range(d)]
-    else:
-        rotations = [tuple(range(d))]
-    total = 0
-    for z in rotations:
-        fixed_pairs = [(a, b) for a, b in pairs if {z[a], z[b]} == {a, b}]
-
-        def sigma2_cycles_fixed(prod: list[int]) -> bool:
-            # cycles of sigma2 = cycles of the product, as point sets
-            cid = [-1] * d
-            nxt = 0
-            for start in range(d):
-                if cid[start] >= 0:
-                    continue
-                cid[start] = nxt
-                x = prod[start]
-                while x != start:
-                    cid[x] = nxt
-                    x = prod[x]
-                nxt += 1
-            return all(cid[z[x]] == cid[x] for x in range(d))
-
-        if m == 0:
-            total += _count_m0(mu, target, pruned, m0_pruned, sigma2_cycles_fixed)
-        else:
-            total += _search(
-                sigma1, m, target, fixed_pairs,
-                _root_orbits(mu, fixed_pairs, swap_equal_cycles=False),
-                track_touches, cyc_of, leaf_accepts=sigma2_cycles_fixed,
-            )
-
+    total = n
+    if len(mu) == 1 and m == 0:
+        total = d * n
+    elif len(mu) == 1 and len(nu) == 1 and d % 2 == 0 and m > 0:
+        total = n + (d // 2) ** m
     weighted = total * automorphism_factor(mu) * automorphism_factor(nu)
     order = centralizer_order(mu)
     if weighted % order:

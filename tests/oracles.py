@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's enumeration code:
 permutations are composed positionally, transitivity is a BFS, the
 leaf condition is a vertex/edge incidence count.  Only the convention
-for the canonical sigma1 is shared.  These are the references the fast
-engine is checked against.
+for the canonical sigma1 is shared (the tests take their partitions
+from ``prunedhurwitz.combinatorics``).  These are the references the
+fast engine is checked against.
 """
 
 from dataclasses import dataclass
@@ -134,17 +135,6 @@ def naive_tuple_counts(d, m, m0_pruned=False):
             if pruned_by_touch_count(sigma1, seq, m0_pruned):
                 slot[1] += 1
     return counts
-
-
-def partitions(n, max_part=None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - k, k):
-            yield (k,) + rest
 
 
 def fully_ramified_orbit_count(n, g, m0_pruned=False):

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from prunedhurwitz.cli import main as cli_main
+from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.cutjoin import verify_recursion
 from prunedhurwitz.forests import count_forests_with_degrees, enumerate_rooted_forests
 from prunedhurwitz.hurwitz import HurwitzEngine, Kind
@@ -25,8 +26,6 @@ from prunedhurwitz.reconstruction import (
     reconstruct_double_hurwitz,
     reconstruct_via_forests,
 )
-
-from oracles import partitions
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from prunedhurwitz.combinatorics import (
     falling_factorial,
     multinomial,
     ordered_set_partitions,
+    partitions,
     subsets,
 )
 
@@ -104,6 +105,16 @@ def test_ordered_set_partitions():
             for blocks in blocks_list:
                 merged = sorted(x for b in blocks for x in b)
                 assert merged == list(ground)
+
+
+def test_partitions():
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert [len(list(partitions(n))) for n in range(13)] == counts
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for n in range(1, 13):
+        seen = list(partitions(n))
+        assert len(set(seen)) == len(seen)
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in seen)
 
 
 def test_compositions():

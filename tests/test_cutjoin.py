@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.cutjoin import (
     GENUS_DROP,
     JOIN,
@@ -11,8 +12,6 @@ from prunedhurwitz.cutjoin import (
     verify_recursion,
 )
 from prunedhurwitz.hurwitz import HurwitzEngine
-
-from oracles import partitions
 
 ENGINE = HurwitzEngine()
 

@@ -4,9 +4,8 @@ from itertools import permutations, product
 
 import pytest
 
-from prunedhurwitz import factorizations
 from prunedhurwitz.cli import DEFAULT_BUDGET
-from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order
+from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
 from prunedhurwitz.factorizations import (
     _root_orbits,
     count_factorizations,
@@ -28,8 +27,9 @@ from oracles import (
     iter_factorization_tuples,
     naive_tuple_counts,
     pair_orbits,
-    partitions,
+    perm_cycles,
     perm_inverse,
+    perm_type,
     pruned_by_valency,
     transposition_images,
 )
@@ -162,15 +162,24 @@ def test_isomorphism_class_examples():
 
 
 def test_isomorphism_classes_match_brute_force_orbits():
-    # fully ramified (n)|(n): Burnside against orbits of the centralizer
-    # counted one by one
-    for n in range(1, 5):
-        for g in range(3):
+    # fully ramified (n)|(n): the closed form against orbits of the
+    # centralizer counted one by one; g = 1 for n <= 8, g = 2 for n <= 5
+    for n in range(1, 9):
+        for g in range(3 if n <= 5 else 2):
             for m0_pruned in (False, True):
                 expected = fully_ramified_orbit_count(n, g, m0_pruned)
                 assert count_isomorphism_classes(
                     g, (n,), (n,), pruned=True, m0_pruned=m0_pruned,
                 ) == expected, (n, g, m0_pruned)
+
+
+def test_isomorphism_class_values_pinned():
+    # the modified pruned values the per-rotation Burnside search gave,
+    # among them the ladder's g2 (8)|(8) = (198,912 + 4^4)/8
+    assert count_isomorphism_classes(2, (8,), (8,), pruned=True) == 24_896
+    assert count_isomorphism_classes(3, (5,), (5,), pruned=True) == 81_250
+    assert count_isomorphism_classes(3, (6,), (6,), pruned=True) == 662_499
+    assert count_isomorphism_classes(2, (9,), (9,), pruned=True) == 57_348
 
 
 def test_orbit_counts_match_free_action_formula():
@@ -232,43 +241,49 @@ def _assert_roots_are_orbits(roots, pairs, group):
 
 
 def test_root_orbits_match_brute_force_centralizer_orbits():
-    # every ordering of every mu with d <= 6: the full centralizer for
-    # the plain count; the rotations, on all pairs and on the pairs each
-    # rotation fixes, for the Burnside path
+    # every ordering of every mu with d <= 6, against the orbits under
+    # the full centralizer
     for d in range(1, 7):
         pairs = all_transposition_pairs(d)
         for part in partitions(d):
             for mu in set(permutations(part)):
-                sigma1 = canonical_permutation(mu)
-                roots = _root_orbits(mu, pairs, swap_equal_cycles=True)
-                _assert_roots_are_orbits(roots, pairs, centralizer(sigma1))
-                rotations = centralizer(sigma1, fix_cycles=True)
-                for z in rotations:
-                    fixed = [(a, b) for a, b in pairs if {z[a], z[b]} == {a, b}]
-                    roots = _root_orbits(mu, fixed, swap_equal_cycles=False)
-                    _assert_roots_are_orbits(roots, fixed, rotations)
+                roots = _root_orbits(mu)
+                _assert_roots_are_orbits(roots, pairs, centralizer(canonical_permutation(mu)))
 
 
-def test_burnside_roots_are_rotation_orbits(monkeypatch):
-    # for l(mu) >= 2 only z = id has transitive fixed sequences, so the
-    # Burnside path runs a single search, for the identity, whose first
-    # transpositions are still grouped by the rotation orbits of all
-    # pairs (a merge of equal cycles would change no value, so the roots
-    # are checked)
-    calls = []
-    search = factorizations._search
-
-    def recording_search(sigma1, m, target, pairs, roots, *args, **kwargs):
-        calls.append((pairs, roots))
-        return search(sigma1, m, target, pairs, roots, *args, **kwargs)
-
-    monkeypatch.setattr(factorizations, "_search", recording_search)
-    mu = (2, 2, 1)
-    count_isomorphism_classes(0, mu, (3, 2), pruned=True)
-    rotations = centralizer(canonical_permutation(mu), fix_cycles=True)
-    ((pairs, roots),) = calls
-    assert pairs == all_transposition_pairs(sum(mu))
-    _assert_roots_are_orbits(roots, pairs, rotations)
+def test_half_turn_fixes_diameter_words_of_even_odd_set():
+    # the lemma behind the closed form, by brute force for the d-cycle
+    # sigma1 = x -> x + 1: a rotation x -> x + k with k not in {0, d/2}
+    # fixes no transposition; for even d and every word of m <= 6
+    # diameters {a, a + h}, h = d/2, the product times sigma1 is a
+    # d-cycle when the set of diameters used an odd number of times has
+    # even size, and otherwise two h-cycles swapped by the half-turn
+    for d in range(1, 13):
+        sigma1 = canonical_permutation((d,))
+        assert sigma1 == tuple((x + 1) % d for x in range(d))
+        for k in range(1, d):
+            if 2 * k == d:
+                continue
+            z = tuple((x + k) % d for x in range(d))
+            for a, b in all_transposition_pairs(d):
+                assert {z[a], z[b]} != {a, b}, (d, k, a, b)
+        if d % 2:
+            continue
+        h = d // 2
+        half_turn = tuple((x + h) % d for x in range(d))
+        diameters = [transposition_images(d, a, a + h) for a in range(h)]
+        for m in range(7):
+            for word in product(range(h), repeat=m):
+                prod = sigma1
+                for a in word:
+                    prod = apply_after(diameters[a], prod)
+                odd = [a for a in range(h) if word.count(a) % 2]
+                if len(odd) % 2 == 0:
+                    assert perm_type(prod) == (d,), (d, word)
+                else:
+                    first, second = sorted(map(frozenset, perm_cycles(prod)), key=min)
+                    assert len(first) == len(second) == h, (d, word)
+                    assert {half_turn[x] for x in first} == second, (d, word)
 
 
 def test_non_identity_rotations_fix_no_transitive_sequence():

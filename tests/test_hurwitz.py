@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from prunedhurwitz import hurwitz
+from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
-
-from oracles import partitions
 
 ENGINE = HurwitzEngine()
 
@@ -193,6 +192,39 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
     # silently ignored and must not leak its bogus value
     assert len(caplog.records) >= 2
     assert engine.double(0, (2,), (1, 1)) == 1
+
+
+def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
+    # JSON true equals 1 and 8.9 truncates to 8 under int(); neither may
+    # stand in for a genus, a part or a numerator
+    path = tmp_path / "cache.jsonl"
+    conv = Conventions().as_dict()
+    bogus = [
+        {"g": True, "mu": [2], "nu": [2], "kind": "PH", "num": "5", "den": "1"},
+        {"g": 0, "mu": [True, 1], "nu": [2], "kind": "H", "num": "5", "den": "1"},
+        {"g": 0, "mu": [2, 1], "nu": [3], "kind": "H", "num": 8.9, "den": "1"},
+        {"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "7", "den": True},
+        {"g": 0, "mu": [3], "nu": [2, 1], "kind": "H", "num": " 7", "den": "1"},
+        {"g": 0, "mu": [2, 2], "nu": [3, 1], "kind": "H", "num": "1_0", "den": "1"},
+    ]
+    path.write_text("".join(json.dumps({**rec, "conv": conv}) + "\n" for rec in bogus))
+    import logging
+
+    with caplog.at_level(logging.WARNING):
+        engine = HurwitzEngine(cache_path=str(path))
+    assert [r.args[1] for r in caplog.records] == list(range(1, len(bogus) + 1))
+    assert not engine._values
+    fresh = HurwitzEngine()
+    assert engine.pruned(1, (2,), (2,)) == fresh.pruned(1, (2,), (2,)) == F(1, 2)
+    assert engine.double(0, (1, 1), (2,)) == fresh.double(0, (1, 1), (2,))
+    assert engine.double(0, (2, 1), (3,)) == fresh.double(0, (2, 1), (3,))
+    assert engine.double(0, (2,), (1, 1)) == fresh.double(0, (2,), (1, 1))
+    assert engine.double(0, (3,), (2, 1)) == fresh.double(0, (3,), (2, 1))
+    assert engine.double(0, (2, 2), (3, 1)) == fresh.double(0, (2, 2), (3, 1))
+    # integers written as JSON numbers still load
+    path.write_text(json.dumps(
+        {"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": 3, "den": 4, "conv": conv}) + "\n")
+    assert HurwitzEngine(cache_path=str(path)).double(0, (2,), (2,)) == F(3, 4)
 
 
 def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):

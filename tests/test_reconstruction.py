@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import HurwitzEngine
 from prunedhurwitz.reconstruction import (
     reconstruct_double_hurwitz,
     reconstruct_via_forests,
 )
-
-from oracles import partitions
 
 ENGINE = HurwitzEngine()
 
