@@ -8,33 +8,59 @@ cut-and-join recursion for the pruned ones, and piecewise-polynomial
 scaling behaviour.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .combinatorics import (
-    automorphism_factor,
-    bounded_tuples,
-    centralizer_order,
-    falling_factorial,
-    multinomial,
-    ordered_set_partitions,
-)
-from .cutjoin import (
-    RecursionReport,
-    RecursionTerm,
-    cut_and_join_rhs,
-    cut_and_join_terms,
-    verify_recursion,
-)
-from .factorizations import count_factorizations, count_isomorphism_classes
-from .forests import RootedForest, count_forests_with_degrees, enumerate_rooted_forests
-from .hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
-from .permutations import canonical_permutation, compose, cycle_type, cycles, inverse
-from .polynomiality import (
-    NOT_POLYNOMIAL,
-    degree_bound,
-    finite_difference_degree,
-    fit_univariate,
-    is_wall_point,
-    scaling_values,
-)
-from .reconstruction import reconstruct_double_hurwitz, reconstruct_via_forests
+# Public name -> submodule.  The names are imported on first access
+# (PEP 562), so importing the package, or one submodule through it,
+# loads only what that use needs.
+_EXPORTS = {
+    "automorphism_factor": "combinatorics",
+    "bounded_tuples": "combinatorics",
+    "centralizer_order": "combinatorics",
+    "falling_factorial": "combinatorics",
+    "multinomial": "combinatorics",
+    "ordered_set_partitions": "combinatorics",
+    "RecursionReport": "cutjoin",
+    "RecursionTerm": "cutjoin",
+    "cut_and_join_rhs": "cutjoin",
+    "cut_and_join_terms": "cutjoin",
+    "verify_recursion": "cutjoin",
+    "count_factorizations": "factorizations",
+    "count_isomorphism_classes": "factorizations",
+    "RootedForest": "forests",
+    "count_forests_with_degrees": "forests",
+    "enumerate_rooted_forests": "forests",
+    "Conventions": "hurwitz",
+    "HurwitzEngine": "hurwitz",
+    "HurwitzQuery": "hurwitz",
+    "Kind": "hurwitz",
+    "canonical_permutation": "permutations",
+    "compose": "permutations",
+    "cycle_type": "permutations",
+    "cycles": "permutations",
+    "inverse": "permutations",
+    "NOT_POLYNOMIAL": "polynomiality",
+    "degree_bound": "polynomiality",
+    "finite_difference_degree": "polynomiality",
+    "fit_univariate": "polynomiality",
+    "is_wall_point": "polynomiality",
+    "scaling_values": "polynomiality",
+    "reconstruct_double_hurwitz": "reconstruction",
+    "reconstruct_via_forests": "reconstruction",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

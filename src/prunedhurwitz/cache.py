@@ -17,13 +17,12 @@ warning and never trusted.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from fractions import Fraction
 from typing import Mapping
 
-log = logging.getLogger(__name__)
+from .combinatorics import is_int
 
 CACHE_ENV_VAR = "PRUNEDHURWITZ_CACHE"
 
@@ -32,6 +31,13 @@ CacheKey = tuple[int, tuple[int, ...], tuple[int, ...], str]
 
 def default_cache_path() -> str | None:
     return os.environ.get(CACHE_ENV_VAR)
+
+
+def _warn(msg: str, *args: object) -> None:
+    """Log a warning; ``logging`` is imported only when one is issued."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, Fraction]:
@@ -49,7 +55,7 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                     rec = json.loads(line)
                     key, value = _parse_record(rec)
                 except (ValueError, KeyError, TypeError) as exc:
-                    log.warning("cache %s:%d skipped: %s", path, lineno, exc)
+                    _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
                 conv = rec.get("conv")
                 if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
@@ -58,20 +64,14 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
     except FileNotFoundError:
         pass
     except OSError as exc:
-        log.warning("cache %s unreadable: %s", path, exc)
+        _warn("cache %s unreadable: %s", path, exc)
     return out
-
-
-def _is_int(x: object) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass, but true/false
-    are not numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_integer(x: object, what: str) -> int:
     """A JSON integer or a decimal-integer string; floats, booleans and
     strings ``int()`` would also take (spaces, underscores) are refused."""
-    if _is_int(x):
+    if is_int(x):
         return x
     if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
         return int(x)
@@ -83,11 +83,11 @@ def _parse_record(rec: dict) -> tuple[CacheKey, Fraction]:
     mu = tuple(rec["mu"])
     nu = tuple(rec["nu"])
     kind = rec["kind"]
-    if not _is_int(g) or g < 0:
+    if not is_int(g) or g < 0:
         raise ValueError("bad genus")
     if kind not in ("H", "PH", "PHHAT"):
         raise ValueError(f"bad kind {kind!r}")
-    if not mu or not nu or any(not _is_int(x) or x < 1 for x in mu + nu):
+    if not mu or not nu or any(not is_int(x) or x < 1 for x in mu + nu):
         raise ValueError("bad partition")
     if sum(mu) != sum(nu):
         raise ValueError("degree mismatch")
@@ -122,5 +122,5 @@ def append_record(
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return True
     except OSError as exc:
-        log.warning("cache %s not writable (%s); continuing without persistence", path, exc)
+        _warn("cache %s not writable (%s); continuing without persistence", path, exc)
         return False

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .polynomiality import (
     is_wall_point,
     scaling_values,
 )
-from .reconstruction import reconstruct_double_hurwitz, reconstruct_via_forests
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -206,6 +204,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_main_theorem(args, engine) -> bool:
+    from .reconstruction import reconstruct_double_hurwitz, reconstruct_via_forests
+
     all_match = True
     for g, mu, nu in _main_theorem_instances(args):
         direct = engine.double(g, mu, nu)
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "genus", 0) < 0:

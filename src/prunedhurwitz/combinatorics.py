@@ -16,11 +16,20 @@ from typing import Iterable, Iterator, Sequence
 Partition = tuple[int, ...]
 
 
-def check_partition(p: Sequence[int], allow_empty: bool = False) -> Partition:
-    """Validate and normalise a partition given as any integer sequence."""
-    parts = tuple(int(x) for x in p)
-    if not parts and not allow_empty:
+def is_int(x: object) -> bool:
+    """An integer in the strict sense: ``bool`` is an ``int`` subclass,
+    but True/False are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_partition(p: Sequence[int]) -> Partition:
+    """Validate a non-empty sequence of ``int`` parts >= 1 (no floats,
+    strings or booleans) and return it as a tuple."""
+    parts = tuple(p)
+    if not parts:
         raise ValueError("partition must be non-empty")
+    if not all(is_int(x) for x in parts):
+        raise ValueError(f"partition parts must be ints, got {parts}")
     if any(x < 1 for x in parts):
         raise ValueError(f"partition parts must be >= 1, got {parts}")
     return parts

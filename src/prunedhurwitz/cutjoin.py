@@ -59,11 +59,10 @@ a computation path for PH: base cases at l(nu) < 3 are not defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import falling_factorial, subsets
 from .hurwitz import HurwitzEngine
@@ -82,15 +81,13 @@ def _split_weight(g1: int, g2: int) -> Fraction:
     return Fraction(1) if g1 < g2 else Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class RecursionTerm:
+class RecursionTerm(NamedTuple):
     case: str
     params: dict
     value: Fraction
 
 
-@dataclass
-class RecursionReport:
+class RecursionReport(NamedTuple):
     genus: int
     mu: tuple[int, ...]
     nu: tuple[int, ...]
@@ -99,7 +96,7 @@ class RecursionReport:
     per_case_totals: dict[str, Fraction]
     stability_reading: str
     variant: str
-    terms: list[RecursionTerm] = field(default_factory=list)
+    terms: list[RecursionTerm]
 
     @property
     def match(self) -> bool:
@@ -187,25 +184,28 @@ def _join_terms(
 
 def _split_data(mu: tuple, nu: tuple, m: int, i: int):
     """Shared enumeration of split shapes: ordered face bipartitions of
-    the other faces, ordered disjoint vertex subsets, path data."""
+    the other faces, ordered disjoint vertex subsets, path data.  The
+    vertex assignments do not depend on the faces and are built once."""
+    vertex_splits = []
+    for assignment in range(3 ** len(mu)):
+        part1, part2, removed = [], [], []
+        a = assignment
+        for x in range(len(mu)):
+            a, r = divmod(a, 3)
+            (part1 if r == 0 else part2 if r == 1 else removed).append(x)
+        budget = nu[i] - sum(mu[x] for x in removed)
+        if budget < 2:
+            continue
+        attach = _attachment(mu, removed, m)
+        if attach == 0:
+            continue
+        vertex_splits.append((tuple(part1), tuple(part2), tuple(removed), budget, attach))
     rest = tuple(j for j in range(len(nu)) if j != i)
-    indices = tuple(range(len(mu)))
     for j_mask in range(1 << len(rest)):
         faces1 = tuple(rest[t] for t in range(len(rest)) if j_mask >> t & 1)
         faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
-        for assignment in range(3 ** len(indices)):
-            part1, part2, removed = [], [], []
-            a = assignment
-            for x in indices:
-                a, r = divmod(a, 3)
-                (part1 if r == 0 else part2 if r == 1 else removed).append(x)
-            budget = nu[i] - sum(mu[x] for x in removed)
-            if budget < 2:
-                continue
-            attach = _attachment(mu, removed, m)
-            if attach == 0:
-                continue
-            yield tuple(part1), tuple(part2), tuple(removed), faces1, faces2, budget, attach
+        for part1, part2, removed, budget, attach in vertex_splits:
+            yield part1, part2, removed, faces1, faces2, budget, attach
 
 
 def _split_terms_plain(

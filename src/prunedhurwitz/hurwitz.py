@@ -18,9 +18,8 @@ Burnside's lemma.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import cache as cache_io
 from .combinatorics import (
@@ -28,6 +27,7 @@ from .combinatorics import (
     automorphism_factor,
     centralizer_order,
     check_partition,
+    is_int,
 )
 from .factorizations import count_factorizations, count_isomorphism_classes
 
@@ -40,8 +40,7 @@ class Kind(enum.Enum):
     MODIFIED_PRUNED = "PHHAT"
 
 
-@dataclass(frozen=True)
-class Conventions:
+class Conventions(NamedTuple):
     """The value conventions, which cache records are keyed on.
 
     ``m0_pruned``: whether the edgeless tuple (m = 0) counts as pruned.
@@ -50,23 +49,26 @@ class Conventions:
     m0_pruned: bool = False
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class HurwitzQuery:
-    genus: int
-    mu: Partition
-    nu: Partition
-    kind: Kind
+    """One validated value request: an ``int`` genus >= 0 and two
+    partitions of the same degree (see ``check_partition``)."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", check_partition(self.mu))
-        object.__setattr__(self, "nu", check_partition(self.nu))
+    __slots__ = ("genus", "mu", "nu", "kind")
+
+    def __init__(self, genus: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> None:
+        self.mu = check_partition(mu)
+        self.nu = check_partition(nu)
         if sum(self.mu) != sum(self.nu):
             raise ValueError("mu and nu must have equal degree")
-        if self.genus < 0:
+        if not is_int(genus):
+            raise ValueError(f"genus must be an int, got {genus!r}")
+        if genus < 0:
             raise ValueError("genus must be non-negative")
+        self.genus = genus
+        self.kind = kind
 
     @property
     def degree(self) -> int:

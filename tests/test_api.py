@@ -1,3 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import prunedhurwitz
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PUBLIC_NAMES = [
+    "automorphism_factor", "bounded_tuples", "centralizer_order",
+    "falling_factorial", "multinomial", "ordered_set_partitions",
+    "RecursionReport", "RecursionTerm", "cut_and_join_rhs",
+    "cut_and_join_terms", "verify_recursion",
+    "count_factorizations", "count_isomorphism_classes",
+    "RootedForest", "count_forests_with_degrees", "enumerate_rooted_forests",
+    "Conventions", "HurwitzEngine", "HurwitzQuery", "Kind",
+    "canonical_permutation", "compose", "cycle_type", "cycles", "inverse",
+    "NOT_POLYNOMIAL", "degree_bound", "finite_difference_degree",
+    "fit_univariate", "is_wall_point", "scaling_values",
+    "reconstruct_double_hurwitz", "reconstruct_via_forests",
+]
+
+HEAVY_STDLIB = ("dataclasses", "inspect", "logging")
+
+
 def test_top_level_exports():
     import prunedhurwitz as ph
 
@@ -10,3 +38,46 @@ def test_top_level_exports():
     assert ph.reconstruct_double_hurwitz(0, (2, 3), (1, 4), engine.phat) == 8
     assert ph.NOT_POLYNOMIAL is None
     assert ph.__version__
+
+
+def test_public_names_resolve_and_star_import_binds_them():
+    assert sorted(prunedhurwitz.__all__) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 33
+    namespace = {}
+    exec("from prunedhurwitz import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(prunedhurwitz, name) for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(prunedhurwitz))
+    with pytest.raises(AttributeError):
+        getattr(prunedhurwitz, "no_such_name")
+
+
+def modules_after(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return set(out.split())
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules running ``code`` adds to a fresh interpreter (site
+    hooks of an installation may load some, e.g. ``inspect``, at start)."""
+    return modules_after(code) - modules_after("pass")
+
+
+def test_cli_import_loads_no_heavy_stdlib_or_reconstruction():
+    loaded = loaded_by("import prunedhurwitz.cli")
+    assert "prunedhurwitz.cli" in loaded
+    assert not loaded & {*HEAVY_STDLIB, "prunedhurwitz.reconstruction"}
+
+
+def test_engine_import_loads_only_the_value_layer():
+    loaded = loaded_by("from prunedhurwitz import HurwitzEngine; HurwitzEngine()")
+    assert "prunedhurwitz.hurwitz" in loaded
+    assert not loaded & {
+        *HEAVY_STDLIB, "argparse", "prunedhurwitz.cli", "prunedhurwitz.cutjoin",
+        "prunedhurwitz.forests", "prunedhurwitz.polynomiality",
+        "prunedhurwitz.reconstruction",
+    }

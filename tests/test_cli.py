@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,29 @@ def test_warm_compute_does_not_enumerate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hurwitz, "count_isomorphism_classes", no_enumeration)
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
+
+
+def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
+    # the CLI configures no logging: the warnings reach stderr through
+    # logging's last-resort handler, one bare message line each
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PRUNEDHURWITZ_CACHE", None)
+    argv = [sys.executable, "-m", "prunedhurwitz", "compute", "--genus", "0",
+            "--mu", "2,3", "--nu", "1,4", "--omit-timing"]
+    clean = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert clean.returncode == 0 and clean.stderr == ""
+    cache = tmp_path / "bad.jsonl"
+    cache.write_text(
+        '{"g": true, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2", '
+        '"conv": {"m0_pruned": false}}\n'
+        "not json\n"
+    )
+    run = subprocess.run(argv + ["--cache", str(cache)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert run.stdout == clean.stdout
+    assert run.stderr.splitlines() == [
+        f"cache {cache}:1 skipped: bad genus",
+        f"cache {cache}:2 skipped: Expecting value: line 1 column 1 (char 0)",
+    ]

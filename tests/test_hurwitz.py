@@ -124,13 +124,32 @@ def test_m0_convention_flag():
     assert flagged.pruned(0, (2,), (1, 1)) == ENGINE.pruned(0, (2,), (1, 1))
 
 
-def test_query_validation():
+def test_query_validation(tmp_path):
     with pytest.raises(ValueError):
         HurwitzQuery(0, (2,), (1, 1, 1), Kind.FULL)
     with pytest.raises(ValueError):
         HurwitzQuery(-1, (2,), (2,), Kind.FULL)
     with pytest.raises(ValueError):
         ENGINE.double(0, (2, 0), (1, 1))
+    # the genus and every part must be an int that is not a bool: int()
+    # would read (2.7, 1) as (2, 1) and "21" as (2, 1), and a float or
+    # boolean genus would be written to the cache file, whose parser
+    # refuses it
+    path = tmp_path / "cache.jsonl"
+    engine = HurwitzEngine(cache_path=str(path))
+    for g, mu, nu in [
+        (0, (2.7, 1), (2, 1)),
+        (0, "21", "3"),
+        (0, (2, 1), (True, 2)),
+        (1.5, (3,), (3,)),
+        (True, (2,), (2,)),
+        ("0", (2,), (2,)),
+    ]:
+        with pytest.raises(ValueError):
+            HurwitzQuery(g, mu, nu, Kind.FULL)
+        with pytest.raises(ValueError):
+            engine.double(g, mu, nu)
+    assert not path.exists()
 
 
 def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
