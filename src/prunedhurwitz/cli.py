@@ -18,7 +18,6 @@ from typing import Sequence
 from . import __version__
 from .cache import CACHE_ENV_VAR, default_cache_path
 from .combinatorics import partitions
-from .cutjoin import STABILITY_READINGS, VARIANTS, verify_recursion
 from .factorizations import search_work_bound
 from .forests import (
     DEFAULT_ENUMERATION_BOUND,
@@ -41,6 +40,11 @@ EXIT_BUDGET = 3
 EXIT_WALL = 4
 
 DEFAULT_BUDGET = 50_000_000
+
+# The choices of cutjoin.VARIANTS and cutjoin.STABILITY_READINGS, copied
+# so that building the parser loads no evaluator (a test keeps them equal).
+VARIANTS = ("plain", "corrected")
+STABILITY_READINGS = ("literal", "facecount")
 
 KIND_BY_NAME = {
     "full": Kind.FULL,
@@ -225,6 +229,8 @@ def _verify_main_theorem(args, engine) -> bool:
 
 
 def _verify_cut_and_join(args, engine) -> bool:
+    from .cutjoin import verify_recursion
+
     all_match = True
     first_failure_reported = False
     for g, mu, nu in _cut_and_join_instances(args):

@@ -1,0 +1,270 @@
+"""The coloured cycle-type engine behind
+:func:`prunedhurwitz.factorizations.count_factorizations`.
+
+The state, why it is exact and the transitions are set out in the
+docstring of :mod:`prunedhurwitz.factorizations`, with the bound on
+the work.  The engine is a module of its own so that importing the
+package, or a command answered from the value cache, compiles none of
+it: :func:`count_factorizations` imports it on its first count.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from operator import itemgetter
+
+from .combinatorics import Partition
+
+
+def count_coloured(
+    mu: Partition, m: int, target: Partition, track_touches: bool
+) -> tuple[int, int]:
+    """The number of qualifying sequences of m >= 1 transpositions, and
+    the number of states memoised on the way.  Every memo and cache
+    lives for this call only."""
+    mu = tuple(sorted(mu, reverse=True))
+    ncol = len(mu)
+    if ncol > 256:
+        raise ValueError("a colour word holds at most 256 colours")
+    ltarget = len(target)
+    target_counts = Counter(target)
+    # equal-size colours are consecutive; first[c] is the least of them
+    first = [mu.index(size) for size in mu]
+    symmetric = len(set(mu)) < ncol
+    rotations: dict[bytes, tuple[bytes, int]] = {}
+    renamings: dict[tuple, tuple[tuple, object]] = {}
+    moves: dict[tuple, tuple[list, list]] = {}
+    finals: dict[tuple, tuple[list, list]] = {}
+    memo: list[dict] = [{} for _ in range(m)]
+
+    def least(w: bytes) -> tuple[bytes, int]:
+        """The least rotation of w and its period."""
+        r = rotations.get(w)
+        if r is None:
+            n = len(w)
+            ww = w + w
+            best, period = w, n
+            for i in range(1, n):
+                rot = ww[i:i + n]
+                if rot < best:
+                    best = rot
+                elif rot == w and period == n:
+                    period = i
+            r = rotations[w] = (best, period)
+        return r
+
+    def relabel(words: tuple) -> tuple[tuple, object]:
+        """The words with equal-size colours renamed in order of first
+        appearance, and the map taking a colour vector to the renamed
+        colours (None when no colour is renamed)."""
+        mapping = [-1] * ncol
+        free = list(range(ncol))
+        for w in words:
+            for c in w:
+                if mapping[c] < 0:
+                    f = first[c]
+                    mapping[c] = free[f]
+                    free[f] += 1
+        if mapping == list(range(ncol)):
+            r = (words, None)
+        else:
+            table = bytes(mapping) + bytes(256 - ncol)
+            renamed = tuple(sorted(least(w.translate(table))[0] for w in words))
+            source = [0] * ncol
+            for c, x in enumerate(mapping):
+                source[x] = c
+            r = (renamed, itemgetter(*source))
+        renamings[words] = r
+        return r
+
+    def word_cuts(w: bytes) -> list:
+        """The cuts of one word, grouped: ((piece, piece, a, b), ways).
+        A cut is a start and a length over one period of w; the length
+        n/2 takes fewer starts, since each of its pairs has two."""
+        grouped: dict[tuple, int] = {}
+        n = len(w)
+        period = least(w)[1]
+        ww = w + w
+        for length in range(1, n // 2 + 1):
+            if 2 * length < n:
+                starts, ways = period, n // period
+            else:
+                starts = math.gcd(period, length)
+                ways = length // starts
+            for s in range(starts):
+                x, y = least(ww[s:s + length])[0], least(ww[s + length:s + n])[0]
+                a, b = w[s], ww[s + length]
+                key = (min(x, y), max(x, y), min(a, b), max(a, b))
+                grouped[key] = grouped.get(key, 0) + ways
+        return list(grouped.items())
+
+    def word_joins(u: bytes, v: bytes) -> list:
+        """The joins of two cycles with words u and v, grouped:
+        ((joined word, a, b), ways), over one period of each."""
+        grouped: dict[tuple, int] = {}
+        lu, pu = len(u), least(u)[1]
+        lv, pv = len(v), least(v)[1]
+        ways = (lu // pu) * (lv // pv)
+        uu, vv = u + u, v + v
+        for s in range(pu):
+            head, a = uu[s:s + lu], u[s]
+            for t in range(pv):
+                b = v[t]
+                key = (least(head + vv[t:t + lv])[0], min(a, b), max(a, b))
+                grouped[key] = grouped.get(key, 0) + ways
+        return list(grouped.items())
+
+    def successors(words: tuple) -> tuple[list, list]:
+        """The moves out of a word multiset, grouped, cuts then joins:
+        (successor words, colour a, colour b, ways)."""
+        cuts: dict[tuple, int] = {}
+        joins: dict[tuple, int] = {}
+        distinct = []  # (word, copies, index of the first copy)
+        at = 0
+        while at < len(words):
+            end = at + 1
+            while end < len(words) and words[end] == words[at]:
+                end += 1
+            distinct.append((words[at], end - at, at))
+            at = end
+        for w, k, at in distinct:
+            rest = words[:at] + words[at + 1:]
+            for (x, y, a, b), ways in word_cuts(w):
+                key = (tuple(sorted(rest + (x, y))), a, b)
+                cuts[key] = cuts.get(key, 0) + k * ways
+        for i, (u, ku, au) in enumerate(distinct):
+            for v, kv, av in distinct[i:]:
+                if av == au:
+                    pairs = ku * (ku - 1) // 2
+                    rest = words[:au] + words[au + 2:]
+                else:
+                    pairs = ku * kv
+                    rest = words[:au] + words[au + 1:av] + words[av + 1:]
+                if not pairs:
+                    continue
+                for (joined, a, b), ways in word_joins(u, v):
+                    key = (tuple(sorted(rest + (joined,))), a, b)
+                    joins[key] = joins.get(key, 0) + pairs * ways
+        return (
+            [(new_words, a, b, ways) for (new_words, a, b), ways in cuts.items()],
+            [(new_words, a, b, ways) for (new_words, a, b), ways in joins.items()],
+        )
+
+    def finishing(words: tuple) -> tuple[list, list]:
+        """The last moves out of a word multiset that give P the cycle
+        type nu, grouped by colour pair: ((a, b), ways), cuts then
+        joins.  Only word lengths and colours are read.
+
+        A cut of a length n into L and n - L, or a join of lengths a and
+        b, removes and adds lengths that are all distinct; so the lengths
+        P has beyond nu are the ones the move removes, and the lengths
+        nu has beyond P the ones it adds."""
+        have = Counter(map(len, words))
+        removed = sorted((have - target_counts).elements())
+        added = sorted((target_counts - have).elements())
+        cuts: dict[tuple, int] = {}
+        joins: dict[tuple, int] = {}
+        if len(removed) == 1 and len(added) == 2:
+            n, split = removed[0], added[0]
+            for w in words:
+                if len(w) == n:
+                    ww = w + w
+                    for s in range(n if 2 * split < n else split):
+                        a, b = w[s], ww[s + split]
+                        key = (a, b) if a < b else (b, a)
+                        cuts[key] = cuts.get(key, 0) + 1
+        elif len(removed) == 2 and len(added) == 1:
+            for i, u in enumerate(words):
+                for v in words[i + 1:]:
+                    if sorted((len(u), len(v))) != removed:
+                        continue
+                    for a, na in Counter(u).items():
+                        for b, nb in Counter(v).items():
+                            key = (a, b) if a < b else (b, a)
+                            joins[key] = joins.get(key, 0) + na * nb
+        return list(cuts.items()), list(joins.items())
+
+    def last(words: tuple, touch: bytes, comp: bytes, short: int) -> int:
+        """The transpositions that complete a state in one move."""
+        if short > 2:
+            return 0
+        out = finals.get(words)
+        if out is None:
+            out = finals[words] = finishing(words)
+        cuts, joins = out
+        if cuts:
+            if any(comp):
+                return 0
+            candidates = cuts
+        else:
+            labels = set(comp)
+            if len(labels) > 2:
+                return 0
+            candidates = joins if len(labels) == 1 else [
+                (pair, ways) for pair, ways in joins if comp[pair[0]] != comp[pair[1]]
+            ]
+        if not short:
+            return sum(ways for _, ways in candidates)
+        deficit = [(c, t) for c, t in enumerate(touch) if t < 2]
+        return sum(
+            ways for (a, b), ways in candidates
+            if all(t + (a == c) + (b == c) >= 2 for c, t in deficit)
+        )
+
+    def completions(depth: int, words: tuple, touch: bytes, comp: bytes, short: int) -> int:
+        remaining = m - depth - 1
+        if remaining == 0:
+            return last(words, touch, comp, short)
+        out = moves.get(words)
+        if out is None:
+            out = moves[words] = successors(words)
+        table = memo[depth + 1]
+        total = 0
+        for entries, step in zip(out, (1, -1)):
+            if abs(len(words) + step - ltarget) > remaining:
+                continue
+            for new_words, ca, cb, ways in entries:
+                new_touch, new_short = touch, short
+                if track_touches:
+                    ta, tb = touch[ca], touch[cb]
+                    if ca == cb:
+                        if ta < 2:
+                            new_short -= 2 - ta
+                            new_touch = touch[:ca] + b"\x02" + touch[ca + 1:]
+                    elif ta < 2 or tb < 2:
+                        new_short -= (ta < 2) + (tb < 2)
+                        bumped = bytearray(touch)
+                        bumped[ca] = ta + (ta < 2)
+                        bumped[cb] = tb + (tb < 2)
+                        new_touch = bytes(bumped)
+                    if new_short > 2 * remaining:
+                        continue
+                new_comp = comp
+                if step < 0 and comp[ca] != comp[cb]:
+                    lo, hi = sorted((comp[ca], comp[cb]))
+                    new_comp = comp.replace(bytes((hi,)), bytes((lo,)))
+                if symmetric:
+                    new_words, renaming = renamings.get(new_words) or relabel(new_words)
+                    if renaming is not None:
+                        if track_touches:
+                            new_touch = bytes(renaming(new_touch))
+                        # component labels: the least colour of each component
+                        seen: dict = {}
+                        new_comp = bytes([seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))])
+                key = (new_words, new_touch, new_comp)
+                n = table.get(key)
+                if n is None:
+                    n = table[key] = completions(depth + 1, new_words, new_touch, new_comp, new_short)
+                total += ways * n
+        return total
+
+    root = tuple(bytes([c]) * size for c, size in enumerate(mu))
+    touch = bytes(ncol) if track_touches else b""
+    try:
+        count = completions(0, root, touch, bytes(range(ncol)), 2 * ncol if track_touches else 0)
+        return count, 1 + sum(map(len, memo))
+    finally:
+        # completions reaches itself through its closure; without this
+        # the memo and caches would wait for the cycle collector
+        del completions

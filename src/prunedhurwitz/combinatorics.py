@@ -71,6 +71,15 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (k,) + rest
 
 
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n >= 0 (by the parts allowed)."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
 def part_multiplicities(p: Sequence[int]) -> Counter:
     return Counter(p)
 

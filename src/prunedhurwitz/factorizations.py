@@ -11,23 +11,49 @@ support of at least two of the transpositions.  Counts over all sigma1
 of type mu follow by conjugation invariance; the Hurwitz-number
 normalisation lives in :mod:`prunedhurwitz.hurwitz`.
 
-The count is not taken leaf by leaf.  Whether a partial sequence can be
-completed depends only on its search state (depth, running product,
-touches per sigma1-cycle clamped at 2, and the partition of the
-sigma1-cycles into joined components), so :func:`_search` counts the
-completions of each state once and memoises them.  The work grows with
-the number of distinct states, bounded by :func:`search_work_bound`,
-instead of with the count itself.
+The count is not taken leaf by leaf but over memoised search states
+(:func:`prunedhurwitz.coloured.count_coloured`, loaded on the first
+count).  Colour each point by the index of the sigma1-cycle holding
+it.  After k transpositions the state is
 
-The first transposition is tried once per orbit.  Any z commuting with
-sigma1 maps a sequence (tau_i) to (z tau_i z^-1): the product is
-conjugated by z, so its cycle type is kept; transitivity is kept; and
-the touch counts are permuted along with the sigma1-cycles, so the
-pruned condition is kept too.  Hence the sequences starting with tau
-are as many as those starting with z tau z^-1, and the search counts
-the completions of one representative per orbit of first
-transpositions (:func:`_root_orbits`) and multiplies by the orbit size.
-Deeper levels, the memo key and every leaf test are unchanged.
+* the coloured cycle type of the running product P = tau_k ... tau_1
+  sigma1: the multiset of P's cycles, each written as the cyclic word of
+  its points' colours and started at its least rotation;
+* in pruned mode, the touches of each colour clamped at 2 (a
+  transposition inside one sigma1-cycle touches it twice);
+* the partition of the colours into the components the transpositions
+  have joined, each colour labelled by the least colour of its
+  component.
+
+Why it is exact.  Below depth 0 the search reads only P's cycle type,
+the colour of each point, the touches and the components.  Conjugating
+the rest of a sequence and P by a permutation y that keeps every
+point's colour (y in S_mu1 x ... x S_mul) keeps all of them: the
+completions of P and of y P y^-1 are equally many.  Two products are
+conjugate by such a y exactly when they have the same coloured cycle
+type: map the cycles with equal words onto each other point by point.
+Renaming the colours, with the touches and components along, is exact
+too, since nothing below depth 0 reads a colour's name.  Equal-size
+colours are renamed in order of first appearance.  Any such renaming
+is exact, so no full canonical form is needed; colours of distinct
+sizes keep their names, which gave fewer states than renaming every
+colour.  For mu = (d) there is one colour and the state is the cycle
+type of P, the class-algebra cut-and-join of Goulden and Jackson
+("Transitive factorizations into transpositions and holomorphic
+mappings on the sphere", Proc. AMS, 1997).
+
+Transitions.  Left-multiplying by (a b) cuts or joins cycles.  With
+a = w_i and b = w_j, i < j, on one cycle w, it splits into w[i:j] and
+w[j:] + w[:i]; with a = u_i and b = v_j on two cycles, they join into
+rot(u, i) + rot(v, j).  The successors of a word multiset are
+enumerated once: a word's cuts by start and length over one period of
+the word, its joins over one period of each word, identical successors
+grouped and weighted by their multiplicity.  A cut never merges
+components: a cycle of P lies in one orbit of the group generated so
+far.  The last transposition is counted from the word lengths and
+colours without building a word.  The work grows with the number of
+states, bounded by :func:`search_work_bound`, not with the count
+itself.
 
 Isomorphism classes (:func:`count_isomorphism_classes`) need no search
 of their own.  By Burnside's lemma over the cycle rotations they are N
@@ -47,169 +73,16 @@ Pruned-ness conventions at the degenerate edge counts:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
-from .combinatorics import Partition, automorphism_factor, bell_number, centralizer_order
-from .permutations import all_transposition_pairs, canonical_permutation, cycle_index_map
-
-
-def _root_orbits(mu: Sequence[int]) -> list[tuple[int, int, int]]:
-    """One representative (a, b, orbit size) per orbit of the
-    transpositions under conjugation by the centralizer of the canonical
-    permutation of mu.
-
-    The centralizer is generated by the cycle rotations and the swaps of
-    equal-length cycles; conjugation sends (a b) to (z(a) z(b)).  The
-    rotations move a pair inside one cycle to every pair of that cycle
-    at the same cyclic distance, and a pair across two cycles to every
-    pair across the same two; a swap carries a cycle onto any other of
-    its length.  So an orbit is keyed by (cycle length, distance) or by
-    the lengths of its two cycles.
-    """
-    cyc_of = cycle_index_map(mu)
-    representative: dict[tuple, tuple[int, int]] = {}
-    size: Counter[tuple] = Counter()
-    for a, b in all_transposition_pairs(len(cyc_of)):
-        ca, cb = cyc_of[a], cyc_of[b]
-        if ca == cb:
-            k = b - a  # canonical cycles are consecutive blocks
-            key = (True, mu[ca], min(k, mu[ca] - k))
-        else:
-            key = (False,) + tuple(sorted((mu[ca], mu[cb])))
-        representative.setdefault(key, (a, b))
-        size[key] += 1
-    return [(a, b, size[key]) for key, (a, b) in representative.items()]
-
-
-def _search(mu: Partition, m: int, target: Partition, track_touches: bool) -> int:
-    """Memoised count of qualifying transposition sequences with sigma1
-    the canonical permutation of mu.
-
-    A search state after k transpositions is
-
-    * the running product P = tau_k ... tau_1 sigma1;
-    * in pruned mode, the touch vector of the sigma1-cycles clamped
-      at 2 (a transposition inside one cycle touches it twice);
-    * the partition of the sigma1-cycles into the components the
-      transpositions have joined so far, each cycle labelled by the
-      smallest cycle index of its component.
-
-    Every leaf test reads only the state: the cycle type of P, the touch
-    deficit and transitivity (a single component).  So the number of
-    qualifying completions of a state is computed once per (depth,
-    state) and memoised under one ``bytes`` key.  P is updated by O(1)
-    left-multiplication (swap the two output values); the distance
-    cutoff drops a branch whose cycle count can no longer reach
-    l(target), and the parity cutoff, which is invariant along a
-    sequence, is checked once.  The memo is released on return.
-
-    At depth 0 the loop runs over :func:`_root_orbits` instead of all
-    pairs: conjugation by the centralizer of sigma1 maps qualifying
-    sequences starting in one orbit element bijectively onto those
-    starting in any other (see the module docstring), so each
-    representative's count is multiplied by its orbit size.
-    """
-    sigma1 = canonical_permutation(mu)
-    cyc_of = cycle_index_map(mu)
-    d = len(sigma1)
-    ltarget = len(target)
-    ncycles_sigma1 = len(mu)
-    if (ncycles_sigma1 - ltarget - m) % 2:
-        return 0
-    # one flat list packed into the memo key: P, clamped touches,
-    # component labels, depth
-    tbase = d
-    cbase = d + ncycles_sigma1
-    cend = cbase + ncycles_sigma1
-    state = list(sigma1) + [0] * ncycles_sigma1 + list(range(ncycles_sigma1)) + [0]
-    pack = bytes if d <= 256 and m < 256 else tuple
-    pos = [0] * d
-    for i, v in enumerate(sigma1):
-        pos[v] = i
-    memo: dict = {}
-
-    def leaf(ncyc: int, short: int) -> int:
-        if short or ncyc != ltarget:
-            return 0
-        if any(state[cbase:cend]):
-            return 0  # not transitive: some cycle is outside component 0
-        seen = [False] * d
-        lengths = []
-        for start in range(d):
-            if seen[start]:
-                continue
-            n = 1
-            seen[start] = True
-            x = state[start]
-            while x != start:
-                seen[x] = True
-                n += 1
-                x = state[x]
-            lengths.append(n)
-        lengths.sort(reverse=True)
-        return int(tuple(lengths) == target)
-
-    roots = _root_orbits(mu)
-    unit_pairs = [(a, b, 1) for a, b in all_transposition_pairs(d)]
-
-    def completions(depth: int, ncyc: int, short: int) -> int:
-        remaining = m - depth - 1
-        total = 0
-        for a, b, weight in unit_pairs if depth else roots:
-            # left-multiplying by (a b): same cycle splits, two cycles merge
-            y = state[a]
-            while y != a and y != b:
-                y = state[y]
-            new_ncyc = ncyc + 1 if y == b else ncyc - 1
-            if abs(new_ncyc - ltarget) > remaining:
-                continue
-            ca, cb = cyc_of[a], cyc_of[b]
-            new_short = short
-            if track_touches:
-                ta, tb = state[tbase + ca], state[tbase + cb]
-                if ca == cb:
-                    new_short -= 2 - ta
-                else:
-                    new_short -= (ta < 2) + (tb < 2)
-                if new_short > 2 * remaining:
-                    continue
-                if ca == cb:
-                    state[tbase + ca] = 2
-                else:
-                    state[tbase + ca] = ta + (ta < 2)
-                    state[tbase + cb] = tb + (tb < 2)
-            la, lb = state[cbase + ca], state[cbase + cb]
-            if la != lb:
-                saved = state[cbase:cend]
-                lo, hi = (la, lb) if la < lb else (lb, la)
-                for i in range(cbase, cend):
-                    if state[i] == hi:
-                        state[i] = lo
-            pa, pb = pos[a], pos[b]
-            state[pa], state[pb] = b, a
-            pos[a], pos[b] = pb, pa
-            if remaining == 0:
-                total += weight * leaf(new_ncyc, new_short)
-            else:
-                state[-1] = depth + 1
-                key = pack(state)
-                n = memo.get(key)
-                if n is None:
-                    n = memo[key] = completions(depth + 1, new_ncyc, new_short)
-                total += weight * n
-            state[pa], state[pb] = a, b
-            pos[a], pos[b] = pa, pb
-            if la != lb:
-                state[cbase:cend] = saved
-            if track_touches:
-                state[tbase + ca], state[tbase + cb] = ta, tb
-        return total
-
-    try:
-        return completions(0, ncycles_sigma1, 2 * ncycles_sigma1 if track_touches else 0)
-    finally:
-        memo.clear()
+from .combinatorics import (
+    Partition,
+    automorphism_factor,
+    bell_number,
+    centralizer_order,
+    multinomial,
+    partition_count,
+)
 
 
 def _count_m0(mu: Partition, target: Partition, pruned: bool, m0_pruned: bool) -> int:
@@ -251,23 +124,38 @@ def count_factorizations(
     track_touches = pruned and m > 1
     if track_touches and 2 * len(mu) > 2 * m:
         return 0
-    return _search(mu, m, target, track_touches)
+    from .coloured import count_coloured
+
+    return count_coloured(mu, m, target, track_touches)[0]
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
-    """Upper bound on the transpositions :func:`_search` tries.
+    """Upper bound on the moves the coloured cycle-type engine tries.
 
-    At depth k there are at most min(P^k, d! * 3^l(mu) * Bell(l(mu)))
-    memoised states (sequences so far, against distinct products, clamped
-    touch vectors and component partitions), and each tries the P =
-    d(d-1)/2 transpositions.
+    With P = d(d-1)/2 and l = l(mu), the bound is
+
+        P * sum over k < m of min(P^k, C(mu) * 3^l * Bell(l)),
+        C(mu) = min(d!, p(d) * d! / (mu_1! ... mu_l!)).
+
+    Proof.  A state at depth k < m tries at most P grouped moves: the
+    grouping only merges the P transpositions.  So there are at most P^k
+    states at depth k.  A state is also a coloured cycle type with a
+    clamped touch vector (3^l of them) and a component partition
+    (Bell(l)).  A coloured cycle type is the type of some product
+    permutation, so there are at most d! of them; and it is fixed by
+    its cycle type (p(d) choices) together with its words, least
+    rotations, ordered by length and then by content and concatenated:
+    a word in which colour c appears mu_c times, one of
+    d!/(mu_1! ... mu_l!).  The successor lists, built once per word
+    multiset, cost at most P word operations per state as well.
     """
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)
     if m <= 0:
         return 1
     pairs = d * (d - 1) // 2
-    states = math.factorial(d) * 3 ** len(mu) * bell_number(len(mu))
+    types = min(math.factorial(d), partition_count(d) * multinomial(d, mu))
+    states = types * 3 ** len(mu) * bell_number(len(mu))
     return pairs * sum(min(pairs**k, states) for k in range(m))
 
 
@@ -314,15 +202,37 @@ def count_isomorphism_classes(
     each.
     """
     n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned)
-    d = sum(mu)
-    m = 2 * g - 2 + len(mu) + len(nu)
-    total = n
-    if len(mu) == 1 and m == 0:
-        total = d * n
-    elif len(mu) == 1 and len(nu) == 1 and d % 2 == 0 and m > 0:
-        total = n + (d // 2) ** m
-    weighted = total * automorphism_factor(mu) * automorphism_factor(nu)
+    scale, extra = _rotation_sum(g, mu, nu)
+    weighted = (scale * n + extra) * automorphism_factor(mu) * automorphism_factor(nu)
     order = centralizer_order(mu)
     if weighted % order:
         raise ArithmeticError("Burnside count is not an integer; bug")
     return weighted // order
+
+
+def _rotation_sum(g: int, mu: Sequence[int], nu: Sequence[int]) -> tuple[int, int]:
+    """(scale, extra) such that the rotations fix scale * N + extra
+    tuples in all (see :func:`count_isomorphism_classes`)."""
+    d = sum(mu)
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if len(mu) == 1 and m == 0:
+        return d, 0
+    if len(mu) == 1 and len(nu) == 1 and d % 2 == 0 and m > 0:
+        return 1, (d // 2) ** m
+    return 1, 0
+
+
+def count_from_isomorphism_classes(
+    g: int, mu: Sequence[int], nu: Sequence[int], classes: int
+) -> int:
+    """The count N of :func:`count_factorizations` that gives ``classes``
+    isomorphism classes: :func:`count_isomorphism_classes` solved for N,
+    so a caller holding the classes needs no second enumeration."""
+    scale, extra = _rotation_sum(g, mu, nu)
+    total, rem = divmod(
+        classes * centralizer_order(mu), automorphism_factor(mu) * automorphism_factor(nu)
+    )
+    n, rem2 = divmod(total - extra, scale)
+    if rem or rem2:
+        raise ArithmeticError("class count does not come from an integer N; bug")
+    return n

@@ -29,7 +29,11 @@ from .combinatorics import (
     check_partition,
     is_int,
 )
-from .factorizations import count_factorizations, count_isomorphism_classes
+from .factorizations import (
+    count_factorizations,
+    count_from_isomorphism_classes,
+    count_isomorphism_classes,
+)
 
 
 class Kind(enum.Enum):
@@ -91,6 +95,11 @@ def _fully_ramified(mu: Sequence[int], nu: Sequence[int]) -> bool:
     return len(mu) == 1 and len(nu) == 1
 
 
+def _normalised(n: int, mu: Partition, nu: Partition) -> Fraction:
+    """The H or PH value of the sequence count N with sigma1 frozen."""
+    return Fraction(n * automorphism_factor(mu) * automorphism_factor(nu), centralizer_order(mu))
+
+
 class HurwitzEngine:
     """Memoised evaluator for H, PH and the modified PH.
 
@@ -133,31 +142,29 @@ class HurwitzEngine:
         if key in self._values:
             return self._values[key]
         g, smu, snu, _ = key
-        if kind is Kind.FULL:
-            val = self._normalised(g, smu, snu, pruned=False)
-        elif kind is Kind.PRUNED:
-            val = self._normalised(g, smu, snu, pruned=True)
+        m0_pruned = self.conventions.m0_pruned
+        if kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
+            val = self.value(g, smu, snu, Kind.PRUNED)
+        elif kind is Kind.MODIFIED_PRUNED:
+            classes = count_isomorphism_classes(g, smu, snu, pruned=True, m0_pruned=m0_pruned)
+            val = Fraction(classes)
+            self._store(key, val)
+            # the pruned value comes with the classes: keep it too
+            pruned_key = (g, smu, snu, Kind.PRUNED.value)
+            if pruned_key not in self._values:
+                n = count_from_isomorphism_classes(g, smu, snu, classes)
+                self._store(pruned_key, _normalised(n, smu, snu))
+            return val
         else:
-            if _fully_ramified(smu, snu):
-                val = Fraction(
-                    count_isomorphism_classes(
-                        g, smu, snu, pruned=True,
-                        m0_pruned=self.conventions.m0_pruned,
-                    )
-                )
-            else:
-                val = self.value(g, smu, snu, Kind.PRUNED)
+            n = count_factorizations(g, smu, snu, kind is Kind.PRUNED, m0_pruned=m0_pruned)
+            val = _normalised(n, smu, snu)
+        self._store(key, val)
+        return val
+
+    def _store(self, key: cache_io.CacheKey, val: Fraction) -> None:
         self._values[key] = val
         if self.cache_path:
             cache_io.append_record(self.cache_path, key, val, self.conventions.as_dict())
-        return val
-
-    def _normalised(self, g: int, mu: Partition, nu: Partition, pruned: bool) -> Fraction:
-        n = count_factorizations(g, mu, nu, pruned, m0_pruned=self.conventions.m0_pruned)
-        return Fraction(
-            n * automorphism_factor(mu) * automorphism_factor(nu),
-            centralizer_order(mu),
-        )
 
     def double(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         return self.value(g, mu, nu, Kind.FULL)

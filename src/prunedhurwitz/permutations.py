@@ -68,20 +68,8 @@ def canonical_permutation(mu: Sequence[int]) -> Permutation:
     return tuple(images)
 
 
-def cycle_index_map(mu: Sequence[int]) -> tuple[int, ...]:
-    """For the canonical permutation of mu, the cycle index of each point."""
-    out = []
-    for i, part in enumerate(mu):
-        out.extend([i] * part)
-    return tuple(out)
-
-
 def transposition(d: int, a: int, b: int) -> Permutation:
     images = list(range(d))
     images[a], images[b] = b, a
     return tuple(images)
 
-
-def all_transposition_pairs(d: int) -> list[tuple[int, int]]:
-    """All transpositions of S_d as ordered pairs (a, b) with a < b."""
-    return [(a, b) for a in range(d) for b in range(a + 1, d)]

@@ -8,6 +8,7 @@ from ``prunedhurwitz.combinatorics``).  These are the references the
 fast engine is checked against.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
@@ -166,6 +167,209 @@ def fully_ramified_orbit_count(n, g, m0_pruned=False):
     return len(orbits)
 
 
+# -- the permutation search: the oracle of the coloured cycle-type engine ----
+
+
+def cycle_index_map(mu):
+    """For the canonical permutation of mu, the cycle index of each point."""
+    out = []
+    for i, part in enumerate(mu):
+        out.extend([i] * part)
+    return tuple(out)
+
+
+def all_transposition_pairs(d):
+    """All transpositions of S_d as ordered pairs (a, b) with a < b."""
+    return [(a, b) for a in range(d) for b in range(a + 1, d)]
+
+
+def root_orbits(mu):
+    """One representative (a, b, orbit size) per orbit of the
+    transpositions under conjugation by the centralizer of the canonical
+    permutation of mu.
+
+    The centralizer is generated by the cycle rotations and the swaps of
+    equal-length cycles; conjugation sends (a b) to (z(a) z(b)).  The
+    rotations move a pair inside one cycle to every pair of that cycle
+    at the same cyclic distance, and a pair across two cycles to every
+    pair across the same two; a swap carries a cycle onto any other of
+    its length.  So an orbit is keyed by (cycle length, distance) or by
+    the lengths of its two cycles.
+
+    Any z commuting with sigma1 maps a sequence (tau_i) to
+    (z tau_i z^-1): the product is conjugated by z, so its cycle type
+    is kept; transitivity is kept; and the touch counts are permuted
+    along with the sigma1-cycles, so the pruned condition is kept too.
+    So the sequences starting with tau are as many as those starting
+    with z tau z^-1.
+    """
+    cyc_of = cycle_index_map(mu)
+    representative = {}
+    size = Counter()
+    for a, b in all_transposition_pairs(len(cyc_of)):
+        ca, cb = cyc_of[a], cyc_of[b]
+        if ca == cb:
+            k = b - a  # canonical cycles are consecutive blocks
+            key = (True, mu[ca], min(k, mu[ca] - k))
+        else:
+            key = (False,) + tuple(sorted((mu[ca], mu[cb])))
+        representative.setdefault(key, (a, b))
+        size[key] += 1
+    return [(a, b, size[key]) for key, (a, b) in representative.items()]
+
+
+def permutation_search(mu, m, target, track_touches):
+    """Memoised count of qualifying transposition sequences with sigma1
+    the canonical permutation of mu.
+
+    A search state after k transpositions is
+
+    * the running product P = tau_k ... tau_1 sigma1;
+    * in pruned mode, the touch vector of the sigma1-cycles clamped
+      at 2 (a transposition inside one cycle touches it twice);
+    * the partition of the sigma1-cycles into the components the
+      transpositions have joined so far, each cycle labelled by the
+      smallest cycle index of its component.
+
+    Every leaf test reads only the state: the cycle type of P, the touch
+    deficit and transitivity (a single component).  So the number of
+    qualifying completions of a state is computed once per (depth,
+    state) and memoised under one ``bytes`` key.  P is updated by O(1)
+    left-multiplication (swap the two output values); the distance
+    cutoff drops a branch whose cycle count can no longer reach
+    l(target), and the parity cutoff, which is invariant along a
+    sequence, is checked once.  The memo is released on return.
+
+    At depth 0 the loop runs over ``root_orbits`` instead of all
+    pairs: conjugation by the centralizer of sigma1 maps qualifying
+    sequences starting in one orbit element bijectively onto those
+    starting in any other (see ``root_orbits``), so each
+    representative's count is multiplied by its orbit size.
+    """
+    sigma1 = canonical_permutation(mu)
+    cyc_of = cycle_index_map(mu)
+    d = len(sigma1)
+    ltarget = len(target)
+    ncycles_sigma1 = len(mu)
+    if (ncycles_sigma1 - ltarget - m) % 2:
+        return 0
+    # one flat list packed into the memo key: P, clamped touches,
+    # component labels, depth
+    tbase = d
+    cbase = d + ncycles_sigma1
+    cend = cbase + ncycles_sigma1
+    state = list(sigma1) + [0] * ncycles_sigma1 + list(range(ncycles_sigma1)) + [0]
+    pack = bytes if d <= 256 and m < 256 else tuple
+    pos = [0] * d
+    for i, v in enumerate(sigma1):
+        pos[v] = i
+    memo = {}
+
+    def leaf(ncyc, short):
+        if short or ncyc != ltarget:
+            return 0
+        if any(state[cbase:cend]):
+            return 0  # not transitive: some cycle is outside component 0
+        seen = [False] * d
+        lengths = []
+        for start in range(d):
+            if seen[start]:
+                continue
+            n = 1
+            seen[start] = True
+            x = state[start]
+            while x != start:
+                seen[x] = True
+                n += 1
+                x = state[x]
+            lengths.append(n)
+        lengths.sort(reverse=True)
+        return int(tuple(lengths) == target)
+
+    roots = root_orbits(mu)
+    unit_pairs = [(a, b, 1) for a, b in all_transposition_pairs(d)]
+
+    def completions(depth, ncyc, short):
+        remaining = m - depth - 1
+        total = 0
+        for a, b, weight in unit_pairs if depth else roots:
+            # left-multiplying by (a b): same cycle splits, two cycles merge
+            y = state[a]
+            while y != a and y != b:
+                y = state[y]
+            new_ncyc = ncyc + 1 if y == b else ncyc - 1
+            if abs(new_ncyc - ltarget) > remaining:
+                continue
+            ca, cb = cyc_of[a], cyc_of[b]
+            new_short = short
+            if track_touches:
+                ta, tb = state[tbase + ca], state[tbase + cb]
+                if ca == cb:
+                    new_short -= 2 - ta
+                else:
+                    new_short -= (ta < 2) + (tb < 2)
+                if new_short > 2 * remaining:
+                    continue
+                if ca == cb:
+                    state[tbase + ca] = 2
+                else:
+                    state[tbase + ca] = ta + (ta < 2)
+                    state[tbase + cb] = tb + (tb < 2)
+            la, lb = state[cbase + ca], state[cbase + cb]
+            if la != lb:
+                saved = state[cbase:cend]
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                for i in range(cbase, cend):
+                    if state[i] == hi:
+                        state[i] = lo
+            pa, pb = pos[a], pos[b]
+            state[pa], state[pb] = b, a
+            pos[a], pos[b] = pb, pa
+            if remaining == 0:
+                total += weight * leaf(new_ncyc, new_short)
+            else:
+                state[-1] = depth + 1
+                key = pack(state)
+                n = memo.get(key)
+                if n is None:
+                    n = memo[key] = completions(depth + 1, new_ncyc, new_short)
+                total += weight * n
+            state[pa], state[pb] = a, b
+            pos[a], pos[b] = pa, pb
+            if la != lb:
+                state[cbase:cend] = saved
+            if track_touches:
+                state[tbase + ca], state[tbase + cb] = ta, tb
+        return total
+
+    try:
+        return completions(0, ncycles_sigma1, 2 * ncycles_sigma1 if track_touches else 0)
+    finally:
+        memo.clear()
+
+
+
+def search_count(g, mu, nu, pruned=False, m0_pruned=False):
+    """``count_factorizations`` by the memoised permutation search: the
+    same edge cases (m < 0, m = 0, pruned m = 1), then
+    ``permutation_search`` on the product permutation itself."""
+    if sum(mu) < 1 or sum(nu) != sum(mu):
+        raise ValueError("mu and nu must be partitions of the same d >= 1")
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if m < 0:
+        return 0
+    target = tuple(sorted(nu, reverse=True))
+    if m == 0:
+        spans = len(mu) == 1 and tuple(sorted(mu, reverse=True)) == target
+        return int(spans and (m0_pruned or not pruned))
+    if pruned and m == 1 and len(mu) != 1:
+        return 0
+    track_touches = pruned and m > 1
+    if track_touches and len(mu) > m:
+        return 0
+    return permutation_search(tuple(mu), m, target, track_touches)
+
+
 @dataclass(frozen=True)
 class FactorizationTuple:
     """A tuple (sigma1, tau_1...tau_m, sigma2) with product identity,
@@ -290,3 +494,40 @@ def filtered_parent_maps(n, roots):
             parent[v] = p
         if is_forest(parent):
             yield tuple(parent)
+
+
+def _series_product(a, b, order):
+    """Product of two power series (coefficient lists), truncated."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[:order + 1]):
+        if x:
+            for j, y in enumerate(b[:order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def one_part_double_hurwitz(g, d, nu):
+    """H_g((d), nu) by the one-part formula of Goulden, Jackson and Vakil
+    (arXiv:math/0309440):
+
+        r! d^(r-1) [t^(2g)] prod_i S(nu_i t) / S(t),
+        S(t) = sinh(t/2) / (t/2),  r = 2g - 1 + l(nu),
+
+    in exact fractions.  S is even, so the series run in u = t^2:
+    S(a t) = sum_k a^(2k) u^k / (4^k (2k+1)!).  It reads no permutation
+    at all."""
+    from fractions import Fraction
+    from math import factorial
+
+    def s_series(a):
+        return [Fraction(a ** (2 * k), 4 ** k * factorial(2 * k + 1)) for k in range(g + 1)]
+
+    inverse = [Fraction(1)]  # 1 / S(t), from S * inverse = 1
+    base = s_series(1)
+    for k in range(1, g + 1):
+        inverse.append(-sum(base[j] * inverse[k - j] for j in range(1, k + 1)))
+    series = inverse
+    for part in nu:
+        series = _series_product(series, s_series(part), g)
+    r = 2 * g - 1 + len(nu)
+    return factorial(r) * Fraction(d) ** (r - 1) * series[g]

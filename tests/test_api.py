@@ -70,7 +70,16 @@ def loaded_by(code: str) -> set[str]:
 def test_cli_import_loads_no_heavy_stdlib_or_reconstruction():
     loaded = loaded_by("import prunedhurwitz.cli")
     assert "prunedhurwitz.cli" in loaded
-    assert not loaded & {*HEAVY_STDLIB, "prunedhurwitz.reconstruction"}
+    assert not loaded & {*HEAVY_STDLIB, "prunedhurwitz.reconstruction", "prunedhurwitz.cutjoin"}
+
+
+def test_cli_choices_equal_the_evaluator_names():
+    # the CLI keeps its own copy of the cut-and-join choices so that
+    # parsing loads no evaluator
+    from prunedhurwitz import cli, cutjoin
+
+    assert cli.VARIANTS == cutjoin.VARIANTS
+    assert cli.STABILITY_READINGS == cutjoin.STABILITY_READINGS
 
 
 def test_engine_import_loads_only_the_value_layer():
@@ -79,5 +88,5 @@ def test_engine_import_loads_only_the_value_layer():
     assert not loaded & {
         *HEAVY_STDLIB, "argparse", "prunedhurwitz.cli", "prunedhurwitz.cutjoin",
         "prunedhurwitz.forests", "prunedhurwitz.polynomiality",
-        "prunedhurwitz.reconstruction",
+        "prunedhurwitz.reconstruction", "prunedhurwitz.coloured",
     }

@@ -267,3 +267,26 @@ def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
         f"cache {cache}:1 skipped: bad genus",
         f"cache {cache}:2 skipped: Expecting value: line 1 column 1 (char 0)",
     ]
+
+
+def test_modified_pruned_compute_enumerates_once(capsys, monkeypatch, tmp_path):
+    # a fully ramified type: the class count gives N as well, so the
+    # reported tuple count needs no second enumeration
+    from prunedhurwitz import factorizations
+
+    calls = []
+    original = factorizations.count_factorizations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factorizations, "count_factorizations", counted)
+    monkeypatch.setattr(hurwitz, "count_factorizations", counted)
+    code, rows, _ = run_cli(
+        capsys, "compute", "--genus", "2", "--mu", "7", "--nu", "7",
+        "--kind", "modified-pruned", "--omit-timing", "--cache", str(tmp_path / "c.jsonl"),
+    )
+    assert code == 0 and len(calls) == 1
+    (row,) = rows
+    assert (row["value"], row["tuple_count"]) == ({"num": "9604", "den": "1"}, "67228")

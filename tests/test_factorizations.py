@@ -1,4 +1,6 @@
+import gc
 import math
+import time
 from collections import Counter
 from itertools import permutations, product
 
@@ -6,18 +8,19 @@ import pytest
 
 from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
+from prunedhurwitz.coloured import count_coloured
 from prunedhurwitz.factorizations import (
-    _root_orbits,
     count_factorizations,
     count_isomorphism_classes,
     search_work_bound,
 )
 from prunedhurwitz.hurwitz import HurwitzEngine, Kind
-from prunedhurwitz.permutations import all_transposition_pairs, canonical_permutation
+from prunedhurwitz.permutations import canonical_permutation
 from prunedhurwitz.polynomiality import finite_difference_degree, scaling_values
 
 from oracles import (
     FactorizationTuple,
+    all_transposition_pairs,
     apply_after,
     bfs_transitive,
     centralizer,
@@ -26,11 +29,14 @@ from oracles import (
     is_transitive,
     iter_factorization_tuples,
     naive_tuple_counts,
+    one_part_double_hurwitz,
     pair_orbits,
     perm_cycles,
     perm_inverse,
     perm_type,
     pruned_by_valency,
+    root_orbits,
+    search_count,
     transposition_images,
 )
 
@@ -218,16 +224,117 @@ def test_minimal_transitive_factorizations_closed_form():
 
 
 def test_search_work_bound():
-    # m = 3, P = 3 pairs, at most 3! * 3^2 * Bell(2) = 108 states per depth
+    # m = 3, P = 3 pairs, at most min(3!, p(3) * 3) * 3^2 * Bell(2) = 108
+    # states per depth
     assert search_work_bound(0, (2, 1), (1, 1, 1)) == 3 * (1 + 3 + 9)
-    # (3)|(3) at g = 3: m = 6, the state bound 3! * 3 * 1 = 18 caps
-    # depths 3 to 5
-    assert search_work_bound(3, (3,), (3,)) == 3 * (1 + 3 + 9 + 18 + 18 + 18)
+    # (3)|(3) at g = 3: m = 6; one colour, so the coloured cycle types
+    # are the p(3) = 3 cycle types, and 3 * 3 * 1 = 9 states cap depths
+    # 3 to 5
+    assert search_work_bound(3, (3,), (3,)) == 3 * (1 + 3 + 9 + 9 + 9 + 9)
     assert search_work_bound(0, (2,), (2,)) == 1  # m = 0
-    # the default CLI budget admits g = 2, (4,4)|(3,5), which P^m = 28^6
-    # would refuse, and still refuses d = 24, m = 17
+    # (4,4)|(3,5) at g = 2: p(8) * 8!/(4! 4!) = 22 * 70 coloured cycle
+    # types, times 3^2 * Bell(2), cap depths 4 and 5 (d! would allow
+    # 40,320 types)
+    assert search_work_bound(2, (4, 4), (3, 5)) == 28 * (1 + 28 + 28**2 + 28**3 + 2 * 27_720)
+    # the default CLI budget admits it, which P^m = 28^6 would refuse,
+    # and still refuses d = 24, m = 17
     assert search_work_bound(2, (4, 4), (3, 5)) <= DEFAULT_BUDGET < 28**6
     assert search_work_bound(6, (6, 6, 6, 6), (8, 8, 8)) > DEFAULT_BUDGET
+
+
+def test_search_work_bound_covers_the_visited_states():
+    # the engine's memoised states, each trying at most P moves, stay
+    # within the bound; both modes, every g <= 2, d <= 5, m <= 6
+    for d in range(1, 6):
+        pairs = d * (d - 1) // 2
+        for g in range(3):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    m = 2 * g - 2 + len(mu) + len(nu)
+                    if not 1 <= m <= 6:
+                        continue
+                    for touches in (False, True):
+                        _count, states = count_coloured(mu, m, nu, touches)
+                        assert states * pairs <= max(1, search_work_bound(g, mu, nu))
+
+
+def test_count_matches_permutation_search():
+    # the coloured cycle-type engine against the permutation search it
+    # replaced, now an oracle: every ordering of mu, both modes, both
+    # m = 0 conventions, g <= 3, d <= 5, m <= 6; and (d)|(d) for
+    # 6 <= d <= 8, g <= 2
+    cases = [
+        (g, mu, nu)
+        for d in range(1, 6)
+        for g in range(4)
+        for part in partitions(d)
+        for nu in partitions(d)
+        if 0 <= 2 * g - 2 + len(part) + len(nu) <= 6
+        for mu in sorted(set(permutations(part)))
+    ]
+    cases += [(g, (d,), (d,)) for d in range(6, 9) for g in range(3)]
+    for g, mu, nu in cases:
+        conventions = (False, True) if 2 * g - 2 + len(mu) + len(nu) == 0 else (False,)
+        for pruned in (False, True):
+            for m0_pruned in conventions:
+                assert count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned) == \
+                    search_count(g, mu, nu, pruned, m0_pruned), (g, mu, nu, pruned, m0_pruned)
+
+
+def test_reach_beyond_the_permutation_search():
+    # N for the two reach rows, each under 1 s; the permutation search
+    # took 7.3 s and 0.9 s on them
+    for g, mu, nu, expected in [
+        (1, (6, 9), (3, 12), 10_830_024),
+        (2, (4, 4), (3, 5), 72_864_768),
+    ]:
+        start = time.perf_counter()
+        assert count_factorizations(g, mu, nu, pruned=True) == expected
+        assert time.perf_counter() - start < 1.0, (g, mu, nu)
+
+
+def test_memo_state_count_pinned():
+    # the memoised states of three ladder rows (N first).  No value
+    # shows a state split in two, so these counts are what catch a word
+    # kept at another rotation than its least, or colours of distinct
+    # sizes renamed into each other (exact, as any renaming is, but it
+    # splits states)
+    assert count_coloured((3, 2, 1), 5, (4, 2), True) == (97_200, 249)
+    assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 155)
+    assert count_coloured((8,), 4, (8,), True) == (198_912, 15)
+
+
+def test_memo_is_released_on_return():
+    # no reference cycle keeps a call's memo for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        for pruned in (False, True):
+            count_factorizations(1, (3, 2, 1), (4, 2), pruned)
+            count_factorizations(0, (2, 2, 1), (2, 1, 1, 1), pruned)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_one_part_formula():
+    # H_g((d), nu) from the Goulden-Jackson-Vakil formula, which reads no
+    # permutation: every g <= 2, d <= 8 and nu, and two larger instances
+    engine = HurwitzEngine()
+    for g in range(3):
+        for d in range(1, 9):
+            for nu in partitions(d):
+                assert engine.double(g, (d,), nu) == one_part_double_hurwitz(g, d, nu), (g, d, nu)
+    assert engine.double(1, (30,), (15, 8, 7)) == one_part_double_hurwitz(1, 30, (15, 8, 7))
+    assert engine.double(3, (20,), (10, 5, 5)) == one_part_double_hurwitz(3, 20, (10, 5, 5))
+
+
+def test_genus_one_polynomiality():
+    # PH_1(2t, 3t | t, 4t) for t <= 7 (d <= 35): a polynomial of degree
+    # 4g - 3 + l(mu) + l(nu) = 5, with one spare difference vanishing
+    values = scaling_values(1, (2, 3), (1, 4), Kind.PRUNED, 7, HurwitzEngine())
+    assert values == [756, 26_064, 200_556, 849_024, 2_596_500, 6_468_336, 13_990_284]
+    assert finite_difference_degree(values) == 5
 
 
 def _assert_roots_are_orbits(roots, pairs, group):
@@ -247,7 +354,7 @@ def test_root_orbits_match_brute_force_centralizer_orbits():
         pairs = all_transposition_pairs(d)
         for part in partitions(d):
             for mu in set(permutations(part)):
-                roots = _root_orbits(mu)
+                roots = root_orbits(mu)
                 _assert_roots_are_orbits(roots, pairs, centralizer(canonical_permutation(mu)))
 
 

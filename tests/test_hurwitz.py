@@ -108,6 +108,20 @@ def test_fully_ramified_family():
             assert (gap * d).denominator == 1
 
 
+def test_modified_pruned_keeps_the_pruned_value():
+    # the fully ramified class count is solved for N, including the
+    # m = 0 rotations and the half-turn term of even d: the pruned value
+    # it stores equals a fresh engine's, under both m = 0 conventions
+    for m0_pruned in (False, True):
+        conventions = Conventions(m0_pruned=m0_pruned)
+        for d in range(1, 7):
+            for g in range(3):
+                engine = HurwitzEngine(conventions)
+                engine.modified_pruned(g, (d,), (d,))
+                kept = engine._values[(g, (d,), (d,), "PH")]
+                assert kept == HurwitzEngine(conventions).pruned(g, (d,), (d,)), (d, g, m0_pruned)
+
+
 def test_phat_zero_extension():
     assert ENGINE.phat(-1, (2,), (2,)) == 0
     assert ENGINE.phat(0, (), (1,)) == 0
