@@ -15,14 +15,24 @@ from collections import Counter
 from operator import itemgetter
 
 from .combinatorics import Partition
+from .factorizations import MoveTables
 
 
 def count_coloured(
-    mu: Partition, m: int, target: Partition, track_touches: bool
+    mu: Partition,
+    m: int,
+    target: Partition,
+    track_touches: bool,
+    tables: MoveTables | None = None,
 ) -> tuple[int, int]:
     """The number of qualifying sequences of m >= 1 transpositions, and
-    the number of states memoised on the way.  Every memo and cache
-    lives for this call only."""
+    the number of states memoised on the way.
+
+    The memo of completions lives for this call only: a state's count
+    depends on m, the target and the mode.  The move tables are read
+    from and added to ``tables`` when it is given, and live for this
+    call only when it is not; see :class:`MoveTables` for why sharing
+    them between calls is exact."""
     mu = tuple(sorted(mu, reverse=True))
     ncol = len(mu)
     if ncol > 256:
@@ -32,10 +42,12 @@ def count_coloured(
     # equal-size colours are consecutive; first[c] is the least of them
     first = [mu.index(size) for size in mu]
     symmetric = len(set(mu)) < ncol
-    rotations: dict[bytes, tuple[bytes, int]] = {}
-    renamings: dict[tuple, tuple[tuple, object]] = {}
-    moves: dict[tuple, tuple[list, list]] = {}
-    finals: dict[tuple, tuple[list, list]] = {}
+    if tables is None:
+        tables = MoveTables()
+    rotations = tables.rotations
+    renamings = tables.renamings
+    moves = tables.moves
+    finals = tables.finals.setdefault(target, {})
     memo: list[dict] = [{} for _ in range(m)]
 
     def least(w: bytes) -> tuple[bytes, int]:
@@ -266,5 +278,6 @@ def count_coloured(
         return count, 1 + sum(map(len, memo))
     finally:
         # completions reaches itself through its closure; without this
-        # the memo and caches would wait for the cycle collector
+        # the memo, and tables built for this call, would wait for the
+        # cycle collector
         del completions

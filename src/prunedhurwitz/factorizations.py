@@ -55,6 +55,16 @@ colours without building a word.  The work grows with the number of
 states, bounded by :func:`search_work_bound`, not with the count
 itself.
 
+Move tables (:class:`MoveTables`).  The least rotations, successor
+lists and colour renamings are functions of a word or a word multiset
+alone, and the last moves of a word multiset and the target nu; none
+reads m, the mode, the touches or the components.  A word multiset
+also fixes mu, since colour c occurs mu_c times in it.  So the tables
+built for one count are exact for every other, and a caller that makes
+many counts (a :class:`prunedhurwitz.hurwitz.HurwitzEngine`) hands the
+same tables to each; only the memo of completions, which depends on m,
+nu and the mode, is rebuilt per count.
+
 Isomorphism classes (:func:`count_isomorphism_classes`) need no search
 of their own.  By Burnside's lemma over the cycle rotations they are N
 itself, except for mu = (d): there every rotation fixes the empty
@@ -85,6 +95,30 @@ from .combinatorics import (
 )
 
 
+class MoveTables:
+    """The coloured engine's tables, kept across the counts they are
+    handed to (see the module docstring for why that is exact):
+
+    * ``rotations``: word -> (its least rotation, its period);
+    * ``renamings``: word multiset -> (the multiset with equal-size
+      colours renamed in order of first appearance, the map taking a
+      colour vector along, or None);
+    * ``moves``: word multiset -> its successor lists, cuts then joins;
+    * ``finals``: target nu -> word multiset -> the last moves that
+      give the product the cycle type nu.
+
+    The tables only grow; they die with their holder.
+    """
+
+    __slots__ = ("rotations", "renamings", "moves", "finals")
+
+    def __init__(self) -> None:
+        self.rotations: dict[bytes, tuple[bytes, int]] = {}
+        self.renamings: dict[tuple, tuple[tuple, object]] = {}
+        self.moves: dict[tuple, tuple[list, list]] = {}
+        self.finals: dict[Partition, dict[tuple, tuple[list, list]]] = {}
+
+
 def _count_m0(mu: Partition, target: Partition, pruned: bool, m0_pruned: bool) -> int:
     """The empty-sequence case: sigma2 = sigma1^(-1)."""
     if tuple(sorted(mu, reverse=True)) != target:
@@ -103,10 +137,13 @@ def count_factorizations(
     pruned: bool = False,
     *,
     m0_pruned: bool = False,
+    tables: MoveTables | None = None,
 ) -> int:
     """Number of qualifying transposition sequences with sigma1 frozen.
 
-    Returns 0 when m = 2g - 2 + l(mu) + l(nu) is negative.
+    Returns 0 when m = 2g - 2 + l(mu) + l(nu) is negative.  The move
+    tables are ``tables`` when given, and built for this call only when
+    not.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -126,7 +163,7 @@ def count_factorizations(
         return 0
     from .coloured import count_coloured
 
-    return count_coloured(mu, m, target, track_touches)[0]
+    return count_coloured(mu, m, target, track_touches, tables)[0]
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -166,6 +203,7 @@ def count_isomorphism_classes(
     pruned: bool = False,
     *,
     m0_pruned: bool = False,
+    tables: MoveTables | None = None,
 ) -> int:
     """Number of simultaneous-conjugation classes of qualifying tuples
     with labelled sigma1/sigma2 cycles, by Burnside's lemma over the
@@ -201,7 +239,7 @@ def count_isomorphism_classes(
     be two h-cycles, and the half-turn swaps them instead of fixing
     each.
     """
-    n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned)
+    n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned, tables=tables)
     scale, extra = _rotation_sum(g, mu, nu)
     weighted = (scale * n + extra) * automorphism_factor(mu) * automorphism_factor(nu)
     order = centralizer_order(mu)

@@ -30,6 +30,7 @@ from .combinatorics import (
     is_int,
 )
 from .factorizations import (
+    MoveTables,
     count_factorizations,
     count_from_isomorphism_classes,
     count_isomorphism_classes,
@@ -106,7 +107,10 @@ class HurwitzEngine:
     Values are cached in memory under sorted-partition keys and,
     optionally, in an append-only file (see :mod:`prunedhurwitz.cache`).
     Evaluation is pure given the conventions, so concurrent duplicate
-    computation is harmless.
+    computation is harmless.  Every count the engine makes shares one
+    set of the coloured engine's move tables
+    (:class:`prunedhurwitz.factorizations.MoveTables`), which live as
+    long as the engine.
     """
 
     def __init__(
@@ -117,6 +121,7 @@ class HurwitzEngine:
         self.conventions = conventions or Conventions()
         self.cache_path = cache_path
         self._values: dict[cache_io.CacheKey, Fraction] = {}
+        self._tables = MoveTables()
         if cache_path:
             self._values.update(
                 cache_io.load_cache(cache_path, self.conventions.as_dict())
@@ -146,7 +151,9 @@ class HurwitzEngine:
         if kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
             val = self.value(g, smu, snu, Kind.PRUNED)
         elif kind is Kind.MODIFIED_PRUNED:
-            classes = count_isomorphism_classes(g, smu, snu, pruned=True, m0_pruned=m0_pruned)
+            classes = count_isomorphism_classes(
+                g, smu, snu, pruned=True, m0_pruned=m0_pruned, tables=self._tables
+            )
             val = Fraction(classes)
             self._store(key, val)
             # the pruned value comes with the classes: keep it too
@@ -156,7 +163,9 @@ class HurwitzEngine:
                 self._store(pruned_key, _normalised(n, smu, snu))
             return val
         else:
-            n = count_factorizations(g, smu, snu, kind is Kind.PRUNED, m0_pruned=m0_pruned)
+            n = count_factorizations(
+                g, smu, snu, kind is Kind.PRUNED, m0_pruned=m0_pruned, tables=self._tables
+            )
             val = _normalised(n, smu, snu)
         self._store(key, val)
         return val

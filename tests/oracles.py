@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
+from prunedhurwitz.combinatorics import multinomial
 from prunedhurwitz.permutations import canonical_permutation
 
 
@@ -494,6 +495,21 @@ def filtered_parent_maps(n, roots):
             parent[v] = p
         if is_forest(parent):
             yield tuple(parent)
+
+
+def forests_by_multinomials(degrees, roots):
+    """The rooted forests on len(degrees) vertices with root set
+    ``roots`` and these out-degrees, as the sum over the roots i of the
+    zero-extended multinomial(n - |S| - 1; degrees with delta_i - 1)."""
+    n, s = len(degrees), len(set(roots))
+    if s == n:
+        return 1 if all(d == 0 for d in degrees) else 0
+    total = 0
+    for i in set(roots):
+        decremented = list(degrees)
+        decremented[i] -= 1
+        total += multinomial(n - s - 1, decremented)
+    return total
 
 
 def _series_product(a, b, order):

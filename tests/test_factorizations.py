@@ -1,6 +1,8 @@
 import gc
 import math
+import random
 import time
+import weakref
 from collections import Counter
 from itertools import permutations, product
 
@@ -10,6 +12,7 @@ from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
 from prunedhurwitz.coloured import count_coloured
 from prunedhurwitz.factorizations import (
+    MoveTables,
     count_factorizations,
     count_isomorphism_classes,
     search_work_bound,
@@ -312,6 +315,66 @@ def test_memo_is_released_on_return():
         for pruned in (False, True):
             count_factorizations(1, (3, 2, 1), (4, 2), pruned)
             count_factorizations(0, (2, 2, 1), (2, 1, 1, 1), pruned)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_shared_tables_are_exact_in_any_order():
+    # one engine, so one set of move tables, answers every g <= 1,
+    # d <= 5 type in both modes and (d)|(d) PHHAT for d <= 8, in a
+    # shuffled and in the reverse order; each answer equals a count
+    # made with tables of its own
+    queries = [
+        (g, mu, nu, pruned)
+        for d in range(1, 6)
+        for g in range(2)
+        for mu in partitions(d)
+        for nu in partitions(d)
+        for pruned in (False, True)
+    ]
+    queries += [(g, (d,), (d,), None) for d in range(1, 9) for g in range(3)]
+    fresh = {}
+    for g, mu, nu, pruned in queries:
+        fresh[g, mu, nu, pruned] = (
+            count_isomorphism_classes(g, mu, nu, True) if pruned is None
+            else count_factorizations(g, mu, nu, pruned)
+        )
+    shuffled = queries[:]
+    random.Random(10).shuffle(shuffled)
+    for order in (shuffled, queries[::-1]):
+        engine = HurwitzEngine()
+        for g, mu, nu, pruned in order:
+            if pruned is None:
+                got = engine.modified_pruned(g, mu, nu)
+            else:
+                got = engine.tuple_count(g, mu, nu, pruned)
+            assert got == fresh[g, mu, nu, pruned], (g, mu, nu, pruned)
+        assert engine._tables.moves
+
+
+def test_pruned_count_reuses_the_full_count_tables():
+    # the pruned search visits only word multisets the full one did
+    tables = MoveTables()
+    count_factorizations(1, (3, 2, 1), (4, 2), False, tables=tables)
+    sizes = [len(t) for t in (tables.moves, tables.renamings, tables.rotations)]
+    count_factorizations(1, (3, 2, 1), (4, 2), True, tables=tables)
+    assert sizes[0] > 0
+    assert [len(t) for t in (tables.moves, tables.renamings, tables.rotations)] == sizes
+
+
+def test_engine_tables_die_with_the_engine():
+    # no reference cycle keeps an engine or its tables alive
+    gc.collect()
+    gc.disable()
+    try:
+        engine = HurwitzEngine()
+        engine.pruned(1, (3, 2, 1), (4, 2))
+        engine.modified_pruned(2, (6,), (6,))
+        assert engine._tables.moves
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
         assert gc.collect() == 0
     finally:
         gc.enable()

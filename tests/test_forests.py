@@ -1,11 +1,11 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from prunedhurwitz.forests import count_forests_with_degrees, enumerate_rooted_forests
 
-from oracles import filtered_parent_maps
+from oracles import filtered_parent_maps, forests_by_multinomials
 
 
 def test_closed_form_examples():
@@ -14,6 +14,18 @@ def test_closed_form_examples():
     assert count_forests_with_degrees((0, 0), [0, 1]) == 1  # empty forest
     assert count_forests_with_degrees((1, 0), [0, 1]) == 0  # wrong degree sum
     assert count_forests_with_degrees((3, 0, 0), [0]) == 0
+
+
+def test_closed_form_equals_sum_of_multinomials():
+    # every vector in [-1, n]^n, n <= 5, for every root set: negative
+    # entries and wrong sums included
+    for n in range(1, 6):
+        vectors = list(product(range(-1, n + 1), repeat=n))
+        for r in range(1, n + 1):
+            for roots in combinations(range(n), r):
+                for degs in vectors:
+                    expected = forests_by_multinomials(degs, roots)
+                    assert count_forests_with_degrees(degs, roots) == expected, (degs, roots)
 
 
 def test_enumeration_examples():
