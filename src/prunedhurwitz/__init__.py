@@ -1,11 +1,14 @@
 """Exact double, pruned double and modified pruned double Hurwitz numbers.
 
-All values are computed by exhaustive enumeration of transitive
-transposition factorizations in the symmetric group, in exact rational
-arithmetic, and independently cross-checked against closed-form
-evaluators: the pruned-core reconstruction of the full numbers, a
-cut-and-join recursion for the pruned ones, and piecewise-polynomial
-scaling behaviour.
+All values are exact rationals.  The double Hurwitz numbers come from
+the characters of the symmetric group (Frobenius' formula with
+Murnaghan-Nakayama characters, made connected by inclusion-exclusion);
+the pruned and modified pruned numbers come from a memoised enumeration
+of transitive transposition factorizations by coloured cycle type.
+The two share no code, so the pruned-core reconstruction of the full
+numbers compares two evaluators; a cut-and-join recursion for the
+pruned numbers and piecewise-polynomial scaling behaviour are checked
+as well.
 """
 
 import importlib
@@ -36,11 +39,6 @@ _EXPORTS = {
     "HurwitzEngine": "hurwitz",
     "HurwitzQuery": "hurwitz",
     "Kind": "hurwitz",
-    "canonical_permutation": "permutations",
-    "compose": "permutations",
-    "cycle_type": "permutations",
-    "cycles": "permutations",
-    "inverse": "permutations",
     "NOT_POLYNOMIAL": "polynomiality",
     "degree_bound": "polynomiality",
     "finite_difference_degree": "polynomiality",

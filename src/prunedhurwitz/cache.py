@@ -3,22 +3,26 @@
 One JSON object per line:
 
     {"g": 0, "mu": [3, 2], "nu": [4, 1], "kind": "H",
-     "num": "8", "den": "1", "conv": {"m0_pruned": false}}
+     "num": "8", "den": "1", "conv": {"m0_pruned": false},
+     "version": 2, "evaluator": "characters"}
 
 Partitions are stored sorted descending (values depend only on the
 multisets).  The genus and the parts must be JSON integers (not
 booleans), ``num`` and ``den`` JSON integers or decimal-integer
-strings.  Records made under the other m = 0 convention are ignored,
-other keys of ``conv`` are not read (older records also carry the
-cut-and-join stability reading), and malformed lines are skipped with a
-warning and never trusted.
+strings.  ``evaluator`` names what made the value (see
+:func:`evaluator_of`).  A record of another schema ``version`` (records
+without one are version 1), or whose evaluator is not the one that
+makes its key now, is never trusted: it is skipped and its value is
+recomputed.  Records made under the other m = 0 convention are
+ignored, other keys of ``conv`` are not read (older records also carry
+the cut-and-join stability reading), and malformed lines are skipped
+with a warning.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -26,7 +30,21 @@ from .combinatorics import is_int
 
 CACHE_ENV_VAR = "PRUNEDHURWITZ_CACHE"
 
+CACHE_VERSION = 2
+
 CacheKey = tuple[int, tuple[int, ...], tuple[int, ...], str]
+
+
+def evaluator_of(key: CacheKey) -> str:
+    """The evaluator that makes the value of ``key``: the characters for
+    H, the Burnside closed form for the modified pruned value of one-part
+    profiles, and the coloured cycle-type engine for every other value."""
+    _, mu, nu, kind = key
+    if kind == "H":
+        return "characters"
+    if kind == "PHHAT" and len(mu) == len(nu) == 1:
+        return "burnside"
+    return "coloured"
 
 
 def default_cache_path() -> str | None:
@@ -41,10 +59,11 @@ def _warn(msg: str, *args: object) -> None:
 
 
 def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, Fraction]:
-    """Read every valid record made under the ``m0_pruned`` convention
-    of ``conventions`` from ``path``."""
+    """Read every valid record of this schema version made under the
+    ``m0_pruned`` convention of ``conventions`` from ``path``."""
     out: dict[CacheKey, Fraction] = {}
     m0_pruned = conventions["m0_pruned"]
+    stale = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -57,6 +76,9 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                 except (ValueError, KeyError, TypeError) as exc:
                     _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
+                if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
+                    stale += 1
+                    continue
                 conv = rec.get("conv")
                 if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
                     continue
@@ -65,6 +87,11 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
         pass
     except OSError as exc:
         _warn("cache %s unreadable: %s", path, exc)
+    if stale:
+        _warn(
+            "cache %s: %d records of another version or evaluator skipped; "
+            "their values are recomputed", path, stale,
+        )
     return out
 
 
@@ -73,8 +100,10 @@ def _parse_integer(x: object, what: str) -> int:
     strings ``int()`` would also take (spaces, underscores) are refused."""
     if is_int(x):
         return x
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
+    if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            return int(x)
     raise ValueError(f"bad {what} {x!r}")
 
 
@@ -87,7 +116,8 @@ def _parse_record(rec: dict) -> tuple[CacheKey, Fraction]:
         raise ValueError("bad genus")
     if kind not in ("H", "PH", "PHHAT"):
         raise ValueError(f"bad kind {kind!r}")
-    if not mu or not nu or any(not is_int(x) or x < 1 for x in mu + nu):
+    # JSON gives no int subclass but bool, which is no part
+    if not mu or not nu or any(type(x) is not int or x < 1 for x in mu + nu):
         raise ValueError("bad partition")
     if sum(mu) != sum(nu):
         raise ValueError("degree mismatch")
@@ -116,6 +146,8 @@ def append_record(
         "num": str(value.numerator),
         "den": str(value.denominator),
         "conv": {"m0_pruned": conventions["m0_pruned"]},
+        "version": CACHE_VERSION,
+        "evaluator": evaluator_of(key),
     }
     try:
         with open(path, "a", encoding="utf-8") as fh:

@@ -1,0 +1,169 @@
+"""Double Hurwitz numbers from the characters of the symmetric group.
+
+This evaluator shares no code with the enumeration
+(:mod:`prunedhurwitz.factorizations`), which is its test oracle.
+
+Frobenius' formula (Lando and Zvonkin, *Graphs on Surfaces and Their
+Applications*, 2004, App. A) counts the tuples of the product
+sigma2 tau_m ... tau_1 sigma1 = id over all of S_d, transitive or not.
+The central character of a transposition on the irreducible V_lambda
+is the content sum cont(lambda), the sum of j - i over the boxes (i, j)
+of lambda (Okounkov, "Toda equations for Hurwitz numbers", Math. Res.
+Lett. 7, 2000).  With the cycles of sigma1 and sigma2 labelled and the
+count divided by d!, the z_mu and z_nu of the formula meet the
+labellings, and what remains is
+
+    D(mu, nu, m) / (prod mu * prod nu),
+    D(mu, nu, m) = sum over lambda of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m.
+
+A tuple falls apart into its orbits.  Each orbit holds a block of the
+labelled parts of mu and nu with equal sums, its own points and its own
+subsequence of the transpositions; the points and the interleavings
+are chosen in d!/(d_1! ... d_k!) and m!/(m_1! ... m_k!) ways, and the
+d! and d_i! are the normalisation.  So the disconnected count is the
+sum over the set partitions of the labelled parts into balanced blocks
+of the product of the blocks' connected counts, the m transpositions
+shared out by multinomials (the exponential formula; Goulden, Jackson
+and Vakil, "Towards the geometry of double Hurwitz numbers", Adv. Math.
+198, 2005).  Summing first over the block B that holds mu's first part,
+
+    H(mu, nu, m) = D(mu, nu, m) / P(mu, nu)
+                   - sum over proper balanced B, k of
+                     C(m, k) H(B, k) D(rest, m - k) / P(rest),
+
+with P the product of the parts.  P is multiplicative over the blocks,
+so the recursion runs on the integers C = H * P and divides once at the
+end.  A block B needs k >= l(B) - 2 transpositions to be connected (its
+genus is not negative), with k of the parity of l(B).
+
+chi^lambda(mu) comes from the Murnaghan-Nakayama rule: with
+mu = (r, mu'), chi^lambda(mu) is the sum over the rim hooks of length r
+whose addition to some lambda' gives lambda of (-1)^(rows - 1) times
+chi^lambda'(mu').  A column is built upwards from the empty partition
+by adding rim hooks on beta-sets, so it holds only the lambda where the
+character is not zero: for few long parts that is far fewer than p(d).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, prod
+
+from .combinatorics import Partition
+
+
+def _add_rim_hooks(shape: Partition, r: int):
+    """(lambda, sign) for every lambda obtained by adding a rim hook of
+    length r to ``shape``, sign = (-1)^(rows of the hook - 1).
+
+    On the beta-set b_i = lambda_i + n - 1 - i, with n = l(shape) + r
+    rows so that a hook has room to start new ones, adding a hook is
+    moving a bead from b_i to the empty b_i + r; the beads it passes
+    are the hook's rows below its first.
+    """
+    parts = list(shape) + [0] * r
+    n = len(parts)
+    beta = [part + n - 1 - i for i, part in enumerate(parts)]
+    beads = set(beta)
+    for i, b in enumerate(beta):
+        if b + r in beads:
+            continue
+        j = i
+        while j and beta[j - 1] < b + r:
+            j -= 1
+        # rows j..i-1 move down one and gain a box; row j takes the bead
+        new = parts[:j] + [parts[i] + r - (i - j)] + [p + 1 for p in parts[j:i]] + parts[i + 1:]
+        while new[-1] == 0:
+            new.pop()
+        yield tuple(new), -1 if (i - j) % 2 else 1
+
+
+def _splits(parts: Partition) -> list[tuple[Partition, Partition]]:
+    """(chosen, others) for every subset of ``parts``, both in the order
+    of ``parts``; the subset of all the parts comes last."""
+    splits: list[tuple[Partition, Partition]] = [((), ())]
+    for x in reversed(parts):
+        splits = [(c, (x,) + o) for c, o in splits] + [((x,) + c, o) for c, o in splits]
+    return splits
+
+
+def content_sum(shape: Partition) -> int:
+    """cont(lambda): the sum of j - i over the boxes (i, j) of lambda."""
+    return sum(part * (part - 1) // 2 - i * part for i, part in enumerate(shape))
+
+
+class CharacterTable:
+    """The characters and connected counts one evaluator has computed.
+
+    * ``columns``: mu (sorted descending) -> {lambda: chi^lambda(mu)},
+      the non-zero characters only;
+    * ``sums``: (mu, nu, m) -> D(mu, nu, m);
+    * ``connected``: (mu, nu, m) -> H * prod mu * prod nu, an integer.
+
+    The tables only grow; they die with their holder.
+    """
+
+    __slots__ = ("columns", "sums", "connected")
+
+    def __init__(self) -> None:
+        self.columns: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+        self.sums: dict[tuple[Partition, Partition, int], int] = {}
+        self.connected: dict[tuple[Partition, Partition, int], int] = {}
+
+    def double_hurwitz(self, g: int, mu: Partition, nu: Partition) -> Fraction:
+        """H(g, mu, nu) for partitions sorted descending of one degree."""
+        m = 2 * g - 2 + len(mu) + len(nu)
+        return Fraction(self._connected(mu, nu, m), prod(mu) * prod(nu))
+
+    def column(self, mu: Partition) -> dict[Partition, int]:
+        """{lambda: chi^lambda(mu)} over the lambda with a non-zero
+        character, for mu sorted descending."""
+        col = self.columns.get(mu)
+        if col is None:
+            col = {}
+            for below, chi in self.column(mu[1:]).items():
+                for shape, sign in _add_rim_hooks(below, mu[0]):
+                    col[shape] = col.get(shape, 0) + sign * chi
+            col = {shape: chi for shape, chi in col.items() if chi}
+            self.columns[mu] = col
+        return col
+
+    def _disconnected(self, mu: Partition, nu: Partition, m: int) -> int:
+        """D(mu, nu, m) = sum of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m."""
+        key = (mu, nu, m)
+        total = self.sums.get(key)
+        if total is None:
+            a, b = self.column(mu), self.column(nu)
+            if len(b) < len(a):
+                a, b = b, a
+            total = 0
+            for shape, chi in a.items():
+                other = b.get(shape)
+                if other is not None:
+                    total += chi * other * content_sum(shape) ** m
+            self.sums[key] = total
+        return total
+
+    def _connected(self, mu: Partition, nu: Partition, m: int) -> int:
+        key = (mu, nu, m)
+        value = self.connected.get(key)
+        if value is not None:
+            return value
+        value = self._disconnected(mu, nu, m)
+        if len(mu) > 1 and len(nu) > 1:
+            by_sum: dict[int, list[tuple[Partition, Partition]]] = {}
+            for split in _splits(nu):
+                by_sum.setdefault(sum(split[0]), []).append(split)
+            # every proper block holding mu[0] leaves out some of mu
+            for chosen, rest_mu in _splits(mu[1:])[:-1]:
+                block_mu = (mu[0],) + chosen
+                for block_nu, rest_nu in by_sum.get(sum(block_mu), ()):
+                    size = len(block_mu) + len(block_nu)
+                    for k in range(size - 2, m + 1, 2):
+                        value -= (
+                            comb(m, k)
+                            * self._connected(block_mu, block_nu, k)
+                            * self._disconnected(rest_mu, rest_nu, m - k)
+                        )
+        self.connected[key] = value
+        return value

@@ -4,6 +4,13 @@ Reports are line-delimited JSON with stable key order; the timing field
 is the only non-deterministic part and ``--omit-timing`` drops it.
 Exit codes: 0 success / all match, 1 verified mismatch, 2 usage error,
 3 budget refusal, 4 wall refusal.
+
+Values come from :class:`prunedhurwitz.hurwitz.HurwitzEngine`: H from
+the characters of S_d, PH and the modified PH from the coloured
+cycle-type engine.  ``verify main-theorem`` rebuilds each H from
+modified pruned values, so it compares two evaluators that share no
+code; ``cache check`` recomputes stored H values with the enumeration's
+full mode, the other evaluator of H.
 """
 
 from __future__ import annotations
@@ -16,15 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .cache import CACHE_ENV_VAR, default_cache_path
+from .cache import CACHE_ENV_VAR, default_cache_path, load_cache
 from .combinatorics import partitions
-from .factorizations import search_work_bound
-from .forests import (
-    DEFAULT_ENUMERATION_BOUND,
-    count_forests_with_degrees,
-    enumerate_rooted_forests,
-)
-from .hurwitz import Conventions, HurwitzEngine, Kind
+from .factorizations import count_factorizations, search_work_bound
+from .hurwitz import Conventions, HurwitzEngine, Kind, value_from_count
 from .polynomiality import (
     degree_bound,
     finite_difference_degree,
@@ -181,12 +183,15 @@ def cmd_verify(args) -> int:
     if args.which == "poly" and args.t_max < 2:
         sys.stderr.write("the poly battery needs --t-max >= 2\n")
         return EXIT_USAGE
-    if args.which == "forests" and args.max_n > DEFAULT_ENUMERATION_BOUND:
-        sys.stderr.write(
-            f"the forests battery enumerates n <= {DEFAULT_ENUMERATION_BOUND} only; "
-            f"got --max-n {args.max_n}\n"
-        )
-        return EXIT_USAGE
+    if args.which == "forests":
+        from .forests import DEFAULT_ENUMERATION_BOUND
+
+        if args.max_n > DEFAULT_ENUMERATION_BOUND:
+            sys.stderr.write(
+                f"the forests battery enumerates n <= {DEFAULT_ENUMERATION_BOUND} only; "
+                f"got --max-n {args.max_n}\n"
+            )
+            return EXIT_USAGE
     if any(_over_budget(args, g, mu, nu) for g, mu, nu in _enumerated_instances(args)):
         return EXIT_BUDGET
     engine = _engine(args)
@@ -272,6 +277,8 @@ def _verify_cut_and_join(args, engine) -> bool:
 def _verify_forests(args, engine) -> bool:
     from itertools import combinations
 
+    from .forests import count_forests_with_degrees, enumerate_rooted_forests
+
     all_match = True
     for n in range(1, args.max_n + 1):
         for r in range(1, n + 1):
@@ -321,6 +328,53 @@ def _verify_poly(args, engine) -> bool:
     return all_match
 
 
+def cmd_cache_check(args) -> int:
+    """Recompute an evenly spaced sample of the records the engine would
+    load from the cache: H by the enumeration's full mode, the pruned
+    values by a fresh engine without the cache."""
+    if not args.cache:
+        sys.stderr.write(f"cache check needs --cache or ${CACHE_ENV_VAR}\n")
+        return EXIT_USAGE
+    if args.sample < 1:
+        sys.stderr.write("--sample must be at least 1\n")
+        return EXIT_USAGE
+    conventions = Conventions(m0_pruned=args.m0_pruned_convention)
+    records = list(load_cache(args.cache, conventions.as_dict()).items())
+    size = min(args.sample, len(records))
+    sample = [records[i * len(records) // size] for i in range(size)]
+    if any(_over_budget(args, g, mu, nu) for (g, mu, nu, _), _ in sample):
+        return EXIT_BUDGET
+    start = time.perf_counter()
+    all_match = True
+    for key, stored in sample:
+        g, mu, nu, tag = key
+        if tag == Kind.FULL.value:
+            recomputed = value_from_count(count_factorizations(g, mu, nu), mu, nu)
+            by = "enumeration"
+        else:
+            recomputed = HurwitzEngine(conventions).value(g, mu, nu, Kind(tag))
+            by = "engine"
+        match = recomputed == stored
+        all_match &= match
+        _emit({
+            "type": "cache-check",
+            "genus": g, "mu": list(mu), "nu": list(nu), "kind": tag,
+            "stored": _fraction_obj(stored),
+            "recomputed": _fraction_obj(recomputed),
+            "recomputed_by": by,
+            "match": match,
+        }, args)
+    _emit({
+        "command": "cache",
+        "action": "check",
+        "records": len(records),
+        "checked": len(sample),
+        "all_match": all_match,
+        "elapsed_seconds": round(time.perf_counter() - start, 6),
+    }, args)
+    return EXIT_OK if all_match else EXIT_MISMATCH
+
+
 def cmd_fit(args) -> int:
     g, mu, nu, kind = args.genus, args.mu, args.nu, KIND_BY_NAME[args.kind]
     if sum(mu) != sum(nu):
@@ -362,8 +416,9 @@ def cmd_fit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunedhurwitz",
-        description="Exact double, pruned and modified pruned Hurwitz numbers "
-                    "by symmetric-group enumeration, with identity checkers.",
+        description="Exact double Hurwitz numbers from the characters of S_d, "
+                    "pruned and modified pruned ones by enumeration, with identity checkers "
+                    "that compare the two evaluators.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,6 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-wall", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_fit)
+
+    p = sub.add_parser("cache", help="check stored values against a recomputation")
+    p.add_argument("action", choices=["check"])
+    p.add_argument("--sample", type=int, default=10,
+                   help="records to recompute, evenly spaced through the file")
+    _add_common(p)
+    p.set_defaults(func=cmd_cache_check)
 
     return parser
 

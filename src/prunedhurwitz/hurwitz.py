@@ -1,18 +1,29 @@
 """Exact evaluation of the three Hurwitz-number flavours.
 
-With N(g, mu, nu) the number of qualifying transposition sequences for
-the *canonical* sigma1 (see :mod:`prunedhurwitz.factorizations`), the
+The double Hurwitz number H comes from the characters of S_d
+(:mod:`prunedhurwitz.characters`, loaded on the first H): Frobenius'
+formula with the content sums as the central characters of a
+transposition, made connected by inclusion-exclusion over the balanced
+blocks of the labelled parts.  No enumeration runs for it.
+
+The pruned numbers come from the coloured cycle-type engine.  With
+N(g, mu, nu) the number of qualifying transposition sequences for the
+*canonical* sigma1 (see :mod:`prunedhurwitz.factorizations`), the
 conjugation-invariance identity gives
 
-    H(g, mu, nu)  = N_full   * A(mu) * A(nu) / Z(mu)
     PH(g, mu, nu) = N_pruned * A(mu) * A(nu) / Z(mu)
 
-where A is the number of admissible cycle labellings and Z the
-centralizer order; this replaces the 1/d! normalisation over all sigma1
-at an exponential saving.  The modified pruned number counts
+(and H the same with N_full, which the tests use as the characters'
+oracle), where A is the number of admissible cycle labellings and Z
+the centralizer order; this replaces the 1/d! normalisation over all
+sigma1 at an exponential saving.  The modified pruned number counts
 isomorphism classes with weight one; it equals PH except for the fully
 ramified types (both profiles a single part), where it is computed by
 Burnside's lemma.
+
+So H and the modified pruned values it is rebuilt from by the main
+theorem share no code: ``verify main-theorem`` compares two
+evaluators.
 """
 
 from __future__ import annotations
@@ -23,7 +34,6 @@ from typing import NamedTuple, Sequence
 
 from . import cache as cache_io
 from .combinatorics import (
-    Partition,
     automorphism_factor,
     centralizer_order,
     check_partition,
@@ -96,7 +106,7 @@ def _fully_ramified(mu: Sequence[int], nu: Sequence[int]) -> bool:
     return len(mu) == 1 and len(nu) == 1
 
 
-def _normalised(n: int, mu: Partition, nu: Partition) -> Fraction:
+def value_from_count(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
     """The H or PH value of the sequence count N with sigma1 frozen."""
     return Fraction(n * automorphism_factor(mu) * automorphism_factor(nu), centralizer_order(mu))
 
@@ -110,7 +120,9 @@ class HurwitzEngine:
     computation is harmless.  Every count the engine makes shares one
     set of the coloured engine's move tables
     (:class:`prunedhurwitz.factorizations.MoveTables`), which live as
-    long as the engine.
+    long as the engine, and every H one table of characters
+    (:class:`prunedhurwitz.characters.CharacterTable`), built on the
+    first H.
     """
 
     def __init__(
@@ -122,6 +134,7 @@ class HurwitzEngine:
         self.cache_path = cache_path
         self._values: dict[cache_io.CacheKey, Fraction] = {}
         self._tables = MoveTables()
+        self._characters = None
         if cache_path:
             self._values.update(
                 cache_io.load_cache(cache_path, self.conventions.as_dict())
@@ -148,7 +161,13 @@ class HurwitzEngine:
             return self._values[key]
         g, smu, snu, _ = key
         m0_pruned = self.conventions.m0_pruned
-        if kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
+        if kind is Kind.FULL:
+            if self._characters is None:
+                from .characters import CharacterTable
+
+                self._characters = CharacterTable()
+            val = self._characters.double_hurwitz(g, smu, snu)
+        elif kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
             val = self.value(g, smu, snu, Kind.PRUNED)
         elif kind is Kind.MODIFIED_PRUNED:
             classes = count_isomorphism_classes(
@@ -160,13 +179,13 @@ class HurwitzEngine:
             pruned_key = (g, smu, snu, Kind.PRUNED.value)
             if pruned_key not in self._values:
                 n = count_from_isomorphism_classes(g, smu, snu, classes)
-                self._store(pruned_key, _normalised(n, smu, snu))
+                self._store(pruned_key, value_from_count(n, smu, snu))
             return val
         else:
             n = count_factorizations(
-                g, smu, snu, kind is Kind.PRUNED, m0_pruned=m0_pruned, tables=self._tables
+                g, smu, snu, pruned=True, m0_pruned=m0_pruned, tables=self._tables
             )
-            val = _normalised(n, smu, snu)
+            val = value_from_count(n, smu, snu)
         self._store(key, val)
         return val
 

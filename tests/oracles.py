@@ -1,11 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here deliberately avoids the library's enumeration code:
-permutations are composed positionally, transitivity is a BFS, the
-leaf condition is a vertex/edge incidence count.  Only the convention
-for the canonical sigma1 is shared (the tests take their partitions
-from ``prunedhurwitz.combinatorics``).  These are the references the
-fast engine is checked against.
+permutations are image tuples composed positionally, transitivity is a
+BFS, the leaf condition is a vertex/edge incidence count.  Only the
+convention for the canonical sigma1 is shared (the tests take their
+partitions from ``prunedhurwitz.combinatorics``).  These are the
+references the fast engine is checked against.
+
+A permutation of {0, ..., d-1} is the tuple of its images: ``p[i]`` is
+the image of ``i``.  Products compose right to left: ``apply_after(a,
+b)`` sends x to a(b(x)), so a product written sigma2 * tau_m * ... *
+tau_1 * sigma1 applies sigma1 first.
 """
 
 from collections import Counter
@@ -13,15 +18,34 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
 from prunedhurwitz.combinatorics import multinomial
-from prunedhurwitz.permutations import canonical_permutation
+
+
+def identity_permutation(d):
+    return tuple(range(d))
 
 
 def apply_after(a, b):
-    """x -> a(b(x))."""
+    """The product a*b, i.e. apply b first: x -> a(b(x))."""
+    if len(a) != len(b):
+        raise ValueError("degree mismatch")
     return tuple(a[b[x]] for x in range(len(b)))
 
 
+def canonical_permutation(mu):
+    """The permutation whose i-th cycle is the i-th consecutive block of
+    {0, ..., d-1}: mu=(2,3) gives (0 1)(2 3 4)."""
+    images = []
+    start = 0
+    for part in mu:
+        block = list(range(start, start + part))
+        images.extend(block[1:] + block[:1])
+        start += part
+    return tuple(images)
+
+
 def perm_cycles(p):
+    """Disjoint cycles of p (fixed points included), each starting at its
+    smallest element, ordered by that element."""
     seen = [False] * len(p)
     out = []
     for s in range(len(p)):
@@ -39,6 +63,7 @@ def perm_cycles(p):
 
 
 def perm_type(p):
+    """Multiset of cycle lengths, sorted descending."""
     return tuple(sorted((len(c) for c in perm_cycles(p)), reverse=True))
 
 

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "count_factorizations", "count_isomorphism_classes",
     "RootedForest", "count_forests_with_degrees", "enumerate_rooted_forests",
     "Conventions", "HurwitzEngine", "HurwitzQuery", "Kind",
-    "canonical_permutation", "compose", "cycle_type", "cycles", "inverse",
     "NOT_POLYNOMIAL", "degree_bound", "finite_difference_degree",
     "fit_univariate", "is_wall_point", "scaling_values",
     "reconstruct_double_hurwitz", "reconstruct_via_forests",
@@ -32,7 +31,7 @@ def test_top_level_exports():
     engine = ph.HurwitzEngine()
     assert engine.double(0, (2, 3), (1, 4)) == 8
     assert ph.multinomial(3, (1, 1, 1)) == 6
-    assert ph.cycle_type(ph.canonical_permutation((2, 3))) == (3, 2)
+    assert ph.count_factorizations(0, (2, 3), (1, 4)) == 48
     assert ph.count_forests_with_degrees((1, 1, 0), [0]) == 1
     assert not ph.is_wall_point((2, 3), (1, 4))
     assert ph.reconstruct_double_hurwitz(0, (2, 3), (1, 4), engine.phat) == 8
@@ -42,7 +41,7 @@ def test_top_level_exports():
 
 def test_public_names_resolve_and_star_import_binds_them():
     assert sorted(prunedhurwitz.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 28
     namespace = {}
     exec("from prunedhurwitz import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
@@ -70,7 +69,10 @@ def loaded_by(code: str) -> set[str]:
 def test_cli_import_loads_no_heavy_stdlib_or_reconstruction():
     loaded = loaded_by("import prunedhurwitz.cli")
     assert "prunedhurwitz.cli" in loaded
-    assert not loaded & {*HEAVY_STDLIB, "prunedhurwitz.reconstruction", "prunedhurwitz.cutjoin"}
+    assert not loaded & {
+        *HEAVY_STDLIB, "prunedhurwitz.reconstruction", "prunedhurwitz.cutjoin",
+        "prunedhurwitz.forests", "prunedhurwitz.characters",
+    }
 
 
 def test_cli_choices_equal_the_evaluator_names():
@@ -89,4 +91,14 @@ def test_engine_import_loads_only_the_value_layer():
         *HEAVY_STDLIB, "argparse", "prunedhurwitz.cli", "prunedhurwitz.cutjoin",
         "prunedhurwitz.forests", "prunedhurwitz.polynomiality",
         "prunedhurwitz.reconstruction", "prunedhurwitz.coloured",
+        "prunedhurwitz.characters",
     }
+
+
+def test_each_kind_loads_only_its_evaluator():
+    full = loaded_by("from prunedhurwitz import HurwitzEngine; HurwitzEngine().double(1, (3, 3), (4, 2))")
+    assert "prunedhurwitz.characters" in full
+    assert "prunedhurwitz.coloured" not in full
+    pruned = loaded_by("from prunedhurwitz import HurwitzEngine; HurwitzEngine().pruned(1, (3, 3), (4, 2))")
+    assert "prunedhurwitz.coloured" in pruned
+    assert "prunedhurwitz.characters" not in pruned

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prunedhurwitz import cli, hurwitz
+from prunedhurwitz import forests, hurwitz
 from prunedhurwitz.cli import main
 
 
@@ -139,7 +139,7 @@ def test_verify_forests_refuses_max_n_above_the_bound(capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated forests")
 
-    monkeypatch.setattr(cli, "enumerate_rooted_forests", no_enumeration)
+    monkeypatch.setattr(forests, "enumerate_rooted_forests", no_enumeration)
     code, rows, err = run_cli(capsys, "verify", "forests", "--max-n", "9")
     assert code == 2 and not rows
     assert err.count("\n") == 1 and "--max-n 9" in err
@@ -290,3 +290,71 @@ def test_modified_pruned_compute_enumerates_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and len(calls) == 1
     (row,) = rows
     assert (row["value"], row["tuple_count"]) == ({"num": "9604", "den": "1"}, "67228")
+
+
+def write_cache(cache, *computes):
+    for argv in computes:
+        assert main([*argv, "--cache", str(cache), "--omit-timing", "--force"]) == 0
+
+
+def test_cache_check_recomputes_an_even_sample(tmp_path, capsys):
+    cache = tmp_path / "values.jsonl"
+    write_cache(
+        cache,
+        ["compute", "--genus", "1", "--mu", "3,3", "--nu", "4,2"],
+        ["compute", "--genus", "1", "--mu", "4,4", "--nu", "3,5", "--kind", "pruned"],
+        ["compute", "--genus", "2", "--mu", "6", "--nu", "6", "--kind", "modified-pruned"],
+    )
+    capsys.readouterr()
+    stored = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert [rec["kind"] for rec in stored] == ["H", "PH", "PHHAT", "PH"]
+    code, rows, _ = run_cli(capsys, "cache", "check", "--sample", "10",
+                            "--cache", str(cache), "--omit-timing")
+    assert code == 0
+    assert rows[-1] == {"command": "cache", "action": "check", "records": 4,
+                        "checked": 4, "all_match": True}
+    assert [(row["kind"], row["recomputed_by"], row["match"]) for row in rows[:-1]] == [
+        ("H", "enumeration", True), ("PH", "engine", True),
+        ("PHHAT", "engine", True), ("PH", "engine", True),
+    ]
+    # a sample of two takes the first and the third record
+    code, rows, _ = run_cli(capsys, "cache", "check", "--sample", "2",
+                            "--cache", str(cache), "--omit-timing")
+    assert code == 0 and [row["kind"] for row in rows[:-1]] == ["H", "PHHAT"]
+
+
+def test_cache_check_fails_on_a_corrupted_h_record(tmp_path, capsys):
+    cache = tmp_path / "values.jsonl"
+    write_cache(
+        cache,
+        ["compute", "--genus", "0", "--mu", "3,3,2", "--nu", "4,2,2"],
+        ["compute", "--genus", "0", "--mu", "3,2", "--nu", "4,1", "--kind", "pruned"],
+    )
+    capsys.readouterr()
+    lines = cache.read_text().splitlines()
+    record = json.loads(lines[0])
+    assert (record["kind"], record["num"]) == ("H", "4032")
+    lines[0] = json.dumps({**record, "num": "4033"}, sort_keys=True)
+    cache.write_text("\n".join(lines) + "\n")
+    code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache), "--omit-timing")
+    assert code == 1
+    assert rows[-1]["all_match"] is False
+    bad = [row for row in rows[:-1] if not row["match"]]
+    assert [(row["kind"], row["stored"]["num"], row["recomputed"]["num"]) for row in bad] == [
+        ("H", "4033", "4032"),
+    ]
+
+
+def test_cache_check_refusals(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PRUNEDHURWITZ_CACHE", raising=False)
+    assert main(["cache", "check"]) == 2
+    assert "--cache" in capsys.readouterr().err
+    cache = tmp_path / "values.jsonl"
+    assert main(["cache", "check", "--sample", "0", "--cache", str(cache)]) == 2
+    # the enumeration of this H is over the default budget
+    write_cache(cache, ["compute", "--genus", "1", "--mu", "6,9", "--nu", "3,12"])
+    capsys.readouterr()
+    assert main(["cache", "check", "--cache", str(cache), "--omit-timing"]) == 3
+    code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache),
+                            "--omit-timing", "--force")
+    assert code == 0 and rows[0]["recomputed"]["num"] == "223776"

@@ -17,8 +17,7 @@ from prunedhurwitz.factorizations import (
     count_isomorphism_classes,
     search_work_bound,
 )
-from prunedhurwitz.hurwitz import HurwitzEngine, Kind
-from prunedhurwitz.permutations import canonical_permutation
+from prunedhurwitz.hurwitz import HurwitzEngine, Kind, value_from_count
 from prunedhurwitz.polynomiality import finite_difference_degree, scaling_values
 
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     all_transposition_pairs,
     apply_after,
     bfs_transitive,
+    canonical_permutation,
     centralizer,
     fully_ramified_orbit_count,
     is_pruned,
@@ -382,14 +382,18 @@ def test_engine_tables_die_with_the_engine():
 
 def test_one_part_formula():
     # H_g((d), nu) from the Goulden-Jackson-Vakil formula, which reads no
-    # permutation: every g <= 2, d <= 8 and nu, and two larger instances
+    # permutation, against the enumeration's full mode and the engine's
+    # H (the characters): every g <= 2, d <= 8 and nu, and two larger
+    # instances
     engine = HurwitzEngine()
-    for g in range(3):
-        for d in range(1, 9):
-            for nu in partitions(d):
-                assert engine.double(g, (d,), nu) == one_part_double_hurwitz(g, d, nu), (g, d, nu)
-    assert engine.double(1, (30,), (15, 8, 7)) == one_part_double_hurwitz(1, 30, (15, 8, 7))
-    assert engine.double(3, (20,), (10, 5, 5)) == one_part_double_hurwitz(3, 20, (10, 5, 5))
+    tables = MoveTables()
+    cases = [(g, d, nu) for g in range(3) for d in range(1, 9) for nu in partitions(d)]
+    cases += [(1, 30, (15, 8, 7)), (3, 20, (10, 5, 5))]
+    for g, d, nu in cases:
+        expected = one_part_double_hurwitz(g, d, nu)
+        n = count_factorizations(g, (d,), nu, tables=tables)
+        assert value_from_count(n, (d,), nu) == expected, (g, d, nu)
+        assert engine.double(g, (d,), nu) == expected, (g, d, nu)
 
 
 def test_genus_one_polynomiality():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from prunedhurwitz import hurwitz
+from prunedhurwitz import characters, hurwitz
+from prunedhurwitz.cache import CACHE_VERSION, evaluator_of
 from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
 
@@ -12,6 +13,17 @@ ENGINE = HurwitzEngine()
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def current(rec: dict) -> dict:
+    """``rec`` with the schema version and the evaluator the engine
+    writes now, so that its other fields decide whether it loads."""
+    key = (rec["g"], tuple(rec["mu"]), tuple(rec["nu"]), rec["kind"])
+    return {**rec, "version": CACHE_VERSION, "evaluator": evaluator_of(key)}
+
+
+def no_evaluation(*args, **kwargs):
+    raise AssertionError("evaluated a cached value")
 
 
 def test_chamber_example_values():
@@ -175,32 +187,24 @@ def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
     # a fresh engine answers from the file, sorted-key lookup included,
     # and recovers the tuple count from the cached value
     second = HurwitzEngine(cache_path=str(path))
-
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated a cached value")
-
-    monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
     assert second.double(0, (3, 2), (4, 1)) == 8
     assert second.tuple_count(0, (3, 2), (4, 1), pruned=False) == 48
 
 
 def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
-    # records written while the conventions still carried the cut-and-join
-    # stability reading answer without enumeration
+    # a record whose conventions also carry the cut-and-join stability
+    # reading, as older writers added, answers without enumeration
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({
+    path.write_text(json.dumps(current({
         "g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1",
         "conv": {"m0_pruned": False, "stability_reading": "facecount"},
-    }) + "\n")
-
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated a cached value")
-
-    monkeypatch.setattr(hurwitz, "count_factorizations", no_enumeration)
+    })) + "\n")
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
     assert HurwitzEngine(cache_path=str(path)).pruned(1, (3,), (2, 1)) == 9
     # the other m = 0 convention still keeps to its own records
     other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
-    with pytest.raises(AssertionError, match="enumerated"):
+    with pytest.raises(AssertionError, match="evaluated"):
         other.pruned(1, (3,), (2, 1))
 
 
@@ -209,11 +213,14 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
     conv = Conventions().as_dict()
     rows = [
         "not json at all",
-        json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "0", "conv": conv}),
-        json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "WRONG", "num": "1", "den": "2", "conv": conv}),
-        json.dumps({"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "77", "den": "1",
-                    "conv": {"m0_pruned": True, "stability_reading": "literal"}}),
-        json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2", "conv": conv}),
+        json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "0",
+                            "conv": conv})),
+        json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "WRONG", "num": "1", "den": "2",
+                    "conv": conv, "version": CACHE_VERSION, "evaluator": "characters"}),
+        json.dumps(current({"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "77", "den": "1",
+                            "conv": {"m0_pruned": True, "stability_reading": "literal"}})),
+        json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2",
+                            "conv": conv})),
     ]
     path.write_text("\n".join(rows) + "\n")
     import logging
@@ -239,8 +246,10 @@ def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
         {"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "7", "den": True},
         {"g": 0, "mu": [3], "nu": [2, 1], "kind": "H", "num": " 7", "den": "1"},
         {"g": 0, "mu": [2, 2], "nu": [3, 1], "kind": "H", "num": "1_0", "den": "1"},
+        {"g": 0, "mu": [4], "nu": [3, 1], "kind": "H", "num": "--7", "den": "1"},
+        {"g": 0, "mu": [4], "nu": [2, 2], "kind": "H", "num": "\u0663", "den": "1"},
     ]
-    path.write_text("".join(json.dumps({**rec, "conv": conv}) + "\n" for rec in bogus))
+    path.write_text("".join(json.dumps(current({**rec, "conv": conv})) + "\n" for rec in bogus))
     import logging
 
     with caplog.at_level(logging.WARNING):
@@ -255,9 +264,57 @@ def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
     assert engine.double(0, (3,), (2, 1)) == fresh.double(0, (3,), (2, 1))
     assert engine.double(0, (2, 2), (3, 1)) == fresh.double(0, (2, 2), (3, 1))
     # integers written as JSON numbers still load
-    path.write_text(json.dumps(
-        {"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": 3, "den": 4, "conv": conv}) + "\n")
+    path.write_text(json.dumps(current(
+        {"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": 3, "den": 4, "conv": conv})) + "\n")
     assert HurwitzEngine(cache_path=str(path)).double(0, (2,), (2,)) == F(3, 4)
+
+
+def test_records_name_their_evaluator(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    engine = HurwitzEngine(cache_path=str(path))
+    engine.double(0, (2, 3), (1, 4))
+    engine.pruned(1, (3,), (2, 1))
+    engine.modified_pruned(1, (4,), (4,))
+    written = {
+        (rec["kind"], len(rec["mu"])): (rec["version"], rec["evaluator"])
+        for rec in map(json.loads, path.read_text().splitlines())
+    }
+    assert written == {
+        ("H", 2): (CACHE_VERSION, "characters"),
+        ("PH", 1): (CACHE_VERSION, "coloured"),
+        ("PHHAT", 1): (CACHE_VERSION, "burnside"),
+    }
+
+
+def test_records_of_the_parent_format_are_recomputed(tmp_path, caplog):
+    # records without a schema version (the format before the evaluator
+    # was named), or naming another evaluator, are never trusted: even a
+    # wrong H in them is recomputed, and the right one appended
+    path = tmp_path / "cache.jsonl"
+    conv = Conventions().as_dict()
+    rows = [
+        {"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "77", "den": "1", "conv": conv},
+        {**current({"g": 0, "mu": [3], "nu": [2, 1], "kind": "H", "num": "78", "den": "1",
+                    "conv": conv}), "evaluator": "coloured"},
+        {**current({"g": 1, "mu": [2], "nu": [2], "kind": "PH", "num": "79", "den": "1",
+                    "conv": conv}), "version": 1},
+    ]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+    import logging
+
+    with caplog.at_level(logging.WARNING):
+        engine = HurwitzEngine(cache_path=str(path))
+    assert not engine._values
+    assert [r.args[1] for r in caplog.records] == [3]
+    assert engine.double(0, (2,), (1, 1)) == 1
+    assert engine.double(0, (3,), (2, 1)) == 1
+    assert engine.pruned(1, (2,), (2,)) == F(1, 2)
+    reloaded = HurwitzEngine(cache_path=str(path))._values
+    assert reloaded == {
+        (0, (2,), (1, 1), "H"): 1,
+        (0, (3,), (2, 1), "H"): 1,
+        (1, (2,), (2,), "PH"): F(1, 2),
+    }
 
 
 def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):
