@@ -13,22 +13,20 @@ strings.  ``evaluator`` names what made the value (see
 :func:`evaluator_of`).  A record of another schema ``version`` (records
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
-recomputed.  Records made under the other m = 0 convention are
-ignored, other keys of ``conv`` are not read (older records also carry
-the cut-and-join stability reading), and malformed lines are skipped
-with a warning.
+recomputed; the warning about them counts only the stale records whose
+key has no current record in the file.  Records made under the other
+m = 0 convention are ignored, stale or not, other keys of ``conv`` are
+not read (older records also carry the cut-and-join stability
+reading), and malformed lines are skipped with a warning.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from typing import Mapping
 
 from .combinatorics import is_int
-
-CACHE_ENV_VAR = "PRUNEDHURWITZ_CACHE"
 
 CACHE_VERSION = 2
 
@@ -47,10 +45,6 @@ def evaluator_of(key: CacheKey) -> str:
     return "coloured"
 
 
-def default_cache_path() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR)
-
-
 def _warn(msg: str, *args: object) -> None:
     """Log a warning; ``logging`` is imported only when one is issued."""
     import logging
@@ -63,7 +57,7 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
     ``m0_pruned`` convention of ``conventions`` from ``path``."""
     out: dict[CacheKey, Fraction] = {}
     m0_pruned = conventions["m0_pruned"]
-    stale = 0
+    stale: list[CacheKey] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -76,21 +70,23 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                 except (ValueError, KeyError, TypeError) as exc:
                     _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
-                if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
-                    stale += 1
-                    continue
                 conv = rec.get("conv")
                 if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
+                    continue
+                if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
+                    stale.append(key)
                     continue
                 out[key] = value
     except FileNotFoundError:
         pass
     except OSError as exc:
         _warn("cache %s unreadable: %s", path, exc)
-    if stale:
+    # a stale record whose value was recomputed and appended is harmless
+    unreplaced = sum(key not in out for key in stale)
+    if unreplaced:
         _warn(
             "cache %s: %d records of another version or evaluator skipped; "
-            "their values are recomputed", path, stale,
+            "their values are recomputed", path, unreplaced,
         )
     return out
 

@@ -5,6 +5,11 @@ is the only non-deterministic part and ``--omit-timing`` drops it.
 Exit codes: 0 success / all match, 1 verified mismatch, 2 usage error,
 3 budget refusal, 4 wall refusal.
 
+Building the parser loads no other module of the package: each command
+imports what it runs when it runs (the budget check ``factorizations``,
+an engine ``hurwitz``, a battery its evaluator), so ``--version``, a
+usage error or a refusal compiles little more than this file.
+
 Values come from :class:`prunedhurwitz.hurwitz.HurwitzEngine`: H from
 the characters of S_d, PH and the modified PH from the coloured
 cycle-type engine.  ``verify main-theorem`` rebuilds each H from
@@ -16,24 +21,11 @@ full mode, the other evaluator of H.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-import time
-from fractions import Fraction
-from typing import Sequence
+import time  # loaded by every interpreter at start-up
 
 from . import __version__
-from .cache import CACHE_ENV_VAR, default_cache_path, load_cache
-from .combinatorics import partitions
-from .factorizations import count_factorizations, search_work_bound
-from .hurwitz import Conventions, HurwitzEngine, Kind, value_from_count
-from .polynomiality import (
-    degree_bound,
-    finite_difference_degree,
-    fit_univariate,
-    is_wall_point,
-    scaling_values,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -43,15 +35,18 @@ EXIT_WALL = 4
 
 DEFAULT_BUDGET = 50_000_000
 
-# The choices of cutjoin.VARIANTS and cutjoin.STABILITY_READINGS, copied
-# so that building the parser loads no evaluator (a test keeps them equal).
+# names the default --cache file (the library takes explicit paths only)
+CACHE_ENV_VAR = "PRUNEDHURWITZ_CACHE"
+
+# The choices of cutjoin.VARIANTS and cutjoin.STABILITY_READINGS and the
+# hurwitz.Kind values (the cache tags), copied so that building the
+# parser loads neither module (a test keeps them equal).
 VARIANTS = ("plain", "corrected")
 STABILITY_READINGS = ("literal", "facecount")
-
 KIND_BY_NAME = {
-    "full": Kind.FULL,
-    "pruned": Kind.PRUNED,
-    "modified-pruned": Kind.MODIFIED_PRUNED,
+    "full": "H",
+    "pruned": "PH",
+    "modified-pruned": "PHHAT",
 }
 
 # poly battery: chamber-interior points (a,b | c,d) with c < a,b < d
@@ -75,23 +70,29 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _fraction_obj(value: Fraction) -> dict:
+def _fraction_obj(value) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def _emit(report: dict, args) -> None:
+    import json
+
     if getattr(args, "omit_timing", False):
         report.pop("elapsed_seconds", None)
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def _engine(args) -> HurwitzEngine:
+def _engine(args):
+    from .hurwitz import Conventions, HurwitzEngine
+
     return HurwitzEngine(Conventions(m0_pruned=args.m0_pruned_convention), cache_path=args.cache)
 
 
 def _over_budget(args, g, mu, nu) -> bool:
     if args.force:
         return False
+    from .factorizations import search_work_bound
+
     estimate = search_work_bound(g, mu, nu)
     if estimate <= args.budget:
         return False
@@ -103,7 +104,7 @@ def _over_budget(args, g, mu, nu) -> bool:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache", default=default_cache_path(), metavar="PATH",
+    parser.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR), metavar="PATH",
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
     parser.add_argument("--m0-pruned-convention", action="store_true",
                         help="treat the edgeless tuple (m=0) as pruned")
@@ -115,12 +116,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_compute(args) -> int:
-    g, mu, nu, kind = args.genus, args.mu, args.nu, KIND_BY_NAME[args.kind]
+    g, mu, nu = args.genus, args.mu, args.nu
     if sum(mu) != sum(nu):
         sys.stderr.write(f"degree mismatch: |mu|={sum(mu)} but |nu|={sum(nu)}\n")
         return EXIT_USAGE
     if _over_budget(args, g, mu, nu):
         return EXIT_BUDGET
+    from .hurwitz import Kind
+    from .polynomiality import is_wall_point
+
+    kind = Kind(KIND_BY_NAME[args.kind])
     engine = _engine(args)
     start = time.perf_counter()
     value = engine.value(g, mu, nu, kind)
@@ -144,6 +149,8 @@ def cmd_compute(args) -> int:
 def _instances(args, min_nu_parts: int, min_m: int):
     """(g, mu, nu) with d <= max_d, g <= max_g, min_m <= m <= max_m and
     at least ``min_nu_parts`` parts in nu."""
+    from .combinatorics import partitions
+
     for d in range(1, args.max_d + 1):
         parts = list(partitions(d))
         for g in range(args.max_g + 1):
@@ -194,7 +201,8 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     if any(_over_budget(args, g, mu, nu) for g, mu, nu in _enumerated_instances(args)):
         return EXIT_BUDGET
-    engine = _engine(args)
+    # the forests battery reads no Hurwitz value
+    engine = None if args.which == "forests" else _engine(args)
     runner = {
         "main-theorem": _verify_main_theorem,
         "cut-and-join": _verify_cut_and_join,
@@ -310,6 +318,14 @@ def _verify_forests(args, engine) -> bool:
 
 
 def _verify_poly(args, engine) -> bool:
+    from .hurwitz import Kind
+    from .polynomiality import (
+        degree_bound,
+        finite_difference_degree,
+        is_wall_point,
+        scaling_values,
+    )
+
     all_match = True
     for mu, nu in INTERIOR_BASE_POINTS:
         values = scaling_values(0, mu, nu, Kind.PRUNED, args.t_max, engine)
@@ -338,6 +354,10 @@ def cmd_cache_check(args) -> int:
     if args.sample < 1:
         sys.stderr.write("--sample must be at least 1\n")
         return EXIT_USAGE
+    from .cache import load_cache
+    from .factorizations import count_factorizations
+    from .hurwitz import Conventions, HurwitzEngine, Kind, value_from_count
+
     conventions = Conventions(m0_pruned=args.m0_pruned_convention)
     records = list(load_cache(args.cache, conventions.as_dict()).items())
     size = min(args.sample, len(records))
@@ -376,13 +396,21 @@ def cmd_cache_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    g, mu, nu, kind = args.genus, args.mu, args.nu, KIND_BY_NAME[args.kind]
+    g, mu, nu = args.genus, args.mu, args.nu
     if sum(mu) != sum(nu):
         sys.stderr.write(f"degree mismatch: |mu|={sum(mu)} but |nu|={sum(nu)}\n")
         return EXIT_USAGE
     if args.t_max < 2:
         sys.stderr.write("fitting needs --t-max >= 2\n")
         return EXIT_USAGE
+    from .polynomiality import (
+        degree_bound,
+        finite_difference_degree,
+        fit_univariate,
+        is_wall_point,
+        scaling_values,
+    )
+
     if is_wall_point(mu, nu) and not args.allow_wall:
         sys.stderr.write(
             "refusing wall base point (a proper sub-balance holds); "
@@ -392,6 +420,9 @@ def cmd_fit(args) -> int:
     scaled = tuple(args.t_max * x for x in mu), tuple(args.t_max * x for x in nu)
     if _over_budget(args, g, *scaled):
         return EXIT_BUDGET
+    from .hurwitz import Kind
+
+    kind = Kind(KIND_BY_NAME[args.kind])
     engine = _engine(args)
     start = time.perf_counter()
     values = scaling_values(g, mu, nu, kind, args.t_max, engine)
@@ -465,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "genus", 0) < 0:

@@ -52,9 +52,11 @@ Both evaluators visit split configurations with g1 <= g2; on a genus
 tie each unordered configuration is visited in both orders, so it
 enters with weight 1/2.
 
-The evaluator is total for g >= 0 (negative-genus and degenerate
-oracle arguments contribute zero).  It is verification machinery, not
-a computation path for PH: base cases at l(nu) < 3 are not defined.
+The evaluator is total for g >= 0.  Configurations whose oracle
+arguments are degenerate contribute zero and are not enumerated: a core
+or split half without vertices, and every genus drop at g = 0.  It is
+verification machinery, not a computation path for PH: base cases at
+l(nu) < 3 are not defined.
 """
 
 from __future__ import annotations
@@ -134,10 +136,14 @@ def _attachment(mu: tuple, removed: Sequence[int], m: int) -> int:
 def _genus_drop_terms(
     g: int, mu: tuple, nu: tuple, m: int, phat: PhatOracle
 ) -> Iterator[RecursionTerm]:
+    if g == 0:
+        return  # every core would have genus -1
     indices = tuple(range(len(mu)))
     for i in range(len(nu)):
         other_faces = tuple(nu[j] for j in range(len(nu)) if j != i)
         for core in subsets(indices):
+            if not core:
+                continue
             removed = tuple(x for x in indices if x not in core)
             budget = nu[i] - sum(mu[x] for x in removed)
             if budget < 2:
@@ -154,7 +160,7 @@ def _genus_drop_terms(
                 yield RecursionTerm(
                     GENUS_DROP,
                     {"i": i, "core": core, "alpha": alpha, "beta": beta},
-                    value * Fraction(1, 2) * alpha * beta * attach,
+                    value * Fraction(alpha * beta * attach, 2),
                 )
 
 
@@ -165,6 +171,8 @@ def _join_terms(
     for i, j in combinations(range(len(nu)), 2):
         other_faces = tuple(nu[t] for t in range(len(nu)) if t not in (i, j))
         for core in subsets(indices):
+            if not core:
+                continue
             removed = tuple(x for x in indices if x not in core)
             alpha = nu[i] + nu[j] - sum(mu[x] for x in removed)
             if alpha < 1:
@@ -178,14 +186,15 @@ def _join_terms(
             yield RecursionTerm(
                 JOIN,
                 {"i": i, "j": j, "core": core, "alpha": alpha},
-                value * alpha * attach,
+                value * (alpha * attach),
             )
 
 
 def _split_data(mu: tuple, nu: tuple, m: int, i: int):
     """Shared enumeration of split shapes: ordered face bipartitions of
-    the other faces, ordered disjoint vertex subsets, path data.  The
-    vertex assignments do not depend on the faces and are built once."""
+    the other faces, ordered disjoint non-empty vertex subsets, path
+    data.  The vertex assignments do not depend on the faces and are
+    built once."""
     vertex_splits = []
     for assignment in range(3 ** len(mu)):
         part1, part2, removed = [], [], []
@@ -193,6 +202,8 @@ def _split_data(mu: tuple, nu: tuple, m: int, i: int):
         for x in range(len(mu)):
             a, r = divmod(a, 3)
             (part1 if r == 0 else part2 if r == 1 else removed).append(x)
+        if not part1 or not part2:
+            continue
         budget = nu[i] - sum(mu[x] for x in removed)
         if budget < 2:
             continue
@@ -244,7 +255,7 @@ def _split_terms_plain(
                             "cores": (part1, part2), "faces": (faces1, faces2),
                             "alpha": alpha, "beta": beta,
                         },
-                        v1 * v2 * alpha * beta * attach * weight,
+                        v1 * v2 * weight * (alpha * beta * attach),
                     )
 
 
@@ -290,7 +301,7 @@ def _split_terms_corrected(
                             "cores": (part1, part2), "faces": (faces1, faces2),
                             "alpha": alpha, "beta": beta, "sign": sign,
                         },
-                        sign * v1 * v2 * alpha * beta * attach * interleave * weight,
+                        v1 * v2 * weight * (sign * alpha * beta * attach * interleave),
                     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import prunedhurwitz
+from prunedhurwitz.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -23,6 +24,14 @@ PUBLIC_NAMES = [
 ]
 
 HEAVY_STDLIB = ("dataclasses", "inspect", "logging")
+
+PACKAGE_MODULES = {
+    f"prunedhurwitz.{name}"
+    for name in (
+        "cache", "characters", "coloured", "combinatorics", "cutjoin", "factorizations",
+        "forests", "hurwitz", "polynomiality", "reconstruction",
+    )
+}
 
 
 def test_top_level_exports():
@@ -53,6 +62,7 @@ def test_public_names_resolve_and_star_import_binds_them():
 
 def modules_after(code: str) -> set[str]:
     env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PRUNEDHURWITZ_CACHE", None)
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True, timeout=60,
@@ -67,21 +77,63 @@ def loaded_by(code: str) -> set[str]:
 
 
 def test_cli_import_loads_no_heavy_stdlib_or_reconstruction():
+    # nor any other module of the package: each command imports its own
     loaded = loaded_by("import prunedhurwitz.cli")
     assert "prunedhurwitz.cli" in loaded
-    assert not loaded & {
-        *HEAVY_STDLIB, "prunedhurwitz.reconstruction", "prunedhurwitz.cutjoin",
-        "prunedhurwitz.forests", "prunedhurwitz.characters",
-    }
+    assert not loaded & {*HEAVY_STDLIB, *PACKAGE_MODULES, "json", "fractions"}
 
 
 def test_cli_choices_equal_the_evaluator_names():
-    # the CLI keeps its own copy of the cut-and-join choices so that
-    # parsing loads no evaluator
-    from prunedhurwitz import cli, cutjoin
+    # the CLI keeps its own copy of the cut-and-join choices and the kind
+    # tags so that parsing loads no other module
+    from prunedhurwitz import cli, cutjoin, hurwitz
 
     assert cli.VARIANTS == cutjoin.VARIANTS
     assert cli.STABILITY_READINGS == cutjoin.STABILITY_READINGS
+    assert sorted(cli.KIND_BY_NAME.values()) == sorted(kind.value for kind in hurwitz.Kind)
+
+
+def loaded_by_cli(*argv: str) -> set[str]:
+    """The modules ``prunedhurwitz.cli.main(argv)`` adds to a fresh
+    interpreter, beyond those importing ``prunedhurwitz.cli`` loads."""
+    run = f"""
+from prunedhurwitz.cli import main
+try:
+    main({list(argv)!r})
+except SystemExit:
+    pass
+"""
+    return modules_after(run) - modules_after("import prunedhurwitz.cli")
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    assert not loaded_by_cli("--version") & {*PACKAGE_MODULES, "json", "fractions"}
+    assert not loaded_by_cli("compute", "--genus", "0") & {*PACKAGE_MODULES, "json", "fractions"}
+    refusal = loaded_by_cli("compute", "--genus", "6", "--mu", "6,6,6,6", "--nu", "8,8,8")
+    assert refusal & PACKAGE_MODULES == {
+        "prunedhurwitz.factorizations", "prunedhurwitz.combinatorics",
+    }
+    assert not refusal & {"json", "fractions"}
+
+    cache = str(tmp_path / "values.jsonl")
+    compute = ["compute", "--genus", "1", "--mu", "3,3", "--nu", "4,2",
+               "--kind", "modified-pruned", "--cache", cache, "--omit-timing"]
+    assert main(compute) == 0
+    warm = loaded_by_cli(*compute)
+    assert warm & PACKAGE_MODULES == {
+        "prunedhurwitz.cache", "prunedhurwitz.combinatorics", "prunedhurwitz.factorizations",
+        "prunedhurwitz.hurwitz", "prunedhurwitz.polynomiality",
+    }
+
+    main_theorem = loaded_by_cli("verify", "main-theorem", "--max-d", "3")
+    assert {"prunedhurwitz.reconstruction", "prunedhurwitz.forests"} <= main_theorem
+    assert not main_theorem & {"prunedhurwitz.polynomiality", "prunedhurwitz.cutjoin"}
+    cut_and_join = loaded_by_cli("verify", "cut-and-join", "--max-d", "4", "--variant", "corrected")
+    assert "prunedhurwitz.cutjoin" in cut_and_join
+    assert not cut_and_join & {
+        "prunedhurwitz.polynomiality", "prunedhurwitz.reconstruction",
+        "prunedhurwitz.forests", "prunedhurwitz.characters",
+    }
 
 
 def test_engine_import_loads_only_the_value_layer():

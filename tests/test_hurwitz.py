@@ -309,12 +309,22 @@ def test_records_of_the_parent_format_are_recomputed(tmp_path, caplog):
     assert engine.double(0, (2,), (1, 1)) == 1
     assert engine.double(0, (3,), (2, 1)) == 1
     assert engine.pruned(1, (2,), (2,)) == F(1, 2)
-    reloaded = HurwitzEngine(cache_path=str(path))._values
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        reloaded = HurwitzEngine(cache_path=str(path))._values
     assert reloaded == {
         (0, (2,), (1, 1), "H"): 1,
         (0, (3,), (2, 1), "H"): 1,
         (1, (2,), (2,), "PH"): F(1, 2),
     }
+    # every stale record now has a current one after it: nothing to warn of
+    assert not caplog.records
+    # a stale record whose key has no current record is still counted
+    with path.open("a") as fh:
+        fh.write(json.dumps({**rows[0], "mu": [1, 1]}) + "\n")
+    with caplog.at_level(logging.WARNING):
+        HurwitzEngine(cache_path=str(path))
+    assert [r.args[1] for r in caplog.records] == [1]
 
 
 def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):
