@@ -20,11 +20,10 @@ __version__ = "0.1.0"
 # loads only what that use needs.
 _EXPORTS = {
     "automorphism_factor": "combinatorics",
-    "bounded_tuples": "combinatorics",
     "centralizer_order": "combinatorics",
     "falling_factorial": "combinatorics",
+    "is_wall_point": "combinatorics",
     "multinomial": "combinatorics",
-    "ordered_set_partitions": "combinatorics",
     "RecursionReport": "cutjoin",
     "RecursionTerm": "cutjoin",
     "cut_and_join_rhs": "cutjoin",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "degree_bound": "polynomiality",
     "finite_difference_degree": "polynomiality",
     "fit_univariate": "polynomiality",
-    "is_wall_point": "polynomiality",
     "scaling_values": "polynomiality",
     "reconstruct_double_hurwitz": "reconstruction",
     "reconstruct_via_forests": "reconstruction",

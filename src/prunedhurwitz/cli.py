@@ -123,7 +123,7 @@ def cmd_compute(args) -> int:
     if _over_budget(args, g, mu, nu):
         return EXIT_BUDGET
     from .hurwitz import Kind
-    from .polynomiality import is_wall_point
+    from .combinatorics import is_wall_point
 
     kind = Kind(KIND_BY_NAME[args.kind])
     engine = _engine(args)
@@ -319,10 +319,10 @@ def _verify_forests(args, engine) -> bool:
 
 def _verify_poly(args, engine) -> bool:
     from .hurwitz import Kind
+    from .combinatorics import is_wall_point
     from .polynomiality import (
         degree_bound,
         finite_difference_degree,
-        is_wall_point,
         scaling_values,
     )
 
@@ -403,11 +403,11 @@ def cmd_fit(args) -> int:
     if args.t_max < 2:
         sys.stderr.write("fitting needs --t-max >= 2\n")
         return EXIT_USAGE
+    from .combinatorics import is_wall_point
     from .polynomiality import (
         degree_bound,
         finite_difference_degree,
         fit_univariate,
-        is_wall_point,
         scaling_values,
     )
 

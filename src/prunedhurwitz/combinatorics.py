@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]
 
@@ -28,9 +28,11 @@ def check_partition(p: Sequence[int]) -> Partition:
     parts = tuple(p)
     if not parts:
         raise ValueError("partition must be non-empty")
-    if not all(is_int(x) for x in parts):
-        raise ValueError(f"partition parts must be ints, got {parts}")
-    if any(x < 1 for x in parts):
+    for x in parts:
+        # the exact-type test settles plain ints without a call
+        if x.__class__ is not int and not is_int(x):
+            raise ValueError(f"partition parts must be ints, got {parts}")
+    if min(parts) < 1:
         raise ValueError(f"partition parts must be >= 1, got {parts}")
     return parts
 
@@ -125,26 +127,6 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def bounded_tuples(nu: Sequence[int]) -> Iterator[Partition]:
-    """All tuples t with 1 <= t_i <= nu_i, in lexicographic order."""
-    if not nu:
-        raise ValueError("bounded_tuples needs a non-empty bound tuple")
-    return product(*(range(1, b + 1) for b in nu))
-
-
-def ordered_set_partitions(ground: Iterable, block_count: int) -> Iterator[tuple[tuple, ...]]:
-    """All ordered decompositions of ``ground`` into ``block_count``
-    (possibly empty) disjoint blocks; exactly n^|ground| of them."""
-    if block_count < 1:
-        raise ValueError("need at least one block")
-    elems = tuple(ground)
-    for assignment in product(range(block_count), repeat=len(elems)):
-        yield tuple(
-            tuple(e for e, a in zip(elems, assignment) if a == i)
-            for i in range(block_count)
-        )
-
-
 def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``length`` non-negative integers summing to ``total``."""
     if length == 0:
@@ -165,3 +147,20 @@ def subsets(items: Sequence) -> Iterator[tuple]:
     elems = tuple(items)
     for mask in range(1 << len(elems)):
         yield tuple(e for i, e in enumerate(elems) if mask >> i & 1)
+
+
+def _proper_subset_sums(parts: Sequence[int]) -> set[int]:
+    sums = set()
+    for r in range(1, len(parts)):
+        for chosen in combinations(parts, r):
+            sums.add(sum(chosen))
+    return sums
+
+
+def is_wall_point(mu: Sequence[int], nu: Sequence[int]) -> bool:
+    """True iff some proper non-empty sub-balance holds between mu and
+    nu: a point on a wall sum_I mu_i = sum_J nu_j of the polynomiality
+    chambers."""
+    if sum(mu) != sum(nu):
+        raise ValueError("wall detection needs a balanced point")
+    return bool(_proper_subset_sums(mu) & _proper_subset_sums(nu))

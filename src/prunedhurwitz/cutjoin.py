@@ -52,6 +52,14 @@ Both evaluators visit split configurations with g1 <= g2; on a genus
 tie each unordered configuration is visited in both orders, so it
 enters with weight 1/2.
 
+The cores of the genus-drop and join families and the vertex splits
+of the split family are built once per call, each with its removed
+weight and path attachment, keeping only removed vertices that weigh at
+most what the largest faces allow; each face or face pair then filters
+them by its own budget.  The terms come in the order of the per-face
+enumeration over every subset and every base-3 vertex assignment, which
+``tests/oracles.py`` keeps as the reference.
+
 The evaluator is total for g >= 0.  Configurations whose oracle
 arguments are degenerate contribute zero and are not enumerated: a core
 or split half without vertices, and every genus drop at g = 0.  It is
@@ -66,7 +74,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .combinatorics import falling_factorial, subsets
+from .combinatorics import falling_factorial
 from .hurwitz import HurwitzEngine
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -133,25 +141,67 @@ def _attachment(mu: tuple, removed: Sequence[int], m: int) -> int:
     return attach
 
 
+def _vertex_assignments(mu: tuple, groups: int, spare: int, cap: int) -> list[tuple]:
+    """Every map of the vertex indices to ``groups`` groups in which the
+    vertices of group ``spare`` weigh at most ``cap``, as one index
+    tuple per group.  The maps come in the order of their base-``groups``
+    numbers sum(group(x) * groups**x): the vertices are placed from the
+    last to the first, each level extending the maps of the previous
+    one in order."""
+    level = [(((),) * groups, 0)]
+    for x in reversed(range(len(mu))):
+        grown = []
+        for parts, weight in level:
+            for r in range(groups):
+                w = weight + mu[x] if r == spare else weight
+                if w <= cap:
+                    grown.append((parts[:r] + ((x,) + parts[r],) + parts[r + 1:], w))
+        level = grown
+    return [(*parts, weight) for parts, weight in level]
+
+
+def _cores(mu: tuple, m: int, cap: int) -> list[tuple]:
+    """(core, weights of the core, removed weight, attachment) for every
+    non-empty core whose removed vertices weigh at most ``cap`` and fit
+    on a path, in the order of ``subsets``."""
+    cores = []
+    for removed, core, weight in _vertex_assignments(mu, 2, 0, cap):
+        attach = _attachment(mu, removed, m)
+        if core and attach:
+            cores.append((core, tuple(mu[x] for x in core), weight, attach))
+    return cores
+
+
+def _vertex_splits(mu: tuple, m: int, cap: int) -> list[tuple]:
+    """(removed weight, attachment, part1, part2, removed, weights of the
+    two parts) for every split into two non-empty parts whose removed
+    vertices weigh at most ``cap`` and fit on a path.  The order is that
+    of the base-3 numbers sum(r_x * 3**x), r_x = 0, 1, 2 for part1,
+    part2 and removed."""
+    splits = []
+    for part1, part2, removed, weight in _vertex_assignments(mu, 3, 2, cap):
+        if not part1 or not part2:
+            continue
+        attach = _attachment(mu, removed, m)
+        if attach:
+            splits.append((
+                weight, attach, part1, part2, removed,
+                tuple(mu[x] for x in part1), tuple(mu[x] for x in part2),
+            ))
+    return splits
+
+
 def _genus_drop_terms(
-    g: int, mu: tuple, nu: tuple, m: int, phat: PhatOracle
+    g: int, nu: tuple, phat: PhatOracle, cores: list[tuple]
 ) -> Iterator[RecursionTerm]:
     if g == 0:
         return  # every core would have genus -1
-    indices = tuple(range(len(mu)))
     for i in range(len(nu)):
-        other_faces = tuple(nu[j] for j in range(len(nu)) if j != i)
-        for core in subsets(indices):
-            if not core:
-                continue
-            removed = tuple(x for x in indices if x not in core)
-            budget = nu[i] - sum(mu[x] for x in removed)
+        other_faces = nu[:i] + nu[i + 1:]
+        for core, mu_core, weight, attach in cores:
+            budget = nu[i] - weight
             if budget < 2:
                 continue
-            attach = _attachment(mu, removed, m)
-            if attach == 0:
-                continue
-            mu_core = tuple(mu[x] for x in core)
             for alpha in range(1, budget):
                 beta = budget - alpha
                 value = phat(g - 1, mu_core, other_faces + (alpha, beta))
@@ -165,22 +215,15 @@ def _genus_drop_terms(
 
 
 def _join_terms(
-    g: int, mu: tuple, nu: tuple, m: int, phat: PhatOracle
+    g: int, nu: tuple, phat: PhatOracle, cores: list[tuple]
 ) -> Iterator[RecursionTerm]:
-    indices = tuple(range(len(mu)))
     for i, j in combinations(range(len(nu)), 2):
         other_faces = tuple(nu[t] for t in range(len(nu)) if t not in (i, j))
-        for core in subsets(indices):
-            if not core:
-                continue
-            removed = tuple(x for x in indices if x not in core)
-            alpha = nu[i] + nu[j] - sum(mu[x] for x in removed)
+        for core, mu_core, weight, attach in cores:
+            alpha = nu[i] + nu[j] - weight
             if alpha < 1:
                 continue
-            attach = _attachment(mu, removed, m)
-            if attach == 0:
-                continue
-            value = phat(g, tuple(mu[x] for x in core), other_faces + (alpha,))
+            value = phat(g, mu_core, other_faces + (alpha,))
             if value == 0:
                 continue
             yield RecursionTerm(
@@ -190,119 +233,103 @@ def _join_terms(
             )
 
 
-def _split_data(mu: tuple, nu: tuple, m: int, i: int):
-    """Shared enumeration of split shapes: ordered face bipartitions of
-    the other faces, ordered disjoint non-empty vertex subsets, path
-    data.  The vertex assignments do not depend on the faces and are
-    built once."""
-    vertex_splits = []
-    for assignment in range(3 ** len(mu)):
-        part1, part2, removed = [], [], []
-        a = assignment
-        for x in range(len(mu)):
-            a, r = divmod(a, 3)
-            (part1 if r == 0 else part2 if r == 1 else removed).append(x)
-        if not part1 or not part2:
-            continue
-        budget = nu[i] - sum(mu[x] for x in removed)
-        if budget < 2:
-            continue
-        attach = _attachment(mu, removed, m)
-        if attach == 0:
-            continue
-        vertex_splits.append((tuple(part1), tuple(part2), tuple(removed), budget, attach))
-    rest = tuple(j for j in range(len(nu)) if j != i)
-    for j_mask in range(1 << len(rest)):
-        faces1 = tuple(rest[t] for t in range(len(rest)) if j_mask >> t & 1)
-        faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
-        for part1, part2, removed, budget, attach in vertex_splits:
-            yield part1, part2, removed, faces1, faces2, budget, attach
+def _face_splits(nu: tuple, splits: list[tuple]) -> Iterator[tuple]:
+    """For each face i, the ordered bipartitions of the other faces and
+    the vertex splits that leave the two new faces a perimeter of at
+    least two together: (i, faces1, faces2, their perimeters, split)."""
+    for i in range(len(nu)):
+        fitting = [split for split in splits if split[0] <= nu[i] - 2]
+        rest = tuple(j for j in range(len(nu)) if j != i)
+        for j_mask in range(1 << len(rest)):
+            faces1 = tuple(rest[t] for t in range(len(rest)) if j_mask >> t & 1)
+            faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
+            nu1 = tuple(nu[f] for f in faces1)
+            nu2 = tuple(nu[f] for f in faces2)
+            for split in fitting:
+                yield i, faces1, faces2, nu1, nu2, split
 
 
 def _split_terms_plain(
     g: int,
-    mu: tuple,
     nu: tuple,
-    m: int,
     phat: PhatOracle,
     stability_reading: str,
+    splits: list[tuple],
 ) -> Iterator[RecursionTerm]:
-    for i in range(len(nu)):
-        for part1, part2, removed, faces1, faces2, budget, attach in _split_data(mu, nu, m, i):
-            for g1 in range(g + 1):
-                g2 = g - g1
-                if g1 > g2:
+    for i, faces1, faces2, nu1, nu2, split in _face_splits(nu, splits):
+        weight, attach, part1, part2, _removed, mu1, mu2 = split
+        budget = nu[i] - weight
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if g1 > g2:
+                continue
+            if _stability_excluded(stability_reading, g1, len(faces1)):
+                continue
+            if _stability_excluded(stability_reading, g2, len(faces2)):
+                continue
+            half = _split_weight(g1, g2)
+            for alpha in range(1, budget):
+                beta = budget - alpha
+                v1 = phat(g1, mu1, nu1 + (alpha,))
+                if v1 == 0:
                     continue
-                if _stability_excluded(stability_reading, g1, len(faces1)):
+                v2 = phat(g2, mu2, nu2 + (beta,))
+                if v2 == 0:
                     continue
-                if _stability_excluded(stability_reading, g2, len(faces2)):
-                    continue
-                weight = _split_weight(g1, g2)
-                for alpha in range(1, budget):
-                    beta = budget - alpha
-                    v1 = phat(g1, tuple(mu[x] for x in part1),
-                              tuple(nu[f] for f in faces1) + (alpha,))
-                    if v1 == 0:
-                        continue
-                    v2 = phat(g2, tuple(mu[x] for x in part2),
-                              tuple(nu[f] for f in faces2) + (beta,))
-                    if v2 == 0:
-                        continue
-                    yield RecursionTerm(
-                        SPLIT,
-                        {
-                            "i": i, "genera": (g1, g2),
-                            "cores": (part1, part2), "faces": (faces1, faces2),
-                            "alpha": alpha, "beta": beta,
-                        },
-                        v1 * v2 * weight * (alpha * beta * attach),
-                    )
+                yield RecursionTerm(
+                    SPLIT,
+                    {
+                        "i": i, "genera": (g1, g2),
+                        "cores": (part1, part2), "faces": (faces1, faces2),
+                        "alpha": alpha, "beta": beta,
+                    },
+                    v1 * v2 * half * (alpha * beta * attach),
+                )
 
 
 def _split_terms_corrected(
     g: int,
-    mu: tuple,
     nu: tuple,
     m: int,
     ph: PhatOracle,
+    splits: list[tuple],
 ) -> Iterator[RecursionTerm]:
-    for i in range(len(nu)):
-        for part1, part2, removed, faces1, faces2, budget, attach in _split_data(mu, nu, m, i):
-            p = len(removed)
-            for g1 in range(g + 1):
-                g2 = g - g1
-                if g1 > g2:
+    for i, faces1, faces2, nu1, nu2, split in _face_splits(nu, splits):
+        weight, attach, part1, part2, removed, mu1, mu2 = split
+        budget = nu[i] - weight
+        p = len(removed)
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if g1 > g2:
+                continue
+            cycle1 = g1 == 0 and len(faces1) == 1
+            cycle2 = g2 == 0 and len(faces2) == 1
+            if cycle1 != cycle2:
+                continue  # one-cycle splits: covered by the join term
+            sign = -1 if cycle1 else 1
+            m1 = 2 * g1 - 2 + len(part1) + len(faces1) + 1
+            m2 = 2 * g2 - 2 + len(part2) + len(faces2) + 1
+            if m1 < 0 or m2 < 0 or m1 + m2 != m - 1 - p:
+                continue
+            interleave = comb(m - 1 - p, m1)
+            half = _split_weight(g1, g2)
+            for alpha in range(1, budget):
+                beta = budget - alpha
+                v1 = ph(g1, mu1, nu1 + (alpha,))
+                if v1 == 0:
                     continue
-                cycle1 = g1 == 0 and len(faces1) == 1
-                cycle2 = g2 == 0 and len(faces2) == 1
-                if cycle1 != cycle2:
-                    continue  # one-cycle splits: covered by the join term
-                sign = -1 if cycle1 else 1
-                m1 = 2 * g1 - 2 + len(part1) + len(faces1) + 1
-                m2 = 2 * g2 - 2 + len(part2) + len(faces2) + 1
-                if m1 < 0 or m2 < 0 or m1 + m2 != m - 1 - p:
+                v2 = ph(g2, mu2, nu2 + (beta,))
+                if v2 == 0:
                     continue
-                interleave = comb(m - 1 - p, m1)
-                weight = _split_weight(g1, g2)
-                for alpha in range(1, budget):
-                    beta = budget - alpha
-                    v1 = ph(g1, tuple(mu[x] for x in part1),
-                            tuple(nu[f] for f in faces1) + (alpha,))
-                    if v1 == 0:
-                        continue
-                    v2 = ph(g2, tuple(mu[x] for x in part2),
-                            tuple(nu[f] for f in faces2) + (beta,))
-                    if v2 == 0:
-                        continue
-                    yield RecursionTerm(
-                        SPLIT,
-                        {
-                            "i": i, "genera": (g1, g2),
-                            "cores": (part1, part2), "faces": (faces1, faces2),
-                            "alpha": alpha, "beta": beta, "sign": sign,
-                        },
-                        v1 * v2 * weight * (sign * alpha * beta * attach * interleave),
-                    )
+                yield RecursionTerm(
+                    SPLIT,
+                    {
+                        "i": i, "genera": (g1, g2),
+                        "cores": (part1, part2), "faces": (faces1, faces2),
+                        "alpha": alpha, "beta": beta, "sign": sign,
+                    },
+                    v1 * v2 * half * (sign * alpha * beta * attach * interleave),
+                )
 
 
 def cut_and_join_terms(
@@ -332,12 +359,18 @@ def cut_and_join_terms(
         )
     if variant == "corrected" and ph is None:
         raise ValueError("the corrected variant needs the pruned oracle ph")
-    yield from _genus_drop_terms(g, mu, nu, m, phat)
+    # a genus drop leaves a face budget >= 2 and a join a perimeter >= 1:
+    # the removed vertices of a core weigh at most the two largest faces
+    # less one, and those of a split at most the largest face less two
+    top = sorted(nu, reverse=True)
+    cores = _cores(mu, m, top[0] + top[1] - 1)
+    yield from _genus_drop_terms(g, nu, phat, cores)
+    splits = _vertex_splits(mu, m, top[0] - 2)
     if variant == "plain":
-        yield from _split_terms_plain(g, mu, nu, m, phat, stability_reading)
+        yield from _split_terms_plain(g, nu, phat, stability_reading, splits)
     else:
-        yield from _split_terms_corrected(g, mu, nu, m, ph)
-    yield from _join_terms(g, mu, nu, m, phat)
+        yield from _split_terms_corrected(g, nu, m, ph, splits)
+    yield from _join_terms(g, nu, phat, cores)
 
 
 def cut_and_join_rhs(

@@ -78,7 +78,7 @@ class HurwitzQuery:
         self.nu = check_partition(nu)
         if sum(self.mu) != sum(self.nu):
             raise ValueError("mu and nu must have equal degree")
-        if not is_int(genus):
+        if genus.__class__ is not int and not is_int(genus):
             raise ValueError(f"genus must be an int, got {genus!r}")
         if genus < 0:
             raise ValueError("genus must be non-negative")
@@ -155,8 +155,7 @@ class HurwitzEngine:
     # -- the three value flavours ---------------------------------------------
 
     def value(self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> Fraction:
-        query = HurwitzQuery(g, tuple(mu), tuple(nu), kind)
-        key = query.key()
+        key = HurwitzQuery(g, mu, nu, kind).key()
         if key in self._values:
             return self._values[key]
         g, smu, snu, _ = key

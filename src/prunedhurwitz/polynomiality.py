@@ -15,27 +15,12 @@ interpolation, no tolerances anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
+from .combinatorics import is_wall_point  # the walls, importable from here too
 from .hurwitz import HurwitzEngine, Kind
 
 NOT_POLYNOMIAL = None
-
-
-def _proper_subset_sums(parts: Sequence[int]) -> set[int]:
-    sums = set()
-    for r in range(1, len(parts)):
-        for chosen in combinations(parts, r):
-            sums.add(sum(chosen))
-    return sums
-
-
-def is_wall_point(mu: Sequence[int], nu: Sequence[int]) -> bool:
-    """True iff some proper non-empty sub-balance holds between mu and nu."""
-    if sum(mu) != sum(nu):
-        raise ValueError("wall detection needs a balanced point")
-    return bool(_proper_subset_sums(mu) & _proper_subset_sums(nu))
 
 
 def degree_bound(g: int, k: int, l: int) -> int:

@@ -8,6 +8,18 @@ perimeters nu~ (1 <= nu~_i <= nu_i), the surviving vertex subset I with
 labels (one multinomial and a factorial per face), and regraft the
 removed vertices in every tree-like way.
 
+The sum visits only the configurations that contribute.  Each part of
+mu goes in turn to the core or to a face i, and to face i only while
+the weight removed from it stays below nu_i; nu~_i = nu_i - (removed
+weight) then follows, and the core is non-empty, as |mu_I| = |nu~| >=
+l(nu).  Assignments that agree on the parts placed so far are merged
+with their multiplicities (``_assignments``), so repeated parts cost
+one configuration each.  The oracle is queried once per distinct
+(core parts, nu~) pair, and each block factor once per (nu~_i,
+removed parts) pair of a call.  ``tests/oracles.py`` keeps the sum
+over every nu~ <= nu, every core and all n^p block maps, filtered by
+weight, as the reference.
+
 The regrafting count per face is evaluated two independent ways:
 
 * by ordered out-degree sequences, using the closed forest-count
@@ -32,13 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combinatorics import (
-    bounded_tuples,
-    compositions,
-    multinomial,
-    ordered_set_partitions,
-    subsets,
-)
+from .combinatorics import compositions, falling_factorial
 from .forests import count_forests_with_degrees, enumerate_rooted_forests
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -80,6 +86,31 @@ def _forest_block_factor(root_count: int, weights: Sequence[int]) -> int:
     return total
 
 
+def _assignments(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
+    """The ways to give each part of mu to the core or to a face, such
+    that every face keeps a perimeter nu~_i >= 1, as a map from (core
+    parts, removed parts per face) to the number of index assignments
+    that give it.
+
+    The parts are placed in turn, a part going to face i only while the
+    weight removed from face i stays below nu_i.  Assignments that
+    agree on the parts placed so far are merged, with their counts
+    added, so each distinct configuration is carried once.
+    """
+    states = {((), ((),) * len(nu)): 1}
+    for part in mu:
+        grown: dict = {}
+        for (core, blocks), count in states.items():
+            key = (core + (part,), blocks)
+            grown[key] = grown.get(key, 0) + count
+            for i, block in enumerate(blocks):
+                if sum(block) + part < nu[i]:
+                    key = (core, blocks[:i] + (block + (part,),) + blocks[i + 1:])
+                    grown[key] = grown.get(key, 0) + count
+        states = grown
+    return states
+
+
 def _reconstruct(
     g: int,
     mu: Sequence[int],
@@ -92,41 +123,27 @@ def _reconstruct(
     d = sum(mu)
     if d < 1 or sum(nu) != d:
         raise ValueError("mu and nu must be partitions of the same d >= 1")
-    n = len(nu)
-    m = 2 * g - 2 + len(mu) + n
-    indices = tuple(range(len(mu)))
+    m = 2 * g - 2 + len(mu) + len(nu)
+    factors: dict[tuple, int] = {}
+    # (core parts, nu~) -> sum over its block assignments of the
+    # product of the block factors
+    inner: dict[tuple, int] = {}
+    for (core, blocks), count in _assignments(mu, nu).items():
+        nut = tuple(face - sum(block) for face, block in zip(nu, blocks))
+        term = count
+        for key in zip(nut, blocks):
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = block_factor(*key)
+            term *= factor
+        inner[core, nut] = inner.get((core, nut), 0) + term
     total = Fraction(0)
-    for nut in bounded_tuples(nu):
-        reduced_degree = sum(nut)
-        deficits = tuple(nu_i - nut_i for nu_i, nut_i in zip(nu, nut))
-        for core in subsets(indices):
-            if sum(mu[i] for i in core) != reduced_degree:
-                continue
-            core_value = phat(g, tuple(mu[i] for i in core), nut)
-            if core_value == 0:
-                continue
-            removed = tuple(i for i in indices if i not in core)
-            inner = 0
-            for blocks in ordered_set_partitions(removed, n):
-                if any(
-                    sum(mu[i] for i in block) != deficit
-                    for block, deficit in zip(blocks, deficits)
-                ):
-                    continue
-                head = 2 * g - 2 + len(core) + n
-                coeff = multinomial(m, (head, *(len(b) for b in blocks)))
-                if coeff == 0:
-                    continue
-                for block in blocks:
-                    for perm_count in range(2, len(block) + 1):
-                        coeff *= perm_count  # l(mu_{I_i})! label assignments
-                term = coeff
-                for nut_i, block in zip(nut, blocks):
-                    term *= block_factor(nut_i, [mu[i] for i in block])
-                    if term == 0:
-                        break
-                inner += term
-            total += core_value * inner
+    for (core, nut), blocks_sum in inner.items():
+        core_value = phat(g, core, nut)
+        if core_value:
+            # the multinomial of the edge labels over the core and the
+            # blocks, times l(mu_{I_i})! per block, is m!/(m - p)!
+            total += core_value * (falling_factorial(m, len(mu) - len(core)) * blocks_sum)
     return total
 
 

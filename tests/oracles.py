@@ -572,3 +572,200 @@ def one_part_double_hurwitz(g, d, nu):
         series = _series_product(series, s_series(part), g)
     r = 2 * g - 1 + len(nu)
     return factorial(r) * Fraction(d) ** (r - 1) * series[g]
+
+
+# -- the identity evaluators by generate-and-filter ----------------------------
+
+
+def bounded_tuples(nu):
+    """All tuples t with 1 <= t_i <= nu_i, in lexicographic order."""
+    if not nu:
+        raise ValueError("bounded_tuples needs a non-empty bound tuple")
+    return product(*(range(1, b + 1) for b in nu))
+
+
+def ordered_set_partitions(ground, block_count):
+    """All ordered decompositions of ``ground`` into ``block_count``
+    (possibly empty) disjoint blocks; exactly n^|ground| of them."""
+    if block_count < 1:
+        raise ValueError("need at least one block")
+    elems = tuple(ground)
+    for assignment in product(range(block_count), repeat=len(elems)):
+        yield tuple(
+            tuple(e for e, a in zip(elems, assignment) if a == i)
+            for i in range(block_count)
+        )
+
+
+def index_subsets(count):
+    """The subsets of range(count) as tuples, in the order of their bit
+    masks."""
+    for mask in range(1 << count):
+        yield tuple(x for x in range(count) if mask >> x & 1)
+
+
+def reconstruct_by_filtering(g, mu, nu, phat, block_factor):
+    """The reconstruction sum over every nu~ <= nu, every core subset and
+    all n^|removed| block maps, keeping a block map only when each block
+    weighs exactly nu_i - nu~_i."""
+    from fractions import Fraction
+
+    mu, nu = tuple(mu), tuple(nu)
+    n = len(nu)
+    m = 2 * g - 2 + len(mu) + n
+    indices = tuple(range(len(mu)))
+    total = Fraction(0)
+    for nut in bounded_tuples(nu):
+        deficits = tuple(nu_i - nut_i for nu_i, nut_i in zip(nu, nut))
+        for core in index_subsets(len(mu)):
+            if sum(mu[i] for i in core) != sum(nut):
+                continue
+            core_value = phat(g, tuple(mu[i] for i in core), nut)
+            if core_value == 0:
+                continue
+            removed = tuple(i for i in indices if i not in core)
+            inner = 0
+            for blocks in ordered_set_partitions(removed, n):
+                if any(
+                    sum(mu[i] for i in block) != deficit
+                    for block, deficit in zip(blocks, deficits)
+                ):
+                    continue
+                head = 2 * g - 2 + len(core) + n
+                coeff = multinomial(m, (head, *(len(b) for b in blocks)))
+                for block in blocks:
+                    for perm_count in range(2, len(block) + 1):
+                        coeff *= perm_count  # l(mu_{I_i})! label assignments
+                for nut_i, block in zip(nut, blocks):
+                    coeff *= block_factor(nut_i, [mu[i] for i in block])
+                inner += coeff
+            total += core_value * inner
+    return total
+
+
+def split_data(mu, nu, m, i):
+    """The split shapes at face i: ordered bipartitions of the other
+    faces, then every assignment of the vertices to part1, part2 or the
+    removed path (base-3 numbering), filtered for non-empty parts, a
+    budget of at least two and a path that fits."""
+    from prunedhurwitz.cutjoin import _attachment
+
+    vertex_splits = []
+    for assignment in range(3 ** len(mu)):
+        part1, part2, removed = [], [], []
+        a = assignment
+        for x in range(len(mu)):
+            a, r = divmod(a, 3)
+            (part1 if r == 0 else part2 if r == 1 else removed).append(x)
+        if not part1 or not part2:
+            continue
+        budget = nu[i] - sum(mu[x] for x in removed)
+        if budget < 2:
+            continue
+        attach = _attachment(mu, removed, m)
+        if attach == 0:
+            continue
+        vertex_splits.append((tuple(part1), tuple(part2), tuple(removed), budget, attach))
+    rest = tuple(j for j in range(len(nu)) if j != i)
+    for j_mask in range(1 << len(rest)):
+        faces1 = tuple(rest[t] for t in range(len(rest)) if j_mask >> t & 1)
+        faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
+        for part1, part2, removed, budget, attach in vertex_splits:
+            yield part1, part2, removed, faces1, faces2, budget, attach
+
+
+def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant, ph):
+    """The cut-and-join term stream, each face (or face pair) filtering
+    every core subset and every split from ``split_data``."""
+    from fractions import Fraction
+    from itertools import combinations
+    from math import comb
+
+    from prunedhurwitz.cutjoin import (
+        GENUS_DROP, JOIN, SPLIT, RecursionTerm,
+        _attachment, _split_weight, _stability_excluded,
+    )
+
+    mu, nu = tuple(mu), tuple(nu)
+    m = 2 * g - 2 + len(mu) + len(nu)
+    cores = [core for core in index_subsets(len(mu)) if core]
+
+    def removed_of(core):
+        return tuple(x for x in range(len(mu)) if x not in core)
+
+    if g > 0:
+        for i in range(len(nu)):
+            other_faces = tuple(nu[j] for j in range(len(nu)) if j != i)
+            for core in cores:
+                removed = removed_of(core)
+                budget = nu[i] - sum(mu[x] for x in removed)
+                attach = _attachment(mu, removed, m)
+                if budget < 2 or attach == 0:
+                    continue
+                for alpha in range(1, budget):
+                    beta = budget - alpha
+                    value = phat(g - 1, tuple(mu[x] for x in core), other_faces + (alpha, beta))
+                    if value:
+                        yield RecursionTerm(
+                            GENUS_DROP,
+                            {"i": i, "core": core, "alpha": alpha, "beta": beta},
+                            value * Fraction(alpha * beta * attach, 2),
+                        )
+    oracle = phat if variant == "plain" else ph
+    for i in range(len(nu)):
+        for part1, part2, removed, faces1, faces2, budget, attach in split_data(mu, nu, m, i):
+            for g1 in range(g + 1):
+                g2 = g - g1
+                if g1 > g2:
+                    continue
+                params = {}
+                factor = attach
+                if variant == "plain":
+                    if (_stability_excluded(stability_reading, g1, len(faces1))
+                            or _stability_excluded(stability_reading, g2, len(faces2))):
+                        continue
+                else:
+                    cycle1 = g1 == 0 and len(faces1) == 1
+                    cycle2 = g2 == 0 and len(faces2) == 1
+                    if cycle1 != cycle2:
+                        continue
+                    m1 = 2 * g1 - 2 + len(part1) + len(faces1) + 1
+                    m2 = 2 * g2 - 2 + len(part2) + len(faces2) + 1
+                    if m1 < 0 or m2 < 0 or m1 + m2 != m - 1 - len(removed):
+                        continue
+                    params["sign"] = -1 if cycle1 else 1
+                    factor *= params["sign"] * comb(m - 1 - len(removed), m1)
+                for alpha in range(1, budget):
+                    beta = budget - alpha
+                    v1 = oracle(g1, tuple(mu[x] for x in part1),
+                                tuple(nu[f] for f in faces1) + (alpha,))
+                    if v1 == 0:
+                        continue
+                    v2 = oracle(g2, tuple(mu[x] for x in part2),
+                                tuple(nu[f] for f in faces2) + (beta,))
+                    if v2 == 0:
+                        continue
+                    yield RecursionTerm(
+                        SPLIT,
+                        {
+                            "i": i, "genera": (g1, g2),
+                            "cores": (part1, part2), "faces": (faces1, faces2),
+                            "alpha": alpha, "beta": beta, **params,
+                        },
+                        v1 * v2 * _split_weight(g1, g2) * (alpha * beta * factor),
+                    )
+    for i, j in combinations(range(len(nu)), 2):
+        other_faces = tuple(nu[t] for t in range(len(nu)) if t not in (i, j))
+        for core in cores:
+            removed = removed_of(core)
+            alpha = nu[i] + nu[j] - sum(mu[x] for x in removed)
+            attach = _attachment(mu, removed, m)
+            if alpha < 1 or attach == 0:
+                continue
+            value = phat(g, tuple(mu[x] for x in core), other_faces + (alpha,))
+            if value:
+                yield RecursionTerm(
+                    JOIN,
+                    {"i": i, "j": j, "core": core, "alpha": alpha},
+                    value * (alpha * attach),
+                )

@@ -11,15 +11,15 @@ from prunedhurwitz.cli import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PUBLIC_NAMES = [
-    "automorphism_factor", "bounded_tuples", "centralizer_order",
-    "falling_factorial", "multinomial", "ordered_set_partitions",
+    "automorphism_factor", "centralizer_order", "falling_factorial",
+    "is_wall_point", "multinomial",
     "RecursionReport", "RecursionTerm", "cut_and_join_rhs",
     "cut_and_join_terms", "verify_recursion",
     "count_factorizations", "count_isomorphism_classes",
     "RootedForest", "count_forests_with_degrees", "enumerate_rooted_forests",
     "Conventions", "HurwitzEngine", "HurwitzQuery", "Kind",
     "NOT_POLYNOMIAL", "degree_bound", "finite_difference_degree",
-    "fit_univariate", "is_wall_point", "scaling_values",
+    "fit_univariate", "scaling_values",
     "reconstruct_double_hurwitz", "reconstruct_via_forests",
 ]
 
@@ -50,7 +50,7 @@ def test_top_level_exports():
 
 def test_public_names_resolve_and_star_import_binds_them():
     assert sorted(prunedhurwitz.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 28
+    assert len(PUBLIC_NAMES) == 26
     namespace = {}
     exec("from prunedhurwitz import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
@@ -122,7 +122,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     warm = loaded_by_cli(*compute)
     assert warm & PACKAGE_MODULES == {
         "prunedhurwitz.cache", "prunedhurwitz.combinatorics", "prunedhurwitz.factorizations",
-        "prunedhurwitz.hurwitz", "prunedhurwitz.polynomiality",
+        "prunedhurwitz.hurwitz",
     }
 
     main_theorem = loaded_by_cli("verify", "main-theorem", "--max-d", "3")

@@ -3,17 +3,15 @@ import math
 from prunedhurwitz.combinatorics import (
     automorphism_factor,
     bell_number,
-    bounded_tuples,
     centralizer_order,
     compositions,
     falling_factorial,
     multinomial,
-    ordered_set_partitions,
     partitions,
     subsets,
 )
 
-from oracles import apply_after, perm_type
+from oracles import apply_after, bounded_tuples, ordered_set_partitions, perm_type
 
 
 def test_multinomial_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,8 @@ from prunedhurwitz.cutjoin import (
     verify_recursion,
 )
 from prunedhurwitz.hurwitz import HurwitzEngine
+
+from oracles import cut_and_join_terms_by_filtering, split_data
 
 ENGINE = HurwitzEngine()
 
@@ -85,14 +88,14 @@ def test_split_half_rule_counts_unordered_configurations_once():
     # redundant full-range enumeration over both genus orders, divided
     # by two, equals the evaluator's tied-half rule (no fixed points at
     # l(nu) >= 3, so no diagonal correction is needed)
-    from prunedhurwitz.cutjoin import _split_data, _split_weight
+    from prunedhurwitz.cutjoin import _split_weight
 
     for g, mu, nu in [(0, (2, 2), (2, 1, 1)), (1, (3, 2), (3, 1, 1))]:
         m = 2 * g - 2 + len(mu) + len(nu)
         evaluator = Fraction(0)
         full_range = Fraction(0)
         for i in range(len(nu)):
-            for part1, part2, removed, faces1, faces2, budget, attach in _split_data(mu, nu, m, i):
+            for part1, part2, removed, faces1, faces2, budget, attach in split_data(mu, nu, m, i):
                 for g1 in range(g + 1):
                     g2 = g - g1
                     for alpha in range(1, budget):
@@ -153,3 +156,28 @@ def test_corrected_variant_wider_shapes():
         assert report.match, (g, mu, nu, report.lhs, report.rhs)
     assert ENGINE.pruned(2, (2, 2), (2, 1, 1)) == 69888
     assert ENGINE.pruned(2, (2, 1, 1), (2, 1, 1)) == 791616
+
+
+def generic_oracle(g, mu, nu):
+    # non-zero on every argument, so every configuration yields a term
+    return Fraction(1 + 3 * g + sum((k + 2) * x for k, x in enumerate(mu)), len(nu) + sum(nu))
+
+
+def test_term_streams_equal_the_filtered_enumeration():
+    # case, params (in order) and value of every term, in order, for
+    # both variants and both readings, against the per-face filter
+    runs = [("plain", "literal"), ("plain", "facecount"), ("corrected", "literal")]
+    for g, mu, nu in battery(max_d=5, max_g=1):
+        for mu_order in sorted(set(permutations(mu))):
+            for variant, reading in runs:
+                for phat, ph in [(generic_oracle, generic_oracle), (ENGINE.phat, ENGINE.ph)]:
+                    got = [
+                        (t.case, list(t.params.items()), t.value)
+                        for t in cut_and_join_terms(g, mu_order, nu, phat, reading, variant, ph)
+                    ]
+                    want = [
+                        (t.case, list(t.params.items()), t.value)
+                        for t in cut_and_join_terms_by_filtering(
+                            g, mu_order, nu, phat, reading, variant, ph)
+                    ]
+                    assert got == want, (g, mu_order, nu, variant, reading)

@@ -1,13 +1,20 @@
+import gc
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import HurwitzEngine
+from prunedhurwitz.cutjoin import verify_recursion
 from prunedhurwitz.reconstruction import (
+    _degree_block_factor,
+    _forest_block_factor,
     reconstruct_double_hurwitz,
     reconstruct_via_forests,
 )
+
+from oracles import bounded_tuples, index_subsets, reconstruct_by_filtering
 
 ENGINE = HurwitzEngine()
 
@@ -85,3 +92,78 @@ def test_block_factor_forms_agree_with_generating_function():
             else:
                 closed = 1
             assert by_degrees == by_forests == closed, (roots, weights)
+
+
+class CoefficientOracle:
+    """A stub oracle whose values make every coefficient of the sum
+    readable: its value at (g, core, nu~) is (g + 1) * B**k, k the index
+    of (core, nu~) among the pairs the sum may query and B above any
+    coefficient, so two sums are equal iff every coefficient is.  A
+    query outside those pairs raises ``KeyError``."""
+
+    BASE = 10**40
+
+    def __init__(self, mu, nu):
+        pairs = {
+            (tuple(mu[i] for i in core), nut)
+            for core in index_subsets(len(mu))
+            for nut in bounded_tuples(nu)
+        }
+        self.index = {pair: k for k, pair in enumerate(sorted(pairs))}
+
+    def __call__(self, g, core, nut):
+        return Fraction((g + 1) * self.BASE ** self.index[core, nut])
+
+
+def test_assignment_enumeration_equals_the_filtered_sum():
+    forms = [
+        (reconstruct_double_hurwitz, _degree_block_factor),
+        (reconstruct_via_forests, _forest_block_factor),
+    ]
+    for d in range(1, 7):
+        for nu in partitions(d):
+            if len(nu) < 2:
+                continue
+            for mu in partitions(d):
+                for mu_order in sorted(set(permutations(mu))):
+                    oracle = CoefficientOracle(mu_order, nu)
+                    for g in range(3):
+                        for form, factor in forms:
+                            got = form(g, mu_order, nu, oracle)
+                            want = reconstruct_by_filtering(g, mu_order, nu, oracle, factor)
+                            assert got == want, (g, mu_order, nu, form.__name__)
+
+
+def test_oracle_calls_at_most_one_per_core_and_reduced_faces():
+    # the generate-and-filter sum queried 711 (core, nu~) pairs here; the
+    # assignment enumeration queries each distinct pair with a block
+    # assignment once
+    calls = []
+
+    def constant(g, mu, nu):
+        calls.append((mu, nu))
+        return Fraction(1)
+
+    for form in (reconstruct_double_hurwitz, reconstruct_via_forests):
+        calls.clear()
+        assert form(0, (1,) * 8, (3, 3, 2), constant) == 272773225
+        assert len(calls) == len(set(calls)) == 18
+
+
+def test_evaluators_leave_no_cycle_garbage():
+    engine = HurwitzEngine()
+    runs = [
+        lambda: reconstruct_double_hurwitz(0, (2, 2, 1), (3, 2), engine.phat),
+        lambda: reconstruct_via_forests(0, (2, 2, 1), (3, 2), engine.phat),
+        lambda: verify_recursion(1, (2, 2), (2, 1, 1), engine, variant="corrected"),
+    ]
+    for run in runs:
+        run()  # fill the engine's memo first
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
