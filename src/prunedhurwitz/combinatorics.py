@@ -82,15 +82,11 @@ def partition_count(n: int) -> int:
     return counts[n]
 
 
-def part_multiplicities(p: Sequence[int]) -> Counter:
-    return Counter(p)
-
-
 def automorphism_factor(p: Sequence[int]) -> int:
     """Number of admissible labellings of the cycles of a permutation of
     cycle type ``p``: the product of m_k! over the multiplicities m_k."""
     out = 1
-    for mult in part_multiplicities(p).values():
+    for mult in Counter(p).values():
         out *= math.factorial(mult)
     return out
 
@@ -99,7 +95,7 @@ def centralizer_order(p: Sequence[int]) -> int:
     """Order of the centralizer in S_d of a permutation of cycle type
     ``p``: the product of k^{m_k} * m_k!."""
     out = 1
-    for k, mult in part_multiplicities(p).items():
+    for k, mult in Counter(p).items():
         out *= k**mult * math.factorial(mult)
     return out
 
@@ -140,13 +136,6 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in compositions(total - head, length - 1):
             yield (head,) + tail
-
-
-def subsets(items: Sequence) -> Iterator[tuple]:
-    """All subsets of ``items`` as tuples, preserving the input order."""
-    elems = tuple(items)
-    for mask in range(1 << len(elems)):
-        yield tuple(e for i, e in enumerate(elems) if mask >> i & 1)
 
 
 def _proper_subset_sums(parts: Sequence[int]) -> set[int]:

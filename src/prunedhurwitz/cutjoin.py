@@ -20,11 +20,11 @@ for the path labels and per-vertex gluings, times alpha (and beta)
 boundary positions for the path ends, times a half in the genus-drop
 case for the two orientations of the path.
 
-Two evaluators are provided.  ``variant="plain"`` is the recursion in
-its customary closed form: the join term uses the full attachment
-count (which also produces, from every split whose halves are both
-bare cycles, the same graph twice -- once from either cycle -- and
-from every one-cycle split once), the split sum is restricted by a
+One split enumeration, two weightings.  ``variant="plain"`` is the
+recursion in its customary closed form: the join term uses the full
+attachment count (which also produces, from every split whose halves
+are both bare cycles, the same graph twice -- once from either cycle --
+and from every one-cycle split once), the split sum is restricted by a
 stability rule meant to compensate, and split halves are weighted by
 the modified (unweighted) pruned count.  Exhaustive verification shows
 the plain form overcounts: see ``verify_recursion``.
@@ -48,9 +48,11 @@ convention (no Hurwitz value depends on it): "facecount" excludes
 exactly the cycle halves, "literal" excludes (genus, inherited faces)
 = (0, 2) instead.
 
-Both evaluators visit split configurations with g1 <= g2; on a genus
-tie each unordered configuration is visited in both orders, so it
-enters with weight 1/2.
+The split family is one loop for both variants, which choose only the
+oracle (``phat`` or ``ph``), the halves skipped (the stability rule,
+or the one-cycle splits) and the integer factor of a term.  It visits
+split configurations with g1 <= g2; on a genus tie each unordered
+configuration is visited in both orders, so it enters with weight 1/2.
 
 The cores of the genus-drop and join families and the vertex splits
 of the split family are built once per call, each with its removed
@@ -85,10 +87,6 @@ JOIN = "JOIN"
 
 VARIANTS = ("plain", "corrected")
 STABILITY_READINGS = ("literal", "facecount")
-
-
-def _split_weight(g1: int, g2: int) -> Fraction:
-    return Fraction(1) if g1 < g2 else Fraction(1, 2)
 
 
 class RecursionTerm(NamedTuple):
@@ -163,7 +161,7 @@ def _vertex_assignments(mu: tuple, groups: int, spare: int, cap: int) -> list[tu
 def _cores(mu: tuple, m: int, cap: int) -> list[tuple]:
     """(core, weights of the core, removed weight, attachment) for every
     non-empty core whose removed vertices weigh at most ``cap`` and fit
-    on a path, in the order of ``subsets``."""
+    on a path, in the order of the bit masks sum(2**x for x in core)."""
     cores = []
     for removed, core, weight in _vertex_assignments(mu, 2, 0, cap):
         attach = _attachment(mu, removed, m)
@@ -233,10 +231,19 @@ def _join_terms(
             )
 
 
-def _face_splits(nu: tuple, splits: list[tuple]) -> Iterator[tuple]:
-    """For each face i, the ordered bipartitions of the other faces and
-    the vertex splits that leave the two new faces a perimeter of at
-    least two together: (i, faces1, faces2, their perimeters, split)."""
+def _split_terms(
+    g: int,
+    nu: tuple,
+    m: int,
+    oracle: PhatOracle,
+    splits: list[tuple],
+    variant: str,
+    stability_reading: str,
+) -> Iterator[RecursionTerm]:
+    """The split family, for each face i over the ordered bipartitions
+    of the other faces and the vertex splits that leave the two new
+    faces a perimeter of at least two together.  The variant chooses
+    the halves it skips and the integer factor of a term."""
     for i in range(len(nu)):
         fitting = [split for split in splits if split[0] <= nu[i] - 2]
         rest = tuple(j for j in range(len(nu)) if j != i)
@@ -245,91 +252,46 @@ def _face_splits(nu: tuple, splits: list[tuple]) -> Iterator[tuple]:
             faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
             nu1 = tuple(nu[f] for f in faces1)
             nu2 = tuple(nu[f] for f in faces2)
-            for split in fitting:
-                yield i, faces1, faces2, nu1, nu2, split
-
-
-def _split_terms_plain(
-    g: int,
-    nu: tuple,
-    phat: PhatOracle,
-    stability_reading: str,
-    splits: list[tuple],
-) -> Iterator[RecursionTerm]:
-    for i, faces1, faces2, nu1, nu2, split in _face_splits(nu, splits):
-        weight, attach, part1, part2, _removed, mu1, mu2 = split
-        budget = nu[i] - weight
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if g1 > g2:
-                continue
-            if _stability_excluded(stability_reading, g1, len(faces1)):
-                continue
-            if _stability_excluded(stability_reading, g2, len(faces2)):
-                continue
-            half = _split_weight(g1, g2)
-            for alpha in range(1, budget):
-                beta = budget - alpha
-                v1 = phat(g1, mu1, nu1 + (alpha,))
-                if v1 == 0:
-                    continue
-                v2 = phat(g2, mu2, nu2 + (beta,))
-                if v2 == 0:
-                    continue
-                yield RecursionTerm(
-                    SPLIT,
-                    {
-                        "i": i, "genera": (g1, g2),
-                        "cores": (part1, part2), "faces": (faces1, faces2),
-                        "alpha": alpha, "beta": beta,
-                    },
-                    v1 * v2 * half * (alpha * beta * attach),
-                )
-
-
-def _split_terms_corrected(
-    g: int,
-    nu: tuple,
-    m: int,
-    ph: PhatOracle,
-    splits: list[tuple],
-) -> Iterator[RecursionTerm]:
-    for i, faces1, faces2, nu1, nu2, split in _face_splits(nu, splits):
-        weight, attach, part1, part2, removed, mu1, mu2 = split
-        budget = nu[i] - weight
-        p = len(removed)
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if g1 > g2:
-                continue
-            cycle1 = g1 == 0 and len(faces1) == 1
-            cycle2 = g2 == 0 and len(faces2) == 1
-            if cycle1 != cycle2:
-                continue  # one-cycle splits: covered by the join term
-            sign = -1 if cycle1 else 1
-            m1 = 2 * g1 - 2 + len(part1) + len(faces1) + 1
-            m2 = 2 * g2 - 2 + len(part2) + len(faces2) + 1
-            if m1 < 0 or m2 < 0 or m1 + m2 != m - 1 - p:
-                continue
-            interleave = comb(m - 1 - p, m1)
-            half = _split_weight(g1, g2)
-            for alpha in range(1, budget):
-                beta = budget - alpha
-                v1 = ph(g1, mu1, nu1 + (alpha,))
-                if v1 == 0:
-                    continue
-                v2 = ph(g2, mu2, nu2 + (beta,))
-                if v2 == 0:
-                    continue
-                yield RecursionTerm(
-                    SPLIT,
-                    {
-                        "i": i, "genera": (g1, g2),
-                        "cores": (part1, part2), "faces": (faces1, faces2),
-                        "alpha": alpha, "beta": beta, "sign": sign,
-                    },
-                    v1 * v2 * half * (sign * alpha * beta * attach * interleave),
-                )
+            for weight, attach, part1, part2, removed, mu1, mu2 in fitting:
+                budget = nu[i] - weight
+                for g1 in range(g // 2 + 1):
+                    g2 = g - g1
+                    if variant == "plain":
+                        if (_stability_excluded(stability_reading, g1, len(faces1))
+                                or _stability_excluded(stability_reading, g2, len(faces2))):
+                            continue
+                        signed = {}
+                        factor = attach
+                    else:
+                        cycle1 = g1 == 0 and len(faces1) == 1
+                        if cycle1 != (g2 == 0 and len(faces2) == 1):
+                            continue  # one-cycle splits: covered by the join term
+                        # the m - 1 - p labels off the path, m1 of them on half 1
+                        m1 = 2 * g1 - 1 + len(part1) + len(faces1)
+                        sign = -1 if cycle1 else 1
+                        signed = {"sign": sign}
+                        factor = sign * attach * comb(m - 1 - len(removed), m1)
+                    tie = 2 if g1 == g2 else 1
+                    for alpha in range(1, budget):
+                        beta = budget - alpha
+                        v1 = oracle(g1, mu1, nu1 + (alpha,))
+                        if v1 == 0:
+                            continue
+                        v2 = oracle(g2, mu2, nu2 + (beta,))
+                        if v2 == 0:
+                            continue
+                        yield RecursionTerm(
+                            SPLIT,
+                            {
+                                "i": i, "genera": (g1, g2),
+                                "cores": (part1, part2), "faces": (faces1, faces2),
+                                "alpha": alpha, "beta": beta, **signed,
+                            },
+                            Fraction(
+                                v1.numerator * v2.numerator * alpha * beta * factor,
+                                v1.denominator * v2.denominator * tie,
+                            ),
+                        )
 
 
 def cut_and_join_terms(
@@ -366,10 +328,8 @@ def cut_and_join_terms(
     cores = _cores(mu, m, top[0] + top[1] - 1)
     yield from _genus_drop_terms(g, nu, phat, cores)
     splits = _vertex_splits(mu, m, top[0] - 2)
-    if variant == "plain":
-        yield from _split_terms_plain(g, nu, phat, stability_reading, splits)
-    else:
-        yield from _split_terms_corrected(g, nu, m, ph, splits)
+    oracle = phat if variant == "plain" else ph
+    yield from _split_terms(g, nu, m, oracle, splits, variant, stability_reading)
     yield from _join_terms(g, nu, phat, cores)
 
 

@@ -19,7 +19,7 @@ the centralizer order; this replaces the 1/d! normalisation over all
 sigma1 at an exponential saving.  The modified pruned number counts
 isomorphism classes with weight one; it equals PH except for the fully
 ramified types (both profiles a single part), where it is computed by
-Burnside's lemma.
+Burnside's lemma.  Elsewhere it is stored and looked up under PH's key.
 
 So H and the modified pruned values it is rebuilt from by the main
 theorem share no code: ``verify main-theorem`` compares two
@@ -85,14 +85,6 @@ class HurwitzQuery:
         self.genus = genus
         self.kind = kind
 
-    @property
-    def degree(self) -> int:
-        return sum(self.mu)
-
-    @property
-    def transposition_count(self) -> int:
-        return 2 * self.genus - 2 + len(self.mu) + len(self.nu)
-
     def key(self) -> cache_io.CacheKey:
         return (
             self.genus,
@@ -156,9 +148,14 @@ class HurwitzEngine:
 
     def value(self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> Fraction:
         key = HurwitzQuery(g, mu, nu, kind).key()
+        g, smu, snu, _ = key
+        if kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
+            # the modified value is PH here (see count_isomorphism_classes):
+            # one key, so one cache record, for both
+            kind = Kind.PRUNED
+            key = (g, smu, snu, kind.value)
         if key in self._values:
             return self._values[key]
-        g, smu, snu, _ = key
         m0_pruned = self.conventions.m0_pruned
         if kind is Kind.FULL:
             if self._characters is None:
@@ -166,8 +163,6 @@ class HurwitzEngine:
 
                 self._characters = CharacterTable()
             val = self._characters.double_hurwitz(g, smu, snu)
-        elif kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
-            val = self.value(g, smu, snu, Kind.PRUNED)
         elif kind is Kind.MODIFIED_PRUNED:
             classes = count_isomorphism_classes(
                 g, smu, snu, pruned=True, m0_pruned=m0_pruned, tables=self._tables
@@ -204,20 +199,19 @@ class HurwitzEngine:
 
     # -- degenerate-tolerant oracle for the identity evaluators ---------------
 
+    def _zero_extended(
+        self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind
+    ) -> Fraction:
+        if g < 0 or not mu or not nu or sum(mu) != sum(nu):
+            return Fraction(0)
+        return self.value(g, mu, nu, kind)
+
     def phat(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         """Modified pruned value, extended by zero to the degenerate
         arguments the recursions produce syntactically: negative genus,
         empty profiles, mismatched degrees."""
-        if g < 0 or not mu or not nu:
-            return Fraction(0)
-        if sum(mu) != sum(nu):
-            return Fraction(0)
-        return self.modified_pruned(g, mu, nu)
+        return self._zero_extended(g, mu, nu, Kind.MODIFIED_PRUNED)
 
     def ph(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         """Pruned value with the same zero extension as :meth:`phat`."""
-        if g < 0 or not mu or not nu:
-            return Fraction(0)
-        if sum(mu) != sum(nu):
-            return Fraction(0)
-        return self.pruned(g, mu, nu)
+        return self._zero_extended(g, mu, nu, Kind.PRUNED)

@@ -91,10 +91,3 @@ def fit_univariate(values: Sequence[Fraction]) -> list[Fraction]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def evaluate_polynomial(coeffs: Sequence[Fraction], t: int | Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        out = out * t + c
-    return out

@@ -674,6 +674,14 @@ def split_data(mu, nu, m, i):
             yield part1, part2, removed, faces1, faces2, budget, attach
 
 
+def split_weight(g1, g2):
+    """The weight of a split visited with g1 <= g2: a genus tie is
+    visited in both orders, so it weighs a half."""
+    from fractions import Fraction
+
+    return Fraction(1) if g1 < g2 else Fraction(1, 2)
+
+
 def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant, ph):
     """The cut-and-join term stream, each face (or face pair) filtering
     every core subset and every split from ``split_data``."""
@@ -683,7 +691,7 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
 
     from prunedhurwitz.cutjoin import (
         GENUS_DROP, JOIN, SPLIT, RecursionTerm,
-        _attachment, _split_weight, _stability_excluded,
+        _attachment, _stability_excluded,
     )
 
     mu, nu = tuple(mu), tuple(nu)
@@ -752,7 +760,7 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
                             "cores": (part1, part2), "faces": (faces1, faces2),
                             "alpha": alpha, "beta": beta, **params,
                         },
-                        v1 * v2 * _split_weight(g1, g2) * (alpha * beta * factor),
+                        v1 * v2 * split_weight(g1, g2) * (alpha * beta * factor),
                     )
     for i, j in combinations(range(len(nu)), 2):
         other_faces = tuple(nu[t] for t in range(len(nu)) if t not in (i, j))

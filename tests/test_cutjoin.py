@@ -14,7 +14,7 @@ from prunedhurwitz.cutjoin import (
 )
 from prunedhurwitz.hurwitz import HurwitzEngine
 
-from oracles import cut_and_join_terms_by_filtering, split_data
+from oracles import cut_and_join_terms_by_filtering, split_data, split_weight
 
 ENGINE = HurwitzEngine()
 
@@ -88,8 +88,6 @@ def test_split_half_rule_counts_unordered_configurations_once():
     # redundant full-range enumeration over both genus orders, divided
     # by two, equals the evaluator's tied-half rule (no fixed points at
     # l(nu) >= 3, so no diagonal correction is needed)
-    from prunedhurwitz.cutjoin import _split_weight
-
     for g, mu, nu in [(0, (2, 2), (2, 1, 1)), (1, (3, 2), (3, 1, 1))]:
         m = 2 * g - 2 + len(mu) + len(nu)
         evaluator = Fraction(0)
@@ -107,7 +105,7 @@ def test_split_half_rule_counts_unordered_configurations_once():
                         term = v1 * v2 * alpha * beta * attach
                         full_range += term
                         if g1 <= g2:
-                            evaluator += term * _split_weight(g1, g2)
+                            evaluator += term * split_weight(g1, g2)
         assert evaluator == full_range / 2
 
 
@@ -165,9 +163,12 @@ def generic_oracle(g, mu, nu):
 
 def test_term_streams_equal_the_filtered_enumeration():
     # case, params (in order) and value of every term, in order, for
-    # both variants and both readings, against the per-face filter
+    # both variants and both readings, against the per-face filter; the
+    # genus-2 inputs bring in genus-1 halves and the g1 = g2 = 1 tie
     runs = [("plain", "literal"), ("plain", "facecount"), ("corrected", "literal")]
-    for g, mu, nu in battery(max_d=5, max_g=1):
+    genus_two = [(2, mu, nu) for d in (3, 4) for mu in partitions(d)
+                 for nu in partitions(d) if len(nu) >= 3]
+    for g, mu, nu in [*battery(max_d=5, max_g=1), *genus_two]:
         for mu_order in sorted(set(permutations(mu))):
             for variant, reading in runs:
                 for phat, ph in [(generic_oracle, generic_oracle), (ENGINE.phat, ENGINE.ph)]:

@@ -286,6 +286,30 @@ def test_records_name_their_evaluator(tmp_path):
     }
 
 
+def test_modified_pruned_shares_the_pruned_record(tmp_path, monkeypatch):
+    # outside the fully ramified types the modified value is PH: it is
+    # kept under PH's key, so one record serves both
+    path = tmp_path / "cache.jsonl"
+    engine = HurwitzEngine(cache_path=str(path))
+
+    def written():
+        return [(rec["kind"], rec["evaluator"])
+                for rec in map(json.loads, path.read_text().splitlines())]
+
+    assert engine.phat(1, (3, 3), (4, 2)) == 1512
+    assert written() == [("PH", "coloured")]
+    # one-part profiles keep their Burnside record, with PH beside it
+    assert engine.modified_pruned(2, (8,), (8,)) == 24896
+    assert written() == [("PH", "coloured"), ("PHHAT", "burnside"), ("PH", "coloured")]
+    warm = HurwitzEngine(cache_path=str(path))
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
+    monkeypatch.setattr(hurwitz, "count_isomorphism_classes", no_evaluation)
+    assert warm.phat(1, (3, 3), (4, 2)) == warm.pruned(1, (3, 3), (4, 2)) == 1512
+    assert warm.modified_pruned(2, (8,), (8,)) == 24896
+    assert warm.pruned(2, (8,), (8,)) == 24864
+    assert len(written()) == 3
+
+
 def test_records_of_the_parent_format_are_recomputed(tmp_path, caplog):
     # records without a schema version (the format before the evaluator
     # was named), or naming another evaluator, are never trusted: even a

@@ -6,7 +6,6 @@ from prunedhurwitz.hurwitz import HurwitzEngine, Kind
 from prunedhurwitz.polynomiality import (
     NOT_POLYNOMIAL,
     degree_bound,
-    evaluate_polynomial,
     finite_difference_degree,
     fit_univariate,
     is_wall_point,
@@ -18,6 +17,14 @@ ENGINE = HurwitzEngine()
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def evaluate_polynomial(coeffs, t):
+    """Horner's rule for the ascending coefficients ``coeffs`` at t."""
+    out = Fraction(0)
+    for c in reversed(tuple(coeffs)):
+        out = out * t + c
+    return out
 
 
 def test_wall_detection():
