@@ -31,9 +31,13 @@ and Vakil, "Towards the geometry of double Hurwitz numbers", Adv. Math.
                    - sum over proper balanced B, k of
                      C(m, k) H(B, k) D(rest, m - k) / P(rest),
 
-with P the product of the parts.  P is multiplicative over the blocks,
-so the recursion runs on the integers C = H * P and divides once at the
-end.  A block B needs k >= l(B) - 2 transpositions to be connected (its
+with P the product of the parts.  Blocks with the same parts give the
+same term, so the sum runs over the sub-multisets of the parts, each
+weighted by the number of labelled blocks that give it: the product
+over the part sizes s of C(n_s, j_s), with n_s parts of size s and j_s
+of them in the block.  P is multiplicative over the blocks, so the
+recursion runs on the integers C = H * P and divides once at the end.
+A block B needs k >= l(B) - 2 transpositions to be connected (its
 genus is not negative), with k of the parity of l(B).
 
 chi^lambda(mu) comes from the Murnaghan-Nakayama rule: with
@@ -47,6 +51,7 @@ character is not zero: for few long parts that is far fewer than p(d).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import comb, prod
 
 from .combinatorics import Partition
@@ -78,13 +83,24 @@ def _add_rim_hooks(shape: Partition, r: int):
         yield tuple(new), -1 if (i - j) % 2 else 1
 
 
-def _splits(parts: Partition) -> list[tuple[Partition, Partition]]:
-    """(chosen, others) for every subset of ``parts``, both in the order
-    of ``parts``; the subset of all the parts comes last."""
-    splits: list[tuple[Partition, Partition]] = [((), ())]
-    for x in reversed(parts):
-        splits = [(c, (x,) + o) for c, o in splits] + [((x,) + c, o) for c, o in splits]
-    return splits
+def _sub_multisets(parts: Partition) -> list[tuple[Partition, Partition, int]]:
+    """(chosen, others, weight) for every sub-multiset of ``parts``,
+    sorted descending, with ``weight`` the number of subsets of the
+    labelled parts that give it: the product over the part sizes s of
+    C(n_s, j_s), n_s parts of size s and j_s of them chosen.  Both
+    tuples are sorted descending; the sub-multiset of all the parts
+    comes last."""
+    subs: list[tuple[Partition, Partition, int]] = [((), (), 1)]
+    # the runs of equal parts from the smallest size up, so prepending
+    # keeps both tuples sorted
+    for _, run in groupby(reversed(parts)):
+        run = tuple(run)
+        subs = [
+            (run[:j] + chosen, run[j:] + others, weight * comb(len(run), j))
+            for j in range(len(run) + 1)
+            for chosen, others, weight in subs
+        ]
+    return subs
 
 
 def content_sum(shape: Partition) -> int:
@@ -151,17 +167,17 @@ class CharacterTable:
             return value
         value = self._disconnected(mu, nu, m)
         if len(mu) > 1 and len(nu) > 1:
-            by_sum: dict[int, list[tuple[Partition, Partition]]] = {}
-            for split in _splits(nu):
-                by_sum.setdefault(sum(split[0]), []).append(split)
+            by_sum: dict[int, list[tuple[Partition, Partition, int]]] = {}
+            for sub in _sub_multisets(nu):
+                by_sum.setdefault(sum(sub[0]), []).append(sub)
             # every proper block holding mu[0] leaves out some of mu
-            for chosen, rest_mu in _splits(mu[1:])[:-1]:
+            for chosen, rest_mu, weight_mu in _sub_multisets(mu[1:])[:-1]:
                 block_mu = (mu[0],) + chosen
-                for block_nu, rest_nu in by_sum.get(sum(block_mu), ()):
+                for block_nu, rest_nu, weight_nu in by_sum.get(sum(block_mu), ()):
                     size = len(block_mu) + len(block_nu)
                     for k in range(size - 2, m + 1, 2):
                         value -= (
-                            comb(m, k)
+                            weight_mu * weight_nu * comb(m, k)
                             * self._connected(block_mu, block_nu, k)
                             * self._disconnected(rest_mu, rest_nu, m - k)
                         )

@@ -193,12 +193,20 @@ def cmd_verify(args) -> int:
     if args.which == "forests":
         from .forests import DEFAULT_ENUMERATION_BOUND
 
-        if args.max_n > DEFAULT_ENUMERATION_BOUND:
+        if not 1 <= args.max_n <= DEFAULT_ENUMERATION_BOUND:
             sys.stderr.write(
-                f"the forests battery enumerates n <= {DEFAULT_ENUMERATION_BOUND} only; "
+                f"the forests battery enumerates 1 <= n <= {DEFAULT_ENUMERATION_BOUND}; "
                 f"got --max-n {args.max_n}\n"
             )
             return EXIT_USAGE
+    needs = {"main-theorem": "l(nu) >= 2", "cut-and-join": "l(nu) >= 3 and m >= 1"}
+    if args.which in needs and next(_enumerated_instances(args), None) is None:
+        # an empty battery would report all_match: true having checked nothing
+        sys.stderr.write(
+            f"the {args.which} battery has no instance with d <= {args.max_d}, "
+            f"g <= {args.max_g} and m <= {args.max_m} (it needs {needs[args.which]})\n"
+        )
+        return EXIT_USAGE
     if any(_over_budget(args, g, mu, nu) for g, mu, nu in _enumerated_instances(args)):
         return EXIT_BUDGET
     # the forests battery reads no Hurwitz value

@@ -55,16 +55,22 @@ split configurations with g1 <= g2; on a genus tie each unordered
 configuration is visited in both orders, so it enters with weight 1/2.
 
 The cores of the genus-drop and join families and the vertex splits
-of the split family are built once per call, each with its removed
-weight and path attachment, keeping only removed vertices that weigh at
-most what the largest faces allow; each face or face pair then filters
-them by its own budget.  The terms come in the order of the per-face
-enumeration over every subset and every base-3 vertex assignment, which
+of the split family are built once per call, each with its path
+attachment, keeping only removed vertices that weigh at most what the
+largest faces allow.  Each face or face pair then filters the cores by
+its own budget.  A split half's new face takes what the half's vertices
+weigh beyond its inherited faces, alpha = |mu1| - |nu1| and
+beta = |mu2| - |nu2|, so a split configuration gives at most one term.
+The terms come in the order of the per-face enumeration over every
+subset, every base-3 vertex assignment and every perimeter, which
 ``tests/oracles.py`` keeps as the reference.
 
-The evaluator is total for g >= 0.  Configurations whose oracle
-arguments are degenerate contribute zero and are not enumerated: a core
-or split half without vertices, and every genus drop at g = 0.  It is
+The evaluator is total for g >= 0 and never asks its oracles for a
+degenerate value (a negative genus, an empty profile or unequal
+degrees), on which the engine's values raise.  Configurations that
+would need one contribute zero and are not enumerated: a core or split
+half without vertices, a split half whose new face would have no
+perimeter (alpha or beta < 1), and every genus drop at g = 0.  It is
 verification machinery, not a computation path for PH: base cases at
 l(nu) < 3 are not defined.
 """
@@ -171,21 +177,20 @@ def _cores(mu: tuple, m: int, cap: int) -> list[tuple]:
 
 
 def _vertex_splits(mu: tuple, m: int, cap: int) -> list[tuple]:
-    """(removed weight, attachment, part1, part2, removed, weights of the
-    two parts) for every split into two non-empty parts whose removed
-    vertices weigh at most ``cap`` and fit on a path.  The order is that
-    of the base-3 numbers sum(r_x * 3**x), r_x = 0, 1, 2 for part1,
-    part2 and removed."""
+    """(attachment, part1, part2, removed, mu1, mu2, |mu1|, |mu2|), with
+    mu1 and mu2 the weights of the two parts, for every split into two
+    non-empty parts whose removed vertices weigh at most ``cap`` and fit
+    on a path.  The order is that of the base-3 numbers
+    sum(r_x * 3**x), r_x = 0, 1, 2 for part1, part2 and removed."""
     splits = []
-    for part1, part2, removed, weight in _vertex_assignments(mu, 3, 2, cap):
+    for part1, part2, removed, _ in _vertex_assignments(mu, 3, 2, cap):
         if not part1 or not part2:
             continue
         attach = _attachment(mu, removed, m)
         if attach:
-            splits.append((
-                weight, attach, part1, part2, removed,
-                tuple(mu[x] for x in part1), tuple(mu[x] for x in part2),
-            ))
+            mu1 = tuple(mu[x] for x in part1)
+            mu2 = tuple(mu[x] for x in part2)
+            splits.append((attach, part1, part2, removed, mu1, mu2, sum(mu1), sum(mu2)))
     return splits
 
 
@@ -241,19 +246,22 @@ def _split_terms(
     stability_reading: str,
 ) -> Iterator[RecursionTerm]:
     """The split family, for each face i over the ordered bipartitions
-    of the other faces and the vertex splits that leave the two new
-    faces a perimeter of at least two together.  The variant chooses
-    the halves it skips and the integer factor of a term."""
+    of the other faces and the vertex splits that leave both new faces
+    a perimeter of at least one.  The variant chooses the halves it
+    skips and the integer factor of a term."""
     for i in range(len(nu)):
-        fitting = [split for split in splits if split[0] <= nu[i] - 2]
         rest = tuple(j for j in range(len(nu)) if j != i)
         for j_mask in range(1 << len(rest)):
             faces1 = tuple(rest[t] for t in range(len(rest)) if j_mask >> t & 1)
             faces2 = tuple(rest[t] for t in range(len(rest)) if not j_mask >> t & 1)
             nu1 = tuple(nu[f] for f in faces1)
             nu2 = tuple(nu[f] for f in faces2)
-            for weight, attach, part1, part2, removed, mu1, mu2 in fitting:
-                budget = nu[i] - weight
+            size1, size2 = sum(nu1), sum(nu2)
+            for attach, part1, part2, removed, mu1, mu2, weight1, weight2 in splits:
+                alpha = weight1 - size1
+                beta = weight2 - size2
+                if alpha < 1 or beta < 1:
+                    continue
                 for g1 in range(g // 2 + 1):
                     g2 = g - g1
                     if variant == "plain":
@@ -271,27 +279,24 @@ def _split_terms(
                         sign = -1 if cycle1 else 1
                         signed = {"sign": sign}
                         factor = sign * attach * comb(m - 1 - len(removed), m1)
-                    tie = 2 if g1 == g2 else 1
-                    for alpha in range(1, budget):
-                        beta = budget - alpha
-                        v1 = oracle(g1, mu1, nu1 + (alpha,))
-                        if v1 == 0:
-                            continue
-                        v2 = oracle(g2, mu2, nu2 + (beta,))
-                        if v2 == 0:
-                            continue
-                        yield RecursionTerm(
-                            SPLIT,
-                            {
-                                "i": i, "genera": (g1, g2),
-                                "cores": (part1, part2), "faces": (faces1, faces2),
-                                "alpha": alpha, "beta": beta, **signed,
-                            },
-                            Fraction(
-                                v1.numerator * v2.numerator * alpha * beta * factor,
-                                v1.denominator * v2.denominator * tie,
-                            ),
-                        )
+                    v1 = oracle(g1, mu1, nu1 + (alpha,))
+                    if v1 == 0:
+                        continue
+                    v2 = oracle(g2, mu2, nu2 + (beta,))
+                    if v2 == 0:
+                        continue
+                    yield RecursionTerm(
+                        SPLIT,
+                        {
+                            "i": i, "genera": (g1, g2),
+                            "cores": (part1, part2), "faces": (faces1, faces2),
+                            "alpha": alpha, "beta": beta, **signed,
+                        },
+                        Fraction(
+                            v1.numerator * v2.numerator * alpha * beta * factor,
+                            v1.denominator * v2.denominator * (2 if g1 == g2 else 1),
+                        ),
+                    )
 
 
 def cut_and_join_terms(

@@ -4,7 +4,7 @@ The double Hurwitz number H comes from the characters of S_d
 (:mod:`prunedhurwitz.characters`, loaded on the first H): Frobenius'
 formula with the content sums as the central characters of a
 transposition, made connected by inclusion-exclusion over the balanced
-blocks of the labelled parts.  No enumeration runs for it.
+blocks of the parts, one per sub-multiset.  No enumeration runs for it.
 
 The pruned numbers come from the coloured cycle-type engine.  With
 N(g, mu, nu) the number of qualifying transposition sequences for the
@@ -197,21 +197,8 @@ class HurwitzEngine:
     def modified_pruned(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         return self.value(g, mu, nu, Kind.MODIFIED_PRUNED)
 
-    # -- degenerate-tolerant oracle for the identity evaluators ---------------
-
-    def _zero_extended(
-        self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind
-    ) -> Fraction:
-        if g < 0 or not mu or not nu or sum(mu) != sum(nu):
-            return Fraction(0)
-        return self.value(g, mu, nu, kind)
-
-    def phat(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-        """Modified pruned value, extended by zero to the degenerate
-        arguments the recursions produce syntactically: negative genus,
-        empty profiles, mismatched degrees."""
-        return self._zero_extended(g, mu, nu, Kind.MODIFIED_PRUNED)
-
-    def ph(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-        """Pruned value with the same zero extension as :meth:`phat`."""
-        return self._zero_extended(g, mu, nu, Kind.PRUNED)
+    # the oracle names the identity evaluators are called with; like
+    # every value, they raise ValueError on a negative genus, an empty
+    # profile or unequal degrees
+    phat = modified_pruned
+    ph = pruned

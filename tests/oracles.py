@@ -537,6 +537,26 @@ def forests_by_multinomials(degrees, roots):
     return total
 
 
+def hurwitz_genus_zero(nu):
+    """H(0, (1^d), nu) by Hurwitz's formula (Goulden and Jackson,
+    "Transitive factorizations into transpositions and holomorphic
+    mappings on the sphere", Proc. AMS 125, 1997):
+
+        d!/prod_k k^(m_k) * (d + l - 2)! * d^(l - 3) * prod_i nu_i^nu_i/(nu_i - 1)!,
+
+    with l = l(nu) and m_k the number of parts of nu of size k, in exact
+    fractions.  It reads no character and no permutation."""
+    from fractions import Fraction
+    from math import factorial, prod
+
+    d, l = sum(nu), len(nu)
+    return (
+        Fraction(factorial(d), prod(k ** m_k for k, m_k in Counter(nu).items()))
+        * factorial(d + l - 2) * Fraction(d) ** (l - 3)
+        * prod(Fraction(part ** part, factorial(part - 1)) for part in nu)
+    )
+
+
 def _series_product(a, b, order):
     """Product of two power series (coefficient lists), truncated."""
     out = [0] * (order + 1)
@@ -641,6 +661,36 @@ def reconstruct_by_filtering(g, mu, nu, phat, block_factor):
                 inner += coeff
             total += core_value * inner
     return total
+
+
+def degenerate(g, mu, nu):
+    """Whether an oracle argument has a negative genus, an empty profile
+    or unequal degrees: no Hurwitz number is defined there."""
+    return g < 0 or not mu or not nu or sum(mu) != sum(nu)
+
+
+def zero_extended(oracle):
+    """``oracle`` extended by zero to the degenerate arguments that a
+    generate-and-filter sum produces.  The library's evaluators never
+    ask for these, and the engine raises ``ValueError`` on them."""
+    from fractions import Fraction
+
+    def extended(g, mu, nu):
+        return Fraction(0) if degenerate(g, mu, nu) else oracle(g, mu, nu)
+
+    return extended
+
+
+def strict(oracle):
+    """``oracle`` that fails the test on a degenerate argument, for
+    checking that an evaluator never asks for one."""
+
+    def checked(g, mu, nu):
+        if degenerate(g, mu, nu):
+            raise AssertionError(f"degenerate oracle argument {(g, mu, nu)}")
+        return oracle(g, mu, nu)
+
+    return checked
 
 
 def split_data(mu, nu, m, i):

@@ -8,6 +8,8 @@ from prunedhurwitz.combinatorics import centralizer_order, partitions
 from prunedhurwitz.factorizations import MoveTables, count_factorizations
 from prunedhurwitz.hurwitz import HurwitzEngine, value_from_count
 
+from oracles import hurwitz_genus_zero
+
 
 def hook_length_dimension(shape):
     hooks = 1
@@ -72,3 +74,26 @@ def test_genus_zero_chamber_form_up_to_degree_forty():
         assert HurwitzEngine().double(0, mu, nu) == 2 * max(nu), (mu, nu)
     assert time.perf_counter() - start < 3.0
 
+
+def test_hurwitz_genus_zero_formula_up_to_degree_ten():
+    # every nu with d <= 10: 138 cases
+    engine = HurwitzEngine()
+    cases = 0
+    for d in range(1, 11):
+        for nu in partitions(d):
+            assert engine.double(0, (1,) * d, nu) == hurwitz_genus_zero(nu), nu
+            cases += 1
+    assert cases == 138
+
+
+def test_hurwitz_genus_zero_formula_with_many_equal_parts():
+    # the blocks of equal parts are summed once per sub-multiset: over
+    # labelled subsets (1^16)|(2^8) took seconds
+    start = time.perf_counter()
+    for d, value in [
+        (12, 1108358535110767253913600000),
+        (16, 6312858643783999809455019313374167040000000),
+    ]:
+        nu = (2,) * (d // 2)
+        assert HurwitzEngine().double(0, (1,) * d, nu) == hurwitz_genus_zero(nu) == value
+    assert time.perf_counter() - start < 2.0

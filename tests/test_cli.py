@@ -145,6 +145,28 @@ def test_verify_forests_refuses_max_n_above_the_bound(capsys, monkeypatch):
     assert err.count("\n") == 1 and "--max-n 9" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cut-and-join", "--max-d", "2"),  # the recursion needs l(nu) >= 3
+    ("main-theorem", "--max-d", "0"),
+    ("main-theorem", "--max-g", "-1"),
+    ("main-theorem", "--max-m", "-1"),
+    ("cut-and-join", "--max-g", "-1"),
+    ("cut-and-join", "--max-m", "-1"),
+    ("forests", "--max-n", "0"),
+])
+def test_empty_battery_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before any evaluation, instead of reporting all_match:
+    # true having checked nothing
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    monkeypatch.setattr(forests, "enumerate_rooted_forests", no_evaluation)
+    code, rows, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and not rows
+    assert err.count("\n") == 1, err
+
+
 def test_verify_poly(capsys):
     code, rows, _ = run_cli(capsys, "verify", "poly", "--t-max", "3", "--omit-timing")
     assert code == 0

@@ -14,7 +14,13 @@ from prunedhurwitz.cutjoin import (
 )
 from prunedhurwitz.hurwitz import HurwitzEngine
 
-from oracles import cut_and_join_terms_by_filtering, split_data, split_weight
+from oracles import (
+    cut_and_join_terms_by_filtering,
+    split_data,
+    split_weight,
+    strict,
+    zero_extended,
+)
 
 ENGINE = HurwitzEngine()
 
@@ -88,6 +94,7 @@ def test_split_half_rule_counts_unordered_configurations_once():
     # redundant full-range enumeration over both genus orders, divided
     # by two, equals the evaluator's tied-half rule (no fixed points at
     # l(nu) >= 3, so no diagonal correction is needed)
+    phat = zero_extended(ENGINE.phat)
     for g, mu, nu in [(0, (2, 2), (2, 1, 1)), (1, (3, 2), (3, 1, 1))]:
         m = 2 * g - 2 + len(mu) + len(nu)
         evaluator = Fraction(0)
@@ -98,10 +105,10 @@ def test_split_half_rule_counts_unordered_configurations_once():
                     g2 = g - g1
                     for alpha in range(1, budget):
                         beta = budget - alpha
-                        v1 = ENGINE.phat(g1, tuple(mu[x] for x in part1),
-                                         tuple(nu[f] for f in faces1) + (alpha,))
-                        v2 = ENGINE.phat(g2, tuple(mu[x] for x in part2),
-                                         tuple(nu[f] for f in faces2) + (beta,))
+                        v1 = phat(g1, tuple(mu[x] for x in part1),
+                                  tuple(nu[f] for f in faces1) + (alpha,))
+                        v2 = phat(g2, tuple(mu[x] for x in part2),
+                                  tuple(nu[f] for f in faces2) + (beta,))
                         term = v1 * v2 * alpha * beta * attach
                         full_range += term
                         if g1 <= g2:
@@ -157,18 +164,23 @@ def test_corrected_variant_wider_shapes():
 
 
 def generic_oracle(g, mu, nu):
-    # non-zero on every argument, so every configuration yields a term
+    # non-zero on every balanced argument, so every configuration yields
+    # a term; zero off balanced degrees, as every Hurwitz oracle is
+    if sum(mu) != sum(nu):
+        return Fraction(0)
     return Fraction(1 + 3 * g + sum((k + 2) * x for k, x in enumerate(mu)), len(nu) + sum(nu))
+
+
+# the genus-2 shapes bring in genus-1 halves and the g1 = g2 = 1 tie
+GENUS_TWO = [(2, mu, nu) for d in (3, 4) for mu in partitions(d)
+             for nu in partitions(d) if len(nu) >= 3]
 
 
 def test_term_streams_equal_the_filtered_enumeration():
     # case, params (in order) and value of every term, in order, for
-    # both variants and both readings, against the per-face filter; the
-    # genus-2 inputs bring in genus-1 halves and the g1 = g2 = 1 tie
+    # both variants and both readings, against the per-face filter
     runs = [("plain", "literal"), ("plain", "facecount"), ("corrected", "literal")]
-    genus_two = [(2, mu, nu) for d in (3, 4) for mu in partitions(d)
-                 for nu in partitions(d) if len(nu) >= 3]
-    for g, mu, nu in [*battery(max_d=5, max_g=1), *genus_two]:
+    for g, mu, nu in [*battery(max_d=5, max_g=1), *GENUS_TWO]:
         for mu_order in sorted(set(permutations(mu))):
             for variant, reading in runs:
                 for phat, ph in [(generic_oracle, generic_oracle), (ENGINE.phat, ENGINE.ph)]:
@@ -179,6 +191,18 @@ def test_term_streams_equal_the_filtered_enumeration():
                     want = [
                         (t.case, list(t.params.items()), t.value)
                         for t in cut_and_join_terms_by_filtering(
-                            g, mu_order, nu, phat, reading, variant, ph)
+                            g, mu_order, nu, zero_extended(phat), reading, variant,
+                            zero_extended(ph))
                     ]
                     assert got == want, (g, mu_order, nu, variant, reading)
+
+
+def test_oracle_is_never_asked_for_a_degenerate_value():
+    # each split half's new face is fixed by its degree balance, so no
+    # configuration asks for an unbalanced, empty or negative-genus value
+    oracle = strict(generic_oracle)
+    for g, mu, nu in [*battery(max_d=5, max_g=1), *GENUS_TWO]:
+        for variant in ("plain", "corrected"):
+            for reading in ("literal", "facecount"):
+                for _ in cut_and_join_terms(g, mu, nu, oracle, reading, variant, oracle):
+                    pass

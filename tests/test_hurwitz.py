@@ -134,11 +134,15 @@ def test_modified_pruned_keeps_the_pruned_value():
                 assert kept == HurwitzEngine(conventions).pruned(g, (d,), (d,)), (d, g, m0_pruned)
 
 
-def test_phat_zero_extension():
-    assert ENGINE.phat(-1, (2,), (2,)) == 0
-    assert ENGINE.phat(0, (), (1,)) == 0
-    assert ENGINE.phat(0, (2,), (1,)) == 0
-    assert ENGINE.ph(-1, (2,), (2,)) == 0
+def test_phat_and_ph_raise_on_degenerate_arguments():
+    # the evaluators never ask for these; the zero extension the
+    # generate-and-filter references need lives in tests/oracles.py
+    for oracle in (ENGINE.phat, ENGINE.ph):
+        for g, mu, nu in [(-1, (2,), (2,)), (0, (), (1,)), (0, (2,), ()), (0, (2,), (1,))]:
+            with pytest.raises(ValueError):
+                oracle(g, mu, nu)
+    assert ENGINE.phat(1, (3, 3), (4, 2)) == ENGINE.modified_pruned(1, (3, 3), (4, 2))
+    assert ENGINE.ph(0, (2, 2), (2, 1, 1)) == ENGINE.pruned(0, (2, 2), (2, 1, 1)) == 48
 
 
 def test_m0_convention_flag():

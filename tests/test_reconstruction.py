@@ -14,7 +14,7 @@ from prunedhurwitz.reconstruction import (
     reconstruct_via_forests,
 )
 
-from oracles import bounded_tuples, index_subsets, reconstruct_by_filtering
+from oracles import bounded_tuples, index_subsets, reconstruct_by_filtering, strict
 
 ENGINE = HurwitzEngine()
 
@@ -148,6 +148,22 @@ def test_oracle_calls_at_most_one_per_core_and_reduced_faces():
         calls.clear()
         assert form(0, (1,) * 8, (3, 3, 2), constant) == 272773225
         assert len(calls) == len(set(calls)) == 18
+
+
+def test_oracle_is_never_asked_for_a_degenerate_value():
+    # every core is non-empty and balanced against its reduced faces;
+    # the cut-and-join battery shapes (d <= 5, g <= 1, l(nu) >= 3) and
+    # its genus-2 shapes
+    oracle = strict(lambda g, mu, nu: Fraction(1 + g, len(mu) + len(nu)))
+    shapes = [
+        (g, mu, nu)
+        for d in range(1, 6) for g in range(3) for mu in partitions(d) for nu in partitions(d)
+        if len(nu) >= 3 and (0 < 2 * g - 2 + len(mu) + len(nu) <= 5 if g < 2 else d in (3, 4))
+    ]
+    assert len(shapes) == 58
+    for g, mu, nu in shapes:
+        reconstruct_double_hurwitz(g, mu, nu, oracle)
+        reconstruct_via_forests(g, mu, nu, oracle)
 
 
 def test_evaluators_leave_no_cycle_garbage():
