@@ -24,15 +24,18 @@ Burnside's lemma.  Elsewhere it is stored and looked up under PH's key.
 So H and the modified pruned values it is rebuilt from by the main
 theorem share no code: ``verify main-theorem`` compares two
 evaluators.
+
+The file cache (:mod:`prunedhurwitz.cache`, and with it ``json``) is
+loaded only by an engine given a cache path, so building one without
+compiles neither.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import cache as cache_io
 from .combinatorics import (
     automorphism_factor,
     centralizer_order,
@@ -45,6 +48,9 @@ from .factorizations import (
     count_from_isomorphism_classes,
     count_isomorphism_classes,
 )
+
+if TYPE_CHECKING:
+    from .cache import CacheKey
 
 
 class Kind(enum.Enum):
@@ -85,7 +91,7 @@ class HurwitzQuery:
         self.genus = genus
         self.kind = kind
 
-    def key(self) -> cache_io.CacheKey:
+    def key(self) -> CacheKey:
         return (
             self.genus,
             tuple(sorted(self.mu, reverse=True)),
@@ -107,7 +113,9 @@ class HurwitzEngine:
     """Memoised evaluator for H, PH and the modified PH.
 
     Values are cached in memory under sorted-partition keys and,
-    optionally, in an append-only file (see :mod:`prunedhurwitz.cache`).
+    optionally, in an append-only file (see :mod:`prunedhurwitz.cache`,
+    which is imported only when ``cache_path`` is given: to load the
+    file here, and to append each new value).
     Evaluation is pure given the conventions, so concurrent duplicate
     computation is harmless.  Every count the engine makes shares one
     set of the coloured engine's move tables
@@ -124,13 +132,13 @@ class HurwitzEngine:
     ) -> None:
         self.conventions = conventions or Conventions()
         self.cache_path = cache_path
-        self._values: dict[cache_io.CacheKey, Fraction] = {}
+        self._values: dict[CacheKey, Fraction] = {}
         self._tables = MoveTables()
         self._characters = None
         if cache_path:
-            self._values.update(
-                cache_io.load_cache(cache_path, self.conventions.as_dict())
-            )
+            from .cache import load_cache
+
+            self._values.update(load_cache(cache_path, self.conventions.as_dict()))
 
     # -- raw sequence counts -------------------------------------------------
 
@@ -183,10 +191,12 @@ class HurwitzEngine:
         self._store(key, val)
         return val
 
-    def _store(self, key: cache_io.CacheKey, val: Fraction) -> None:
+    def _store(self, key: CacheKey, val: Fraction) -> None:
         self._values[key] = val
         if self.cache_path:
-            cache_io.append_record(self.cache_path, key, val, self.conventions.as_dict())
+            from .cache import append_record
+
+            append_record(self.cache_path, key, val, self.conventions.as_dict())
 
     def double(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         return self.value(g, mu, nu, Kind.FULL)

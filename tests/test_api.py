@@ -28,8 +28,8 @@ HEAVY_STDLIB = ("dataclasses", "inspect", "logging")
 PACKAGE_MODULES = {
     f"prunedhurwitz.{name}"
     for name in (
-        "cache", "characters", "coloured", "combinatorics", "cutjoin", "factorizations",
-        "forests", "hurwitz", "polynomiality", "reconstruction",
+        "batteries", "cache", "characters", "coloured", "combinatorics", "cutjoin",
+        "factorizations", "forests", "hurwitz", "polynomiality", "reconstruction",
     )
 }
 
@@ -125,11 +125,17 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "prunedhurwitz.hurwitz",
     }
 
+    # verify, fit and cache check run from batteries.py
+    assert "prunedhurwitz.batteries" in loaded_by_cli("fit", "--mu", "2,3", "--nu", "1,4",
+                                                      "--t-max", "2")
+    assert "prunedhurwitz.batteries" in loaded_by_cli("cache", "check", "--cache", cache)
     main_theorem = loaded_by_cli("verify", "main-theorem", "--max-d", "3")
-    assert {"prunedhurwitz.reconstruction", "prunedhurwitz.forests"} <= main_theorem
+    assert {
+        "prunedhurwitz.batteries", "prunedhurwitz.reconstruction", "prunedhurwitz.forests",
+    } <= main_theorem
     assert not main_theorem & {"prunedhurwitz.polynomiality", "prunedhurwitz.cutjoin"}
     cut_and_join = loaded_by_cli("verify", "cut-and-join", "--max-d", "4", "--variant", "corrected")
-    assert "prunedhurwitz.cutjoin" in cut_and_join
+    assert {"prunedhurwitz.batteries", "prunedhurwitz.cutjoin"} <= cut_and_join
     assert not cut_and_join & {
         "prunedhurwitz.polynomiality", "prunedhurwitz.reconstruction",
         "prunedhurwitz.forests", "prunedhurwitz.characters",
@@ -143,8 +149,16 @@ def test_engine_import_loads_only_the_value_layer():
         *HEAVY_STDLIB, "argparse", "prunedhurwitz.cli", "prunedhurwitz.cutjoin",
         "prunedhurwitz.forests", "prunedhurwitz.polynomiality",
         "prunedhurwitz.reconstruction", "prunedhurwitz.coloured",
-        "prunedhurwitz.characters",
+        "prunedhurwitz.characters", "prunedhurwitz.cache", "json",
     }
+
+
+def test_engine_loads_the_file_cache_only_with_a_path(tmp_path):
+    cache = str(tmp_path / "values.jsonl")
+    loaded = loaded_by(
+        f"from prunedhurwitz import HurwitzEngine; HurwitzEngine(cache_path={cache!r})"
+    )
+    assert {"prunedhurwitz.cache", "json"} <= loaded
 
 
 def test_each_kind_loads_only_its_evaluator():

@@ -380,3 +380,32 @@ def test_cache_check_refusals(tmp_path, capsys, monkeypatch):
     code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache),
                             "--omit-timing", "--force")
     assert code == 0 and rows[0]["recomputed"]["num"] == "223776"
+
+
+@pytest.mark.parametrize("content", [None, "", "other convention"],
+                         ids=["missing", "empty", "other-convention"])
+def test_cache_check_with_no_loadable_record_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, content
+):
+    # a missing file, an empty one, or one holding only records of the
+    # other m = 0 convention: refused before any evaluation, instead of
+    # reporting all_match: true having checked nothing
+    from prunedhurwitz import factorizations
+
+    cache = tmp_path / "values.jsonl"
+    if content == "other convention":
+        write_cache(cache, ["compute", "--genus", "0", "--mu", "2,2", "--nu", "3,1",
+                            "--m0-pruned-convention"])
+        assert cache.read_text()
+    elif content is not None:
+        cache.write_text(content)
+    capsys.readouterr()
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    monkeypatch.setattr(factorizations, "count_factorizations", no_evaluation)
+    code, rows, err = run_cli(capsys, "cache", "check", "--cache", str(cache), "--omit-timing")
+    assert code == 2 and not rows
+    assert err.count("\n") == 1, err
