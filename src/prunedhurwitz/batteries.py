@@ -167,13 +167,7 @@ def _verify_cut_and_join(args, engine) -> bool:
         }, args)
         if not report.match and not first_failure_reported:
             first_failure_reported = True
-            detailed = verify_recursion(
-                g, mu, nu, engine,
-                stability_reading=args.stability_reading,
-                variant=args.variant,
-                keep_terms=True,
-            )
-            for term in detailed.terms:
+            for term in report.terms:
                 _emit({
                     "type": "cut-and-join-term",
                     "genus": g, "mu": list(mu), "nu": list(nu),
@@ -257,8 +251,8 @@ def cmd_cache_check(args) -> int:
         sys.stderr.write("--sample must be at least 1\n")
         return EXIT_USAGE
     from .cache import load_cache
-    from .factorizations import count_factorizations
-    from .hurwitz import Conventions, HurwitzEngine, Kind, value_from_count
+    from .factorizations import count_factorizations, value_from_count
+    from .hurwitz import Conventions, HurwitzEngine, Kind
 
     conventions = Conventions(m0_pruned=args.m0_pruned_convention)
     records = list(load_cache(args.cache, conventions.as_dict()).items())

@@ -9,7 +9,9 @@ One JSON object per line:
 Partitions are stored sorted descending (values depend only on the
 multisets).  The genus and the parts must be JSON integers (not
 booleans), ``num`` and ``den`` JSON integers or decimal-integer
-strings.  ``evaluator`` names what made the value (see
+strings.  ``kind`` is ``H`` or ``PH``: the modified pruned value is a
+closed form of PH (see :mod:`prunedhurwitz.hurwitz`) and is never
+stored.  ``evaluator`` names what made the value (see
 :func:`evaluator_of`).  A record of another schema ``version`` (records
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
@@ -17,7 +19,9 @@ recomputed; the warning about them counts only the stale records whose
 key has no current record in the file.  Records made under the other
 m = 0 convention are ignored, stale or not, other keys of ``conv`` are
 not read (older records also carry the cut-and-join stability
-reading), and malformed lines are skipped with a warning.
+reading), and malformed lines are skipped with a warning.  The
+``PHHAT`` records older files hold are well-formed, and are skipped
+without a warning, since nothing reads them.
 """
 
 from __future__ import annotations
@@ -35,14 +39,8 @@ CacheKey = tuple[int, tuple[int, ...], tuple[int, ...], str]
 
 def evaluator_of(key: CacheKey) -> str:
     """The evaluator that makes the value of ``key``: the characters for
-    H, the Burnside closed form for the modified pruned value of one-part
-    profiles, and the coloured cycle-type engine for every other value."""
-    _, mu, nu, kind = key
-    if kind == "H":
-        return "characters"
-    if kind == "PHHAT" and len(mu) == len(nu) == 1:
-        return "burnside"
-    return "coloured"
+    H and the coloured cycle-type engine for PH."""
+    return "characters" if key[3] == "H" else "coloured"
 
 
 def _warn(msg: str, *args: object) -> None:
@@ -73,6 +71,8 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                 conv = rec.get("conv")
                 if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
                     continue
+                if key[3] == "PHHAT":
+                    continue  # nothing reads them: the modified value is a closed form of PH
                 if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
                     stale.append(key)
                     continue

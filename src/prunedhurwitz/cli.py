@@ -3,7 +3,9 @@
 Reports are line-delimited JSON with stable key order; the timing field
 is the only non-deterministic part and ``--omit-timing`` drops it.
 Exit codes: 0 success / all match, 1 verified mismatch, 2 usage error,
-3 budget refusal, 4 wall refusal.
+3 refusal (over the budget, or an input the library refuses, such as a
+search deeper than Python recurses, also under ``--force``), 4 wall
+refusal.
 
 This module keeps the parser, the budget check and ``compute``;
 ``verify``, ``fit`` and ``cache check`` run from
@@ -14,8 +16,8 @@ it runs when it runs (the budget check ``factorizations``, an engine
 parse error or a refusal compiles little more than this file.
 
 Values come from :class:`prunedhurwitz.hurwitz.HurwitzEngine`: H from
-the characters of S_d, PH and the modified PH from the coloured
-cycle-type engine.
+the characters of S_d, PH from the coloured cycle-type engine and the
+modified PH as a closed form of PH.
 """
 
 from __future__ import annotations
@@ -190,12 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "genus", 0) < 0:
         sys.stderr.write("genus must be non-negative\n")
         return EXIT_USAGE
-    if args.command == "compute":
-        return cmd_compute(args)
-    from . import batteries
+    try:
+        if args.command == "compute":
+            return cmd_compute(args)
+        from . import batteries
 
-    return {"verify": batteries.cmd_verify, "fit": batteries.cmd_fit,
-            "cache": batteries.cmd_cache_check}[args.command](args)
+        return {"verify": batteries.cmd_verify, "fit": batteries.cmd_fit,
+                "cache": batteries.cmd_cache_check}[args.command](args)
+    except ValueError as exc:
+        # a parsed request the library still cannot take, such as a
+        # search deeper than Python recurses: refused, budget or not
+        sys.stderr.write(f"refusing: {exc}\n")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -362,12 +362,11 @@ def verify_recursion(
     engine: HurwitzEngine | None = None,
     stability_reading: str = "literal",
     variant: str = "plain",
-    keep_terms: bool = False,
 ) -> RecursionReport:
     """Compare the recursion right-hand side with direct enumeration.
 
     Never asserts; the report carries both sides, per-case totals and
-    (optionally) every term for mismatch forensics.
+    every term for mismatch forensics.
     """
     engine = engine or HurwitzEngine()
     lhs = engine.pruned(g, mu, nu)
@@ -377,8 +376,7 @@ def verify_recursion(
         g, mu, nu, engine.phat, stability_reading, variant, engine.ph
     ):
         totals[term.case] += term.value
-        if keep_terms:
-            terms.append(term)
+        terms.append(term)
     return RecursionReport(
         genus=g,
         mu=tuple(mu),

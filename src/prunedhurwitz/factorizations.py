@@ -8,8 +8,8 @@ count sequences (tau_1, ..., tau_m) of transpositions such that
 has cycle type nu, the tuple generates a transitive subgroup of S_d,
 and (optionally) the tuple is *pruned*: every cycle of sigma1 meets the
 support of at least two of the transpositions.  Counts over all sigma1
-of type mu follow by conjugation invariance; the Hurwitz-number
-normalisation lives in :mod:`prunedhurwitz.hurwitz`.
+of type mu follow by conjugation invariance, and the Hurwitz-number
+normalisation is :func:`value_from_count`.
 
 The count is not taken leaf by leaf but over memoised search states
 (:func:`prunedhurwitz.coloured.count_coloured`, loaded on the first
@@ -70,6 +70,9 @@ of their own.  By Burnside's lemma over the cycle rotations they are N
 itself, except for mu = (d): there every rotation fixes the empty
 sequence at m = 0, and for even d the half-turn fixes the (d/2)^m words
 of diameters when nu = (d); the proof is in that function's docstring.
+The same closed form, :func:`classes_from_value`, turns PH into the
+modified pruned value in :mod:`prunedhurwitz.hurwitz`, so only this
+module knows where the two differ.
 
 Pruned-ness conventions at the degenerate edge counts:
 
@@ -83,7 +86,7 @@ Pruned-ness conventions at the degenerate edge counts:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .combinatorics import (
     Partition,
@@ -93,6 +96,9 @@ from .combinatorics import (
     multinomial,
     partition_count,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MoveTables:
@@ -163,7 +169,13 @@ def count_factorizations(
         return 0
     from .coloured import count_coloured
 
-    return count_coloured(mu, m, target, track_touches, tables)[0]
+    try:
+        return count_coloured(mu, m, target, track_touches, tables)[0]
+    except RecursionError:
+        # the search recurses once per transposition
+        raise ValueError(
+            f"the search over m = {m} transpositions recurses deeper than Python allows"
+        ) from None
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -193,7 +205,15 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     pairs = d * (d - 1) // 2
     types = min(math.factorial(d), partition_count(d) * multinomial(d, mu))
     states = types * 3 ** len(mu) * bell_number(len(mu))
-    return pairs * sum(min(pairs**k, states) for k in range(m))
+    # P^k passes the cap after a few k (or, for P < 2, never changes
+    # again): every later term is the same
+    total, power = 0, 1
+    for k in range(m):
+        if power >= states or pairs < 2:
+            return pairs * (total + (m - k) * min(power, states))
+        total += power
+        power *= pairs
+    return pairs * total
 
 
 def count_isomorphism_classes(
@@ -240,37 +260,34 @@ def count_isomorphism_classes(
     each.
     """
     n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned, tables=tables)
-    scale, extra = _rotation_sum(g, mu, nu)
-    weighted = (scale * n + extra) * automorphism_factor(mu) * automorphism_factor(nu)
-    order = centralizer_order(mu)
-    if weighted % order:
+    classes = classes_from_value(g, mu, nu, value_from_count(n, mu, nu))
+    if classes.denominator != 1:
         raise ArithmeticError("Burnside count is not an integer; bug")
-    return weighted // order
+    return classes.numerator
 
 
-def _rotation_sum(g: int, mu: Sequence[int], nu: Sequence[int]) -> tuple[int, int]:
-    """(scale, extra) such that the rotations fix scale * N + extra
-    tuples in all (see :func:`count_isomorphism_classes`)."""
+def value_from_count(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
+    """The H or PH value of the sequence count N with sigma1 frozen:
+    N * A(mu) * A(nu) / Z(mu) (see :mod:`prunedhurwitz.hurwitz`)."""
+    # imported here so that the budget check, which loads this module,
+    # does not load fractions
+    from fractions import Fraction
+
+    return Fraction(n * automorphism_factor(mu) * automorphism_factor(nu), centralizer_order(mu))
+
+
+def classes_from_value(g: int, mu: Sequence[int], nu: Sequence[int], value: Fraction) -> Fraction:
+    """The isomorphism classes of the sequences counted by ``value`` =
+    :func:`value_from_count` of N.  The rotations fix N sequences in
+    all (see :func:`count_isomorphism_classes`), except d * N when
+    mu = (d) and m = 0, and N + (d/2)^m when mu = nu = (d), d is even
+    and m >= 1; the classes are that sum weighted as the value.  So the
+    modified pruned number is this closed form of PH, and equals PH
+    everywhere else."""
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)
     if len(mu) == 1 and m == 0:
-        return d, 0
+        return d * value
     if len(mu) == 1 and len(nu) == 1 and d % 2 == 0 and m > 0:
-        return 1, (d // 2) ** m
-    return 1, 0
-
-
-def count_from_isomorphism_classes(
-    g: int, mu: Sequence[int], nu: Sequence[int], classes: int
-) -> int:
-    """The count N of :func:`count_factorizations` that gives ``classes``
-    isomorphism classes: :func:`count_isomorphism_classes` solved for N,
-    so a caller holding the classes needs no second enumeration."""
-    scale, extra = _rotation_sum(g, mu, nu)
-    total, rem = divmod(
-        classes * centralizer_order(mu), automorphism_factor(mu) * automorphism_factor(nu)
-    )
-    n, rem2 = divmod(total - extra, scale)
-    if rem or rem2:
-        raise ArithmeticError("class count does not come from an integer N; bug")
-    return n
+        return value + value_from_count((d // 2) ** m, mu, nu)
+    return value

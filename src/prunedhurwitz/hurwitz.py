@@ -17,9 +17,11 @@ conjugation-invariance identity gives
 oracle), where A is the number of admissible cycle labellings and Z
 the centralizer order; this replaces the 1/d! normalisation over all
 sigma1 at an exponential saving.  The modified pruned number counts
-isomorphism classes with weight one; it equals PH except for the fully
-ramified types (both profiles a single part), where it is computed by
-Burnside's lemma.  Elsewhere it is stored and looked up under PH's key.
+the same covers with weight one instead of 1/|Aut|; by Burnside's
+lemma it is a closed form of PH
+(:func:`prunedhurwitz.factorizations.classes_from_value`), so the
+engine evaluates and stores only H and PH, and a modified pruned value
+is read off PH's memo entry, cache record or enumeration.
 
 So H and the modified pruned values it is rebuilt from by the main
 theorem share no code: ``verify main-theorem`` compares two
@@ -36,17 +38,14 @@ import enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .combinatorics import (
-    automorphism_factor,
-    centralizer_order,
-    check_partition,
-    is_int,
-)
+from .combinatorics import check_partition, is_int
 from .factorizations import (
     MoveTables,
+    classes_from_value,
     count_factorizations,
-    count_from_isomorphism_classes,
+    # not called here; the benchmark's tracer (perfbench/spans.py) swaps it by this name
     count_isomorphism_classes,
+    value_from_count,
 )
 
 if TYPE_CHECKING:
@@ -54,7 +53,8 @@ if TYPE_CHECKING:
 
 
 class Kind(enum.Enum):
-    """The three value flavours, named by their cache tags."""
+    """The three value flavours, named by their report tags; H and PH
+    are also the cache tags of the only values stored."""
 
     FULL = "H"
     PRUNED = "PH"
@@ -100,15 +100,6 @@ class HurwitzQuery:
         )
 
 
-def _fully_ramified(mu: Sequence[int], nu: Sequence[int]) -> bool:
-    return len(mu) == 1 and len(nu) == 1
-
-
-def value_from_count(n: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-    """The H or PH value of the sequence count N with sigma1 frozen."""
-    return Fraction(n * automorphism_factor(mu) * automorphism_factor(nu), centralizer_order(mu))
-
-
 class HurwitzEngine:
     """Memoised evaluator for H, PH and the modified PH.
 
@@ -147,7 +138,7 @@ class HurwitzEngine:
         recovered from the H or PH value by inverting the normalisation,
         so a memoised or file-cached value needs no enumeration."""
         value = self.value(g, mu, nu, Kind.PRUNED if pruned else Kind.FULL)
-        n = value * centralizer_order(mu) / (automorphism_factor(mu) * automorphism_factor(nu))
+        n = value / value_from_count(1, mu, nu)
         if n.denominator != 1:
             raise ArithmeticError(f"value {value} does not come from an integer count; bug")
         return n.numerator
@@ -155,40 +146,27 @@ class HurwitzEngine:
     # -- the three value flavours ---------------------------------------------
 
     def value(self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> Fraction:
-        key = HurwitzQuery(g, mu, nu, kind).key()
-        g, smu, snu, _ = key
-        if kind is Kind.MODIFIED_PRUNED and not _fully_ramified(smu, snu):
-            # the modified value is PH here (see count_isomorphism_classes):
-            # one key, so one cache record, for both
-            kind = Kind.PRUNED
-            key = (g, smu, snu, kind.value)
-        if key in self._values:
-            return self._values[key]
-        m0_pruned = self.conventions.m0_pruned
-        if kind is Kind.FULL:
-            if self._characters is None:
-                from .characters import CharacterTable
+        g, smu, snu, _ = HurwitzQuery(g, mu, nu, kind).key()
+        # the modified value is a closed form of PH: one key, so one
+        # memo entry and one cache record, for both
+        key = (g, smu, snu, (Kind.FULL if kind is Kind.FULL else Kind.PRUNED).value)
+        val = self._values.get(key)
+        if val is None:
+            if kind is Kind.FULL:
+                if self._characters is None:
+                    from .characters import CharacterTable
 
-                self._characters = CharacterTable()
-            val = self._characters.double_hurwitz(g, smu, snu)
-        elif kind is Kind.MODIFIED_PRUNED:
-            classes = count_isomorphism_classes(
-                g, smu, snu, pruned=True, m0_pruned=m0_pruned, tables=self._tables
-            )
-            val = Fraction(classes)
+                    self._characters = CharacterTable()
+                val = self._characters.double_hurwitz(g, smu, snu)
+            else:
+                n = count_factorizations(
+                    g, smu, snu, pruned=True, m0_pruned=self.conventions.m0_pruned,
+                    tables=self._tables,
+                )
+                val = value_from_count(n, smu, snu)
             self._store(key, val)
-            # the pruned value comes with the classes: keep it too
-            pruned_key = (g, smu, snu, Kind.PRUNED.value)
-            if pruned_key not in self._values:
-                n = count_from_isomorphism_classes(g, smu, snu, classes)
-                self._store(pruned_key, value_from_count(n, smu, snu))
-            return val
-        else:
-            n = count_factorizations(
-                g, smu, snu, pruned=True, m0_pruned=m0_pruned, tables=self._tables
-            )
-            val = value_from_count(n, smu, snu)
-        self._store(key, val)
+        if kind is Kind.MODIFIED_PRUNED:
+            return classes_from_value(g, smu, snu, val)
         return val
 
     def _store(self, key: CacheKey, val: Fraction) -> None:

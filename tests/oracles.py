@@ -17,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
-from prunedhurwitz.combinatorics import multinomial
+from math import factorial
+
+from prunedhurwitz.combinatorics import bell_number, multinomial, partition_count
 
 
 def identity_permutation(d):
@@ -827,3 +829,17 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
                     {"i": i, "j": j, "core": core, "alpha": alpha},
                     value * (alpha * attach),
                 )
+
+
+def literal_search_work_bound(g, mu, nu):
+    """The bound of ``search_work_bound`` as its docstring writes it:
+    P * sum over k < m of min(P^k, C(mu) * 3^l * Bell(l)), every power
+    built in full."""
+    d = sum(mu)
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if m <= 0:
+        return 1
+    pairs = d * (d - 1) // 2
+    types = min(factorial(d), partition_count(d) * multinomial(d, mu))
+    states = types * 3 ** len(mu) * bell_number(len(mu))
+    return pairs * sum(min(pairs**k, states) for k in range(m))

@@ -157,7 +157,7 @@ def test_criterion_4_cut_and_join(engine):
     breakdown_ok = True
     if worst:
         g, mu, nu, lhs, rhs = worst[0]
-        rep = verify_recursion(g, mu, nu, engine, keep_terms=True)
+        rep = verify_recursion(g, mu, nu, engine)
         breakdown_ok = (
             len(rep.terms) > 0
             and sum((t.value for t in rep.terms), Fraction(0)) == rep.rhs

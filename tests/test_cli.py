@@ -88,6 +88,22 @@ def test_budget_refusal_exit_3(capsys):
     assert code == 0 and rows[0]["value"] == {"num": "24", "den": "1"}
 
 
+def test_search_deeper_than_python_recurses_is_refused_exit_3():
+    # within the budget, but m = 1000 is deeper than the search recurses:
+    # one stderr line and exit 3, --force or not, and no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PRUNEDHURWITZ_CACHE", None)
+    argv = [sys.executable, "-m", "prunedhurwitz", "compute", "--genus", "500",
+            "--mu", "3", "--nu", "3", "--kind", "pruned", "--omit-timing"]
+    for extra in ([], ["--force"]):
+        run = subprocess.run(argv + extra, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr.splitlines() == [
+            "refusing: the search over m = 1000 transpositions recurses deeper than Python allows"
+        ]
+
+
 def test_verify_budget_refusal_exit_3(capsys):
     # every battery instance is checked before any report line
     code, rows, err = run_cli(capsys, "verify", "main-theorem", "--max-d", "3", "--budget", "10")
@@ -292,8 +308,8 @@ def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
 
 
 def test_modified_pruned_compute_enumerates_once(capsys, monkeypatch, tmp_path):
-    # a fully ramified type: the class count gives N as well, so the
-    # reported tuple count needs no second enumeration
+    # a one-part type: the modified value and the reported tuple count
+    # are both read off the one PH the enumeration gives
     from prunedhurwitz import factorizations
 
     calls = []
@@ -329,20 +345,21 @@ def test_cache_check_recomputes_an_even_sample(tmp_path, capsys):
     )
     capsys.readouterr()
     stored = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert [rec["kind"] for rec in stored] == ["H", "PH", "PHHAT", "PH"]
+    # the modified pruned value is stored as its PH record
+    assert [(rec["kind"], rec["mu"]) for rec in stored] == [
+        ("H", [3, 3]), ("PH", [4, 4]), ("PH", [6])]
     code, rows, _ = run_cli(capsys, "cache", "check", "--sample", "10",
                             "--cache", str(cache), "--omit-timing")
     assert code == 0
-    assert rows[-1] == {"command": "cache", "action": "check", "records": 4,
-                        "checked": 4, "all_match": True}
+    assert rows[-1] == {"command": "cache", "action": "check", "records": 3,
+                        "checked": 3, "all_match": True}
     assert [(row["kind"], row["recomputed_by"], row["match"]) for row in rows[:-1]] == [
-        ("H", "enumeration", True), ("PH", "engine", True),
-        ("PHHAT", "engine", True), ("PH", "engine", True),
+        ("H", "enumeration", True), ("PH", "engine", True), ("PH", "engine", True),
     ]
-    # a sample of two takes the first and the third record
+    # a sample of two takes the first and the second record
     code, rows, _ = run_cli(capsys, "cache", "check", "--sample", "2",
                             "--cache", str(cache), "--omit-timing")
-    assert code == 0 and [row["kind"] for row in rows[:-1]] == ["H", "PHHAT"]
+    assert code == 0 and [row["mu"] for row in rows[:-1]] == [[3, 3], [4, 4]]
 
 
 def test_cache_check_fails_on_a_corrupted_h_record(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_matching_examples_plain():
 
 
 def test_per_case_totals_sum_to_rhs():
-    report = verify_recursion(0, (2, 2), (2, 1, 1), ENGINE, keep_terms=True)
+    report = verify_recursion(0, (2, 2), (2, 1, 1), ENGINE)
     assert sum(report.per_case_totals.values()) == report.rhs
     assert sum((t.value for t in report.terms), Fraction(0)) == report.rhs
     assert set(report.per_case_totals) == {GENUS_DROP, SPLIT, JOIN}

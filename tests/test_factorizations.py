@@ -28,6 +28,7 @@ from oracles import (
     canonical_permutation,
     centralizer,
     fully_ramified_orbit_count,
+    literal_search_work_bound,
     is_pruned,
     is_transitive,
     iter_factorization_tuples,
@@ -243,6 +244,30 @@ def test_search_work_bound():
     # and still refuses d = 24, m = 17
     assert search_work_bound(2, (4, 4), (3, 5)) <= DEFAULT_BUDGET < 28**6
     assert search_work_bound(6, (6, 6, 6, 6), (8, 8, 8)) > DEFAULT_BUDGET
+
+
+def test_search_work_bound_equals_the_literal_sum():
+    # the powers stop once they pass the cap: the same integer, so the
+    # refusal message is unchanged, without building P^k for every k < m
+    for d in range(1, 9):
+        for g in range(4):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    assert search_work_bound(g, mu, nu) == literal_search_work_bound(g, mu, nu)
+    # m = 40,000: 3 * (1 + 3 + 39,998 * 9)
+    assert search_work_bound(20_000, (3,), (3,)) == 1_079_958
+
+
+def test_search_deeper_than_python_recurses_is_a_value_error():
+    # (3)|(3) at g = 500 is m = 1000 levels deep; the bound admits it
+    assert search_work_bound(500, (3,), (3,)) <= DEFAULT_BUDGET
+    with pytest.raises(ValueError, match="m = 1000 "):
+        count_factorizations(500, (3,), (3,), pruned=True)
+    # the engine's shared tables stay sound after the aborted search
+    engine = HurwitzEngine()
+    with pytest.raises(ValueError, match="m = 1000 "):
+        engine.pruned(500, (3,), (3,))
+    assert engine.pruned(2, (3,), (3,)) == HurwitzEngine().pruned(2, (3,), (3,))
 
 
 def test_search_work_bound_covers_the_visited_states():

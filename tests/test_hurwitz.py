@@ -280,19 +280,20 @@ def test_records_name_their_evaluator(tmp_path):
     engine.pruned(1, (3,), (2, 1))
     engine.modified_pruned(1, (4,), (4,))
     written = {
-        (rec["kind"], len(rec["mu"])): (rec["version"], rec["evaluator"])
+        (rec["kind"], len(rec["mu"]), len(rec["nu"])): (rec["version"], rec["evaluator"])
         for rec in map(json.loads, path.read_text().splitlines())
     }
+    # the modified value of (4)|(4) is read off its PH record
     assert written == {
-        ("H", 2): (CACHE_VERSION, "characters"),
-        ("PH", 1): (CACHE_VERSION, "coloured"),
-        ("PHHAT", 1): (CACHE_VERSION, "burnside"),
+        ("H", 2, 2): (CACHE_VERSION, "characters"),
+        ("PH", 1, 2): (CACHE_VERSION, "coloured"),
+        ("PH", 1, 1): (CACHE_VERSION, "coloured"),
     }
 
 
 def test_modified_pruned_shares_the_pruned_record(tmp_path, monkeypatch):
-    # outside the fully ramified types the modified value is PH: it is
-    # kept under PH's key, so one record serves both
+    # the modified value is a closed form of PH: it is read off PH's
+    # key, so one record serves both, one-part profiles included
     path = tmp_path / "cache.jsonl"
     engine = HurwitzEngine(cache_path=str(path))
 
@@ -302,16 +303,37 @@ def test_modified_pruned_shares_the_pruned_record(tmp_path, monkeypatch):
 
     assert engine.phat(1, (3, 3), (4, 2)) == 1512
     assert written() == [("PH", "coloured")]
-    # one-part profiles keep their Burnside record, with PH beside it
+    # even d: the half-turn's fixed words make the two values differ
     assert engine.modified_pruned(2, (8,), (8,)) == 24896
-    assert written() == [("PH", "coloured"), ("PHHAT", "burnside"), ("PH", "coloured")]
+    # odd d: they are equal
+    assert engine.modified_pruned(2, (7,), (7,)) == 9604
+    assert written() == [("PH", "coloured")] * 3
     warm = HurwitzEngine(cache_path=str(path))
     monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
     monkeypatch.setattr(hurwitz, "count_isomorphism_classes", no_evaluation)
     assert warm.phat(1, (3, 3), (4, 2)) == warm.pruned(1, (3, 3), (4, 2)) == 1512
     assert warm.modified_pruned(2, (8,), (8,)) == 24896
     assert warm.pruned(2, (8,), (8,)) == 24864
+    assert warm.modified_pruned(2, (7,), (7,)) == warm.pruned(2, (7,), (7,)) == 9604
     assert len(written()) == 3
+
+
+def test_older_modified_pruned_records_are_skipped_silently(tmp_path, caplog):
+    # a PHHAT record parses, so it is not malformed, but nothing reads
+    # it: even a wrong value in it, with the current version and the
+    # evaluator older files named, is neither warned of nor used
+    path = tmp_path / "cache.jsonl"
+    rec = {"g": 2, "mu": [8], "nu": [8], "kind": "PHHAT", "num": "7", "den": "1",
+           "conv": Conventions().as_dict(), "version": CACHE_VERSION,
+           "evaluator": "burnside"}
+    path.write_text(json.dumps(rec) + "\n")
+    import logging
+
+    with caplog.at_level(logging.WARNING):
+        engine = HurwitzEngine(cache_path=str(path))
+    assert not caplog.records
+    assert not engine._values
+    assert engine.modified_pruned(2, (8,), (8,)) == 24896
 
 
 def test_records_of_the_parent_format_are_recomputed(tmp_path, caplog):
