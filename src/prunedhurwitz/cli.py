@@ -53,11 +53,14 @@ KIND_BY_NAME = {
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
+    fields = text.split(",")
+    if any(x.strip() == "" for x in fields):
+        raise argparse.ArgumentTypeError(f"empty part in partition: {text!r}")
     try:
-        parts = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        parts = tuple(int(x) for x in fields)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
-    if not parts or any(x < 1 for x in parts):
+    if any(x < 1 for x in parts):
         raise argparse.ArgumentTypeError(f"partition parts must be >= 1: {text!r}")
     return parts
 

@@ -18,6 +18,32 @@ from .combinatorics import Partition
 from .factorizations import MoveTables
 
 
+def _decreasing(lengths) -> Partition:
+    return tuple(sorted(lengths, reverse=True))
+
+
+def prefinal_types(target: Partition) -> dict[Partition, tuple[tuple, tuple]]:
+    """The cycle types that one transposition takes to the type
+    ``target``, each with the lengths that move removes and adds,
+    sorted.  The move cuts a length c + b into c and b (from the type
+    target - {c, b} + {c + b}) or joins a and c - a into c (from
+    target - {c} + {a, c - a}).  The lengths a move removes are all
+    distinct from the ones it adds, and a type before a cut has one
+    cycle fewer than target while one before a join has one more, so a
+    type fixes its move's lengths.  Types and target are sorted in
+    decreasing order."""
+    types: dict[Partition, tuple[tuple, tuple]] = {}
+    for i, c in enumerate(target):
+        rest = target[:i] + target[i + 1:]
+        for a in range(1, c // 2 + 1):
+            types[_decreasing(rest + (a, c - a))] = ((a, c - a), (c,))
+        for j in range(i + 1, len(target)):
+            b = target[j]  # b <= c
+            before = target[:i] + target[i + 1:j] + target[j + 1:] + (c + b,)
+            types[_decreasing(before)] = ((c + b,), (b, c))
+    return types
+
+
 def count_coloured(
     mu: Partition,
     m: int,
@@ -26,7 +52,9 @@ def count_coloured(
     tables: MoveTables | None = None,
 ) -> tuple[int, int]:
     """The number of qualifying sequences of m >= 1 transpositions, and
-    the number of states memoised on the way.
+    the number of states memoised on the way.  A successor one move
+    before the end whose cycle type is not pre-final cannot finish and
+    is not memoised, so it is not counted among the states.
 
     The memo of completions lives for this call only: a state's count
     depends on m, the target and the mode.  The move tables are read
@@ -38,7 +66,6 @@ def count_coloured(
     if ncol > 256:
         raise ValueError("a colour word holds at most 256 colours")
     ltarget = len(target)
-    target_counts = Counter(target)
     # equal-size colours are consecutive; first[c] is the least of them
     first = [mu.index(size) for size in mu]
     symmetric = len(set(mu)) < ncol
@@ -47,7 +74,11 @@ def count_coloured(
     rotations = tables.rotations
     renamings = tables.renamings
     moves = tables.moves
+    prefinal = tables.prefinal.get(target)
+    if prefinal is None:
+        prefinal = tables.prefinal[target] = prefinal_types(target)
     finals = tables.finals.setdefault(target, {})
+    closers = tables.closers.setdefault(target, {})
     memo: list[dict] = [{} for _ in range(m)]
 
     def least(w: bytes) -> tuple[bytes, int]:
@@ -158,26 +189,27 @@ def count_coloured(
                 for (joined, a, b), ways in word_joins(u, v):
                     key = (tuple(sorted(rest + (joined,))), a, b)
                     joins[key] = joins.get(key, 0) + pairs * ways
-        return (
+        r = moves[words] = (
             [(new_words, a, b, ways) for (new_words, a, b), ways in cuts.items()],
             [(new_words, a, b, ways) for (new_words, a, b), ways in joins.items()],
         )
+        return r
 
     def finishing(words: tuple) -> tuple[list, list]:
         """The last moves out of a word multiset that give P the cycle
         type nu, grouped by colour pair: ((a, b), ways), cuts then
-        joins.  Only word lengths and colours are read.
-
-        A cut of a length n into L and n - L, or a join of lengths a and
-        b, removes and adds lengths that are all distinct; so the lengths
-        P has beyond nu are the ones the move removes, and the lengths
-        nu has beyond P the ones it adds."""
-        have = Counter(map(len, words))
-        removed = sorted((have - target_counts).elements())
-        added = sorted((target_counts - have).elements())
+        joins.  Only word lengths and colours are read: the type of the
+        lengths names the lengths the move removes and adds
+        (:func:`prefinal_types`), and a type that is not pre-final has
+        no last move."""
+        move = prefinal.get(_decreasing(map(len, words)))
+        if move is None:
+            r = finals[words] = ([], [])
+            return r
+        removed, added = move
         cuts: dict[tuple, int] = {}
         joins: dict[tuple, int] = {}
-        if len(removed) == 1 and len(added) == 2:
+        if len(removed) == 1:
             n, split = removed[0], added[0]
             for w in words:
                 if len(w) == n:
@@ -186,25 +218,34 @@ def count_coloured(
                         a, b = w[s], ww[s + split]
                         key = (a, b) if a < b else (b, a)
                         cuts[key] = cuts.get(key, 0) + 1
-        elif len(removed) == 2 and len(added) == 1:
+        else:
             for i, u in enumerate(words):
                 for v in words[i + 1:]:
-                    if sorted((len(u), len(v))) != removed:
+                    if (min(len(u), len(v)), max(len(u), len(v))) != removed:
                         continue
                     for a, na in Counter(u).items():
                         for b, nb in Counter(v).items():
                             key = (a, b) if a < b else (b, a)
                             joins[key] = joins.get(key, 0) + na * nb
-        return list(cuts.items()), list(joins.items())
+        r = finals[words] = (list(cuts.items()), list(joins.items()))
+        return r
+
+    def closing(words: tuple) -> tuple[list, list]:
+        """The successor lists of a word multiset kept to the successors
+        whose length type is pre-final: one move before the end, only
+        they can finish.  The successors are read before renaming, which
+        keeps every length."""
+        r = closers[words] = tuple(
+            [e for e in entries if _decreasing(map(len, e[0])) in prefinal]
+            for entries in moves.get(words) or successors(words)
+        )
+        return r
 
     def last(words: tuple, touch: bytes, comp: bytes, short: int) -> int:
         """The transpositions that complete a state in one move."""
         if short > 2:
             return 0
-        out = finals.get(words)
-        if out is None:
-            out = finals[words] = finishing(words)
-        cuts, joins = out
+        cuts, joins = finals.get(words) or finishing(words)
         if cuts:
             if any(comp):
                 return 0
@@ -228,9 +269,10 @@ def count_coloured(
         remaining = m - depth - 1
         if remaining == 0:
             return last(words, touch, comp, short)
-        out = moves.get(words)
-        if out is None:
-            out = moves[words] = successors(words)
+        if remaining == 1:
+            out = closers.get(words) or closing(words)
+        else:
+            out = moves.get(words) or successors(words)
         table = memo[depth + 1]
         total = 0
         for entries, step in zip(out, (1, -1)):

@@ -51,19 +51,25 @@ the word, its joins over one period of each word, identical successors
 grouped and weighted by their multiplicity.  A cut never merges
 components: a cycle of P lies in one orbit of the group generated so
 far.  The last transposition is counted from the word lengths and
-colours without building a word.  The work grows with the number of
-states, bounded by :func:`search_work_bound`, not with the count
-itself.
+colours without building a word.  Only a *pre-final* cycle type, one
+cut or one join away from nu, has a last move: nu - {L, L'} + {L + L'}
+or nu - {c} + {a, c - a}.  These types are listed once per nu, each
+with the lengths its move removes and adds, and one move before the
+end a successor whose type is not among them is dropped before it is
+renamed or memoised.  The work grows with the number of states,
+bounded by :func:`search_work_bound`, not with the count itself.
 
 Move tables (:class:`MoveTables`).  The least rotations, successor
 lists and colour renamings are functions of a word or a word multiset
-alone, and the last moves of a word multiset and the target nu; none
-reads m, the mode, the touches or the components.  A word multiset
-also fixes mu, since colour c occurs mu_c times in it.  So the tables
-built for one count are exact for every other, and a caller that makes
-many counts (a :class:`prunedhurwitz.hurwitz.HurwitzEngine`) hands the
-same tables to each; only the memo of completions, which depends on m,
-nu and the mode, is rebuilt per count.
+alone; the pre-final types of nu alone; and the last moves of a word
+multiset, and its successor lists kept to pre-final types, of the word
+multiset and nu.  None reads m, the mode, the touches or the
+components.  A word multiset also fixes mu, since colour c occurs mu_c
+times in it.  So the tables built for one count are exact for every
+other, and a caller that makes many counts (a
+:class:`prunedhurwitz.hurwitz.HurwitzEngine`) hands the same tables to
+each; only the memo of completions, which depends on m, nu and the
+mode, is rebuilt per count.
 
 Isomorphism classes (:func:`count_isomorphism_classes`) need no search
 of their own.  By Burnside's lemma over the cycle rotations they are N
@@ -110,19 +116,28 @@ class MoveTables:
       colours renamed in order of first appearance, the map taking a
       colour vector along, or None);
     * ``moves``: word multiset -> its successor lists, cuts then joins;
+    * ``prefinal``: target nu -> the cycle types one transposition
+      takes to nu -> the lengths that move removes and adds
+      (:func:`prunedhurwitz.coloured.prefinal_types`);
     * ``finals``: target nu -> word multiset -> the last moves that
-      give the product the cycle type nu.
+      give the product the cycle type nu (none unless the multiset's
+      length type is pre-final);
+    * ``closers``: target nu -> word multiset -> its successor lists
+      kept to the successors whose length type is pre-final, the only
+      ones that can finish one move later.
 
     The tables only grow; they die with their holder.
     """
 
-    __slots__ = ("rotations", "renamings", "moves", "finals")
+    __slots__ = ("rotations", "renamings", "moves", "prefinal", "finals", "closers")
 
     def __init__(self) -> None:
         self.rotations: dict[bytes, tuple[bytes, int]] = {}
         self.renamings: dict[tuple, tuple[tuple, object]] = {}
         self.moves: dict[tuple, tuple[list, list]] = {}
+        self.prefinal: dict[Partition, dict[Partition, tuple[tuple, tuple]]] = {}
         self.finals: dict[Partition, dict[tuple, tuple[list, list]]] = {}
+        self.closers: dict[Partition, dict[tuple, tuple[list, list]]] = {}
 
 
 def _count_m0(mu: Partition, target: Partition, pruned: bool, m0_pruned: bool) -> int:

@@ -19,7 +19,7 @@ from itertools import permutations as iter_permutations, product
 
 from math import factorial
 
-from prunedhurwitz.combinatorics import bell_number, multinomial, partition_count
+from prunedhurwitz.combinatorics import bell_number, multinomial, partition_count, partitions
 
 
 def identity_permutation(d):
@@ -91,6 +91,19 @@ def transposition_images(d, a, b):
 
 def all_transpositions(d):
     return [transposition_images(d, a, b) for a in range(d) for b in range(a + 1, d)]
+
+
+def prefinal_types(nu):
+    """The cycle types that one transposition takes to the type nu: every
+    transposition applied to the canonical permutation of each cycle
+    type of S_d, keeping the types whose product has type nu."""
+    target = tuple(sorted(nu, reverse=True))
+    d = sum(target)
+    taus = all_transpositions(d)
+    return {
+        kind for kind in partitions(d)
+        if any(perm_type(apply_after(tau, canonical_permutation(kind))) == target for tau in taus)
+    }
 
 
 def bfs_transitive(d, generators):

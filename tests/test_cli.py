@@ -74,6 +74,20 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "degree mismatch" in err
 
 
+@pytest.mark.parametrize("text", ["4,,4", "4,", ",4", "4, ,4", ""])
+def test_empty_partition_part_exit_2(capsys, text):
+    # an empty part is a usage error, not a part dropped in silence
+    # (--mu 4,,4 once computed the value of (4,4))
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--genus", "0", "--mu", text, "--nu", "8", "--omit-timing"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        f"prunedhurwitz compute: error: argument --mu: empty part in partition: {text!r}"
+    ]
+
+
 def test_budget_refusal_exit_3(capsys):
     code, rows, err = run_cli(
         capsys, "compute", "--genus", "2", "--mu", "5,5", "--nu", "5,5",

@@ -10,7 +10,7 @@ import pytest
 
 from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
-from prunedhurwitz.coloured import count_coloured
+from prunedhurwitz.coloured import count_coloured, prefinal_types
 from prunedhurwitz.factorizations import (
     MoveTables,
     count_factorizations,
@@ -38,6 +38,7 @@ from oracles import (
     perm_cycles,
     perm_inverse,
     perm_type,
+    prefinal_types as oracle_prefinal_types,
     pruned_by_valency,
     root_orbits,
     search_count,
@@ -322,14 +323,30 @@ def test_reach_beyond_the_permutation_search():
 
 
 def test_memo_state_count_pinned():
-    # the memoised states of three ladder rows (N first).  No value
+    # the memoised states of four ladder rows (N first).  No value
     # shows a state split in two, so these counts are what catch a word
     # kept at another rotation than its least, or colours of distinct
     # sizes renamed into each other (exact, as any renaming is, but it
     # splits states)
+    # a successor one move before the end whose cycle type is not
+    # pre-final is not memoised, as it cannot finish
     assert count_coloured((3, 2, 1), 5, (4, 2), True) == (97_200, 249)
-    assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 155)
+    assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 104)
     assert count_coloured((8,), 4, (8,), True) == (198_912, 15)
+    assert count_coloured((3, 3, 3), 4, (4, 4, 1), True) == (52_488, 105)
+
+
+def test_prefinal_types_match_one_transposition():
+    # the engine's pre-final types of every nu with d <= 8 are the cycle
+    # types one transposition takes to nu; each carries the lengths its
+    # move removes and adds, which are the two differences of the types
+    for d in range(1, 9):
+        for nu in partitions(d):
+            types = prefinal_types(nu)
+            assert set(types) == oracle_prefinal_types(nu), nu
+            for kind, (removed, added) in types.items():
+                assert removed == tuple(sorted((Counter(kind) - Counter(nu)).elements())), kind
+                assert added == tuple(sorted((Counter(nu) - Counter(kind)).elements())), kind
 
 
 def test_memo_is_released_on_return():
