@@ -65,6 +65,16 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0: {text!r}")
+    return budget
+
+
 def _fraction_obj(value) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
@@ -103,7 +113,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
     parser.add_argument("--m0-pruned-convention", action="store_true",
                         help="treat the edgeless tuple (m=0) as pruned")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
                         help="refuse enumerations whose bound on the memoised search work exceeds this")
     parser.add_argument("--force", action="store_true", help="override the budget guard")
     parser.add_argument("--omit-timing", action="store_true",

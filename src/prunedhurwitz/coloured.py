@@ -121,15 +121,17 @@ def count_coloured(
         renamings[words] = r
         return r
 
-    def word_cuts(w: bytes) -> list:
-        """The cuts of one word, grouped: ((piece, piece, a, b), ways).
-        A cut is a start and a length over one period of w; the length
-        n/2 takes fewer starts, since each of its pairs has two."""
+    def word_cuts(w: bytes, lengths) -> list:
+        """The cuts of one word that split off a piece of each of
+        ``lengths`` (each at most half of w), grouped:
+        ((piece, piece, a, b), ways).  A cut is a start and a length
+        over one period of w; the length n/2 takes fewer starts, since
+        each of its pairs has two."""
         grouped: dict[tuple, int] = {}
         n = len(w)
         period = least(w)[1]
         ww = w + w
-        for length in range(1, n // 2 + 1):
+        for length in lengths:
             if 2 * length < n:
                 starts, ways = period, n // period
             else:
@@ -158,9 +160,14 @@ def count_coloured(
                 grouped[key] = grouped.get(key, 0) + ways
         return list(grouped.items())
 
-    def successors(words: tuple) -> tuple[list, list]:
+    def successors(words: tuple, types: dict | None = None) -> tuple[list, list]:
         """The moves out of a word multiset, grouped, cuts then joins:
-        (successor words, colour a, colour b, ways)."""
+        (successor words, colour a, colour b, ways), stored in
+        ``moves``.  Given ``types``, the target's pre-final types, only
+        the moves to a successor whose length type is among them, the
+        only ones that can finish one move later, stored in ``closers``:
+        the cut lengths and the pairs to join are chosen from the word
+        lengths before any word is built."""
         cuts: dict[tuple, int] = {}
         joins: dict[tuple, int] = {}
         distinct = []  # (word, copies, index of the first copy)
@@ -171,9 +178,23 @@ def count_coloured(
                 end += 1
             distinct.append((words[at], end - at, at))
             at = end
+        lengths = [len(w) for w in words]
+
+        def kept(removed: list, added: list) -> bool:
+            """Whether the move that takes the lengths removed to the
+            lengths added gives a length type among types."""
+            rest = lengths.copy()
+            for x in removed:
+                rest.remove(x)
+            return _decreasing(rest + added) in types
+
         for w, k, at in distinct:
+            n = len(w)
+            pieces = range(1, n // 2 + 1)
+            if types is not None:
+                pieces = [x for x in pieces if kept([n], [x, n - x])]
             rest = words[:at] + words[at + 1:]
-            for (x, y, a, b), ways in word_cuts(w):
+            for (x, y, a, b), ways in word_cuts(w, pieces):
                 key = (tuple(sorted(rest + (x, y))), a, b)
                 cuts[key] = cuts.get(key, 0) + k * ways
         for i, (u, ku, au) in enumerate(distinct):
@@ -186,10 +207,12 @@ def count_coloured(
                     rest = words[:au] + words[au + 1:av] + words[av + 1:]
                 if not pairs:
                     continue
+                if types is not None and not kept([len(u), len(v)], [len(u) + len(v)]):
+                    continue
                 for (joined, a, b), ways in word_joins(u, v):
                     key = (tuple(sorted(rest + (joined,))), a, b)
                     joins[key] = joins.get(key, 0) + pairs * ways
-        r = moves[words] = (
+        r = (moves if types is None else closers)[words] = (
             [(new_words, a, b, ways) for (new_words, a, b), ways in cuts.items()],
             [(new_words, a, b, ways) for (new_words, a, b), ways in joins.items()],
         )
@@ -233,11 +256,18 @@ def count_coloured(
     def closing(words: tuple) -> tuple[list, list]:
         """The successor lists of a word multiset kept to the successors
         whose length type is pre-final: one move before the end, only
-        they can finish.  The successors are read before renaming, which
-        keeps every length."""
+        they can finish.  When the tables hold the multiset's full lists
+        already (built for a state further from the end, in this count
+        or an earlier one), they are filtered, which costs less than
+        cutting and joining its words again; otherwise only the
+        pre-final successors are generated.  The successors are read
+        before renaming, which keeps every length."""
+        full = moves.get(words)
+        if full is None:
+            return successors(words, prefinal)
         r = closers[words] = tuple(
             [e for e in entries if _decreasing(map(len, e[0])) in prefinal]
-            for entries in moves.get(words) or successors(words)
+            for entries in full
         )
         return r
 

@@ -54,16 +54,21 @@ far.  The last transposition is counted from the word lengths and
 colours without building a word.  Only a *pre-final* cycle type, one
 cut or one join away from nu, has a last move: nu - {L, L'} + {L + L'}
 or nu - {c} + {a, c - a}.  These types are listed once per nu, each
-with the lengths its move removes and adds, and one move before the
-end a successor whose type is not among them is dropped before it is
-renamed or memoised.  The work grows with the number of states,
+with the lengths its move removes and adds.  One move before the end
+only the successors of those types are generated: the cut lengths and
+the pairs of words to join are chosen from the word lengths before any
+word is built, so a successor that cannot finish is not made, renamed
+or memoised.  A word multiset whose full lists the tables already hold
+(from a state further from the end) has them filtered instead, which
+costs less than cutting and joining its words again.  The work grows
+with the number of states,
 bounded by :func:`search_work_bound`, not with the count itself.
 
 Move tables (:class:`MoveTables`).  The least rotations, successor
 lists and colour renamings are functions of a word or a word multiset
 alone; the pre-final types of nu alone; and the last moves of a word
-multiset, and its successor lists kept to pre-final types, of the word
-multiset and nu.  None reads m, the mode, the touches or the
+multiset, and its successor lists restricted to pre-final types, of the
+word multiset and nu.  None reads m, the mode, the touches or the
 components.  A word multiset also fixes mu, since colour c occurs mu_c
 times in it.  So the tables built for one count are exact for every
 other, and a caller that makes many counts (a
@@ -123,8 +128,10 @@ class MoveTables:
       give the product the cycle type nu (none unless the multiset's
       length type is pre-final);
     * ``closers``: target nu -> word multiset -> its successor lists
-      kept to the successors whose length type is pre-final, the only
-      ones that can finish one move later.
+      restricted to the successors whose length type is pre-final, the
+      only ones that can finish one move later; generated from the word
+      lengths, or filtered from the multiset's full lists when
+      ``moves`` holds them already.
 
     The tables only grow; they die with their holder.
     """

@@ -106,6 +106,31 @@ def prefinal_types(nu):
     }
 
 
+def successor_lists(words):
+    """The coloured cycle types one transposition takes a word multiset
+    to, counted: {(sorted least-rotation words, min colour, max
+    colour): transpositions}.  Each word is realised as a cycle of
+    consecutive points coloured by its letters, and every transposition
+    (a b) is applied on the left."""
+    colours = [c for w in words for c in w]
+    images = []
+    for w in words:
+        start = len(images)
+        images.extend(start + (i + 1) % len(w) for i in range(len(w)))
+    d = len(images)
+    grouped = Counter()
+    for a in range(d):
+        for b in range(a + 1, d):
+            product = apply_after(transposition_images(d, a, b), tuple(images))
+            cycle_words = []
+            for cycle in perm_cycles(product):
+                word = bytes(colours[x] for x in cycle)
+                cycle_words.append(min(word[i:] + word[:i] for i in range(len(word))))
+            ca, cb = sorted((colours[a], colours[b]))
+            grouped[tuple(sorted(cycle_words)), ca, cb] += 1
+    return dict(grouped)
+
+
 def bfs_transitive(d, generators):
     if d == 0:
         return False

@@ -94,12 +94,37 @@ def test_budget_refusal_exit_3(capsys):
         "--budget", "1000",
     )
     assert code == 3 and not rows and "budget" in err
+    # a zero budget is valid and refuses every enumeration
+    code, rows, err = run_cli(
+        capsys, "compute", "--genus", "0", "--mu", "3", "--nu", "3", "--budget", "0",
+    )
+    assert code == 3 and not rows and "exceeds budget 0" in err
     # --force overrides (choose something actually tractable)
     code, rows, _ = run_cli(
         capsys, "compute", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1",
         "--budget", "1", "--force", "--omit-timing",
     )
     assert code == 0 and rows[0]["value"] == {"num": "24", "den": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--genus", "0", "--mu", "3", "--nu", "3"],
+    ["verify", "main-theorem", "--max-d", "3"],
+    ["fit", "--mu", "2,3", "--nu", "1,4"],
+    ["cache", "check"],
+])
+@pytest.mark.parametrize("budget", ["-1", "-50000000"])
+def test_negative_budget_exit_2(capsys, argv, budget):
+    # a usage error, as a bad partition is; it was once read as a budget
+    # every search exceeds (exit 3)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget, "--omit-timing"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        f"prunedhurwitz {argv[0]}: error: argument --budget: budget must be >= 0: {budget!r}"
+    ]
 
 
 def test_search_deeper_than_python_recurses_is_refused_exit_3():

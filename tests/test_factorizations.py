@@ -42,6 +42,7 @@ from oracles import (
     pruned_by_valency,
     root_orbits,
     search_count,
+    successor_lists,
     transposition_images,
 )
 
@@ -333,7 +334,13 @@ def test_memo_state_count_pinned():
     assert count_coloured((3, 2, 1), 5, (4, 2), True) == (97_200, 249)
     assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 104)
     assert count_coloured((8,), 4, (8,), True) == (198_912, 15)
-    assert count_coloured((3, 3, 3), 4, (4, 4, 1), True) == (52_488, 105)
+    tables = MoveTables()
+    assert count_coloured((3, 3, 3), 4, (4, 4, 1), True, tables) == (52_488, 105)
+    # nor is one built: the full lists are those of the states of depth
+    # 0 and 1 (m = 4), and the states of depth 2 get the lists of their
+    # pre-final successors alone
+    assert len(tables.moves) == 6
+    assert len(tables.closers[(4, 4, 1)]) == 25
 
 
 def test_prefinal_types_match_one_transposition():
@@ -399,10 +406,42 @@ def test_pruned_count_reuses_the_full_count_tables():
     # the pruned search visits only word multisets the full one did
     tables = MoveTables()
     count_factorizations(1, (3, 2, 1), (4, 2), False, tables=tables)
-    sizes = [len(t) for t in (tables.moves, tables.renamings, tables.rotations)]
+    built = (tables.moves, tables.renamings, tables.rotations, tables.closers[(4, 2)])
+    sizes = [len(t) for t in built]
     count_factorizations(1, (3, 2, 1), (4, 2), True, tables=tables)
-    assert sizes[0] > 0
-    assert [len(t) for t in (tables.moves, tables.renamings, tables.rotations)] == sizes
+    assert sizes[0] > 0 and sizes[3] > 0
+    assert [len(t) for t in built] == sizes
+
+
+def test_successor_lists_match_every_transposition():
+    # one set of tables counts every g <= 1, d <= 6 type; each full
+    # successor list is every transposition applied to its word
+    # multiset, and each list one move before the end is that kept to
+    # the successors whose length type is pre-final.  The full mode
+    # alone: the pruned one visits no word multiset that it does not
+    # (see the test above) and takes four times as long here
+    tables = MoveTables()
+    for d in range(1, 7):
+        for g in range(2):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    count_factorizations(g, mu, nu, tables=tables)
+
+    def grouped(lists):
+        moves = {(words, a, b): ways for entries in lists for words, a, b, ways in entries}
+        assert len(moves) == sum(map(len, lists))
+        return moves
+
+    assert tables.moves and any(tables.closers.values())
+    for words, lists in tables.moves.items():
+        assert grouped(lists) == successor_lists(words), words
+    for target, closers in tables.closers.items():
+        prefinal = oracle_prefinal_types(target)
+        for words, lists in closers.items():
+            assert grouped(lists) == {
+                key: ways for key, ways in successor_lists(words).items()
+                if tuple(sorted(map(len, key[0]), reverse=True)) in prefinal
+            }, (target, words)
 
 
 def test_engine_tables_die_with_the_engine():
