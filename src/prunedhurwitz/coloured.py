@@ -253,24 +253,6 @@ def count_coloured(
         r = finals[words] = (list(cuts.items()), list(joins.items()))
         return r
 
-    def closing(words: tuple) -> tuple[list, list]:
-        """The successor lists of a word multiset kept to the successors
-        whose length type is pre-final: one move before the end, only
-        they can finish.  When the tables hold the multiset's full lists
-        already (built for a state further from the end, in this count
-        or an earlier one), they are filtered, which costs less than
-        cutting and joining its words again; otherwise only the
-        pre-final successors are generated.  The successors are read
-        before renaming, which keeps every length."""
-        full = moves.get(words)
-        if full is None:
-            return successors(words, prefinal)
-        r = closers[words] = tuple(
-            [e for e in entries if _decreasing(map(len, e[0])) in prefinal]
-            for entries in full
-        )
-        return r
-
     def last(words: tuple, touch: bytes, comp: bytes, short: int) -> int:
         """The transpositions that complete a state in one move."""
         if short > 2:
@@ -300,7 +282,7 @@ def count_coloured(
         if remaining == 0:
             return last(words, touch, comp, short)
         if remaining == 1:
-            out = closers.get(words) or closing(words)
+            out = closers.get(words) or successors(words, prefinal)
         else:
             out = moves.get(words) or successors(words)
         table = memo[depth + 1]

@@ -58,11 +58,8 @@ with the lengths its move removes and adds.  One move before the end
 only the successors of those types are generated: the cut lengths and
 the pairs of words to join are chosen from the word lengths before any
 word is built, so a successor that cannot finish is not made, renamed
-or memoised.  A word multiset whose full lists the tables already hold
-(from a state further from the end) has them filtered instead, which
-costs less than cutting and joining its words again.  The work grows
-with the number of states,
-bounded by :func:`search_work_bound`, not with the count itself.
+or memoised.  The work grows with the number of states, bounded by
+:func:`search_work_bound`, not with the count itself.
 
 Move tables (:class:`MoveTables`).  The least rotations, successor
 lists and colour renamings are functions of a word or a word multiset
@@ -129,9 +126,8 @@ class MoveTables:
       length type is pre-final);
     * ``closers``: target nu -> word multiset -> its successor lists
       restricted to the successors whose length type is pre-final, the
-      only ones that can finish one move later; generated from the word
-      lengths, or filtered from the multiset's full lists when
-      ``moves`` holds them already.
+      only ones that can finish one move later, generated from the word
+      lengths.
 
     The tables only grow; they die with their holder.
     """
