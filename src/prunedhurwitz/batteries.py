@@ -81,9 +81,15 @@ def _enumerated_instances(args):
 
 
 def cmd_verify(args) -> int:
-    if args.which == "poly" and args.t_max < 2:
-        sys.stderr.write("the poly battery needs --t-max >= 2\n")
-        return EXIT_USAGE
+    if args.which == "poly":
+        from .polynomiality import degree_bound
+
+        # a sequence of degree D shows its vanishing (D + 1)-th difference
+        # only on D + 2 samples or more
+        need = 2 + max(degree_bound(0, len(mu), len(nu)) for mu, nu in INTERIOR_BASE_POINTS)
+        if args.t_max < need:
+            sys.stderr.write(f"the poly battery needs --t-max >= {need}\n")
+            return EXIT_USAGE
     if args.which == "forests":
         from .forests import DEFAULT_ENUMERATION_BOUND
 

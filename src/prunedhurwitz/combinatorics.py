@@ -123,21 +123,6 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``length`` non-negative integers summing to ``total``."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    if length == 1:
-        if total >= 0:
-            yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, length - 1):
-            yield (head,) + tail
-
-
 def _proper_subset_sums(parts: Sequence[int]) -> set[int]:
     sums = set()
     for r in range(1, len(parts)):

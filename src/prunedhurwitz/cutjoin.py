@@ -35,6 +35,10 @@ exactly on every tested instance:
 * split configurations whose halves are both cycles enter with weight
   -1 (cancelling the join term's double production), one-cycle splits
   with weight 0 (the join term already covers them), all others +1;
+* a split with a tree half (genus 0 and no inherited face) gives no
+  term: the tree prunes to a bare vertex, which would be a leaf at the
+  end of the removed edge.  The half's pruned value is not asked for,
+  as at m = 0 it is whatever the engine's convention sets;
 * each half is weighted by its automorphism-weighted pruned count
   (this differs from the unweighted count only for fully ramified
   halves, whose cyclic symmetry identifies attachment positions);
@@ -50,7 +54,8 @@ exactly the cycle halves, "literal" excludes (genus, inherited faces)
 
 The split family is one loop for both variants, which choose only the
 oracle (``phat`` or ``ph``), the halves skipped (the stability rule,
-or the one-cycle splits) and the integer factor of a term.  It visits
+or the tree halves and one-cycle splits) and the integer factor of a
+term.  It visits
 split configurations with g1 <= g2; on a genus tie each unordered
 configuration is visited in both orders, so it enters with weight 1/2.
 
@@ -271,6 +276,8 @@ def _split_terms(
                         signed = {}
                         factor = attach
                     else:
+                        if (g1 == 0 and not faces1) or (g2 == 0 and not faces2):
+                            continue  # a tree half: no term
                         cycle1 = g1 == 0 and len(faces1) == 1
                         if cycle1 != (g2 == 0 and len(faces2) == 1):
                             continue  # one-cycle splits: covered by the join term

@@ -19,11 +19,11 @@ the sum is the one product
     (n - |S| - 1)! * sum_{i in S} delta_i / prod_j delta_j!
 
 which is what :func:`count_forests_with_degrees` computes; the test
-suite keeps the sum of multinomials as its reference.  The library
-checks the closed form against :func:`enumerate_rooted_forests`, which
-generates the forests directly by a depth-first walk over parent
-choices; the test suite's oracle instead filters every parent map for
-acyclicity.
+suite keeps the sum of multinomials as its reference.  ``verify
+forests`` and the benchmark's ``battery`` check the closed form against
+:func:`enumerate_rooted_forests`, which generates the forests directly
+by a depth-first walk over parent choices; the test suite's oracle
+instead filters every parent map for acyclicity.
 """
 
 from __future__ import annotations

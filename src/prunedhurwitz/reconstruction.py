@@ -20,16 +20,18 @@ removed parts) pair of a call.  ``tests/oracles.py`` keeps the sum
 over every nu~ <= nu, every core and all n^p block maps, filtered by
 weight, as the reference.
 
-The regrafting count per face is evaluated two independent ways:
+The regrafting count per face sums prod mu_v^(val(v) - 1) over the
+removed vertices v of every rooted forest on the nu~_i root slots and
+the removed vertices of I_i.  It is evaluated two independent ways:
 
-* by ordered out-degree sequences, using the closed forest-count
-  formula (``reconstruct_double_hurwitz``); the degree tuple for face i
-  has the nu~_i root slots first and the removed vertices of I_i after
-  them, the decrement running over root positions and the perimeter
-  weights mu_k^deg over the non-root positions;
-* by explicit enumeration of rooted forests weighted by
-  prod mu_v^(val(v) - 1) over non-root vertices
+* by the forest polynomial (``reconstruct_double_hurwitz``): by the
+  forest form of Cayley's formula it is r * (r + sum w)^(p - 1) for r
+  roots and p vertices of weights w, here nu~_i * nu_i^(p_i - 1);
+* by explicit enumeration of rooted forests
   (``reconstruct_via_forests``).
+
+``tests/oracles.py`` keeps the paper's sum over out-degree sequences
+of closed forest counts as the reference of both.
 
 Both take the modified pruned oracle as an argument so tests can swap
 in stubs.  Validity note: the underlying pruning construction requires
@@ -44,29 +46,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combinatorics import compositions, falling_factorial
-from .forests import count_forests_with_degrees, enumerate_rooted_forests
+from .combinatorics import falling_factorial
+from .forests import enumerate_rooted_forests
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
 
 
-def _degree_block_factor(root_count: int, weights: Sequence[int]) -> int:
-    """Sum over degree tuples (roots first, then the weighted vertices)
-    of forest count times prod weights_j^deg_j; 1 for an empty block."""
-    p = len(weights)
-    if p == 0:
+def _cayley_block_factor(root_count: int, weights: Sequence[int]) -> int:
+    """The sum over the rooted forests on the roots and the weighted
+    vertices of prod weights_j^outdeg(j): r * (r + sum w)^(p - 1), and
+    1 for an empty block."""
+    if not weights:
         return 1
-    n = root_count + p
-    roots = range(root_count)
-    total = 0
-    for delta in compositions(p, n):
-        cnt = count_forests_with_degrees(delta, roots)
-        if cnt:
-            w = 1
-            for j, weight in enumerate(weights):
-                w *= weight ** delta[root_count + j]
-            total += cnt * w
-    return total
+    return root_count * (root_count + sum(weights)) ** (len(weights) - 1)
 
 
 def _forest_block_factor(root_count: int, weights: Sequence[int]) -> int:
@@ -150,8 +142,8 @@ def _reconstruct(
 def reconstruct_double_hurwitz(
     g: int, mu: Sequence[int], nu: Sequence[int], phat: PhatOracle
 ) -> Fraction:
-    """Evaluate the reconstruction sum with the closed-form forest counts."""
-    return _reconstruct(g, mu, nu, phat, _degree_block_factor)
+    """Evaluate the reconstruction sum with the forest polynomial."""
+    return _reconstruct(g, mu, nu, phat, _cayley_block_factor)
 
 
 def reconstruct_via_forests(

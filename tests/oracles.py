@@ -577,6 +577,42 @@ def forests_by_multinomials(degrees, roots):
     return total
 
 
+def compositions(total, length):
+    """All tuples of ``length`` non-negative integers summing to ``total``."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    if length == 1:
+        if total >= 0:
+            yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, length - 1):
+            yield (head,) + tail
+
+
+def block_factor_by_degrees(root_count, weights):
+    """The reconstruction's regrafting factor as the paper writes it: the
+    sum over ordered out-degree sequences (the roots first, then the
+    weighted vertices) of the forest count times prod weights_j^deg_j;
+    1 for an empty block."""
+    p = len(weights)
+    if p == 0:
+        return 1
+    n = root_count + p
+    roots = range(root_count)
+    total = 0
+    for delta in compositions(p, n):
+        count = forests_by_multinomials(delta, roots)
+        if count:
+            w = 1
+            for j, weight in enumerate(weights):
+                w *= weight ** delta[root_count + j]
+            total += count * w
+    return total
+
+
 def hurwitz_genus_zero(nu):
     """H(0, (1^d), nu) by Hurwitz's formula (Goulden and Jackson,
     "Transitive factorizations into transpositions and holomorphic
@@ -823,6 +859,12 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
                             or _stability_excluded(stability_reading, g2, len(faces2))):
                         continue
                 else:
+                    # a genus-0 half with one face is a tree; pruned, it is
+                    # a bare vertex, which would be a leaf at the end of the
+                    # removed edge, so it gives no term under either m = 0
+                    # convention
+                    if (g1 == 0 and not faces1) or (g2 == 0 and not faces2):
+                        continue
                     cycle1 = g1 == 0 and len(faces1) == 1
                     cycle2 = g2 == 0 and len(faces2) == 1
                     if cycle1 != cycle2:

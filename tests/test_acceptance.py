@@ -191,7 +191,7 @@ def test_criterion_4_cut_and_join(engine):
 # 5 -------------------------------------------------------------------------
 
 def test_criterion_5_forest_formula():
-    from prunedhurwitz.combinatorics import compositions
+    from oracles import compositions
 
     failures = []
     for n in range(1, 8):

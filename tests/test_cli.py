@@ -292,6 +292,20 @@ def test_fit_needs_two_samples(capsys):
     assert "t-max" in capsys.readouterr().err
 
 
+def test_verify_poly_needs_three_samples(capsys, monkeypatch):
+    # two samples cannot show the second difference of a degree-1
+    # sequence vanish: refused before any value, not reported as a
+    # mismatch at every base point
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    for t_max in ("1", "2"):
+        code, rows, err = run_cli(capsys, "verify", "poly", "--t-max", t_max)
+        assert code == 2 and not rows
+        assert err == "the poly battery needs --t-max >= 3\n"
+
+
 def test_warm_cache_output_is_byte_identical(tmp_path, capsys):
     cache = tmp_path / "warm.jsonl"
     argv = ["compute", "--genus", "0", "--mu", "3,2", "--nu", "2,2,1",

@@ -4,7 +4,6 @@ from prunedhurwitz.combinatorics import (
     automorphism_factor,
     bell_number,
     centralizer_order,
-    compositions,
     falling_factorial,
     multinomial,
     partitions,
@@ -13,6 +12,7 @@ from prunedhurwitz.combinatorics import (
 from oracles import (
     apply_after,
     bounded_tuples,
+    compositions,
     index_subsets,
     ordered_set_partitions,
     perm_type,

@@ -12,7 +12,7 @@ from prunedhurwitz.cutjoin import (
     cut_and_join_terms,
     verify_recursion,
 )
-from prunedhurwitz.hurwitz import HurwitzEngine
+from prunedhurwitz.hurwitz import Conventions, HurwitzEngine
 
 from oracles import (
     cut_and_join_terms_by_filtering,
@@ -79,6 +79,19 @@ def test_corrected_variant_beyond_genus_one():
     for g, mu, nu in [(2, (3,), (1, 1, 1)), (2, (2, 1), (1, 1, 1))]:
         report = verify_recursion(g, mu, nu, ENGINE, variant="corrected")
         assert report.match, (g, mu, nu, report.lhs, report.rhs)
+
+
+def test_corrected_variant_matches_under_the_m0_pruned_convention():
+    # a genus-0 split half with no inherited face is a tree, which gives
+    # no term; asking the engine for it read the convention's m = 0
+    # value, so g0 (3,1)|(2,1,1) had rhs 42 against lhs 36
+    engine = HurwitzEngine(Conventions(m0_pruned=True))
+    instances = list(battery(max_d=5, max_g=1, max_m=8))  # every m at d <= 5
+    assert len(instances) == 79
+    for g, mu, nu in instances:
+        report = verify_recursion(g, mu, nu, engine, variant="corrected")
+        assert report.match, (g, mu, nu, report.lhs, report.rhs)
+    assert engine.pruned(0, (3, 1), (2, 1, 1)) == 36
 
 
 def test_stability_readings_differ_only_in_split_terms():

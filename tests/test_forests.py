@@ -5,7 +5,7 @@ import pytest
 
 from prunedhurwitz.forests import count_forests_with_degrees, enumerate_rooted_forests
 
-from oracles import filtered_parent_maps, forests_by_multinomials
+from oracles import compositions, filtered_parent_maps, forests_by_multinomials
 
 
 def test_closed_form_examples():
@@ -73,8 +73,6 @@ def test_counts_match_enumeration_all_roots():
                 for degs, count in by_degrees.items():
                     assert count_forests_with_degrees(degs, roots) == count
                 # and no unobserved sequence is counted
-                from prunedhurwitz.combinatorics import compositions
-
                 total = 0
                 for degs in compositions(n - r, n):
                     c = count_forests_with_degrees(degs, roots)
@@ -88,8 +86,6 @@ def test_degree_sum_characterisation():
     # a tuple is a degree sequence of a forest iff it sums to n - |S|
     roots = (0, 2)
     n = 4
-    from prunedhurwitz.combinatorics import compositions
-
     for total in range(4):
         for degs in compositions(total, n):
             c = count_forests_with_degrees(degs, roots)

@@ -1,6 +1,6 @@
 import gc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -8,13 +8,19 @@ from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import HurwitzEngine
 from prunedhurwitz.cutjoin import verify_recursion
 from prunedhurwitz.reconstruction import (
-    _degree_block_factor,
+    _cayley_block_factor,
     _forest_block_factor,
     reconstruct_double_hurwitz,
     reconstruct_via_forests,
 )
 
-from oracles import bounded_tuples, index_subsets, reconstruct_by_filtering, strict
+from oracles import (
+    block_factor_by_degrees,
+    bounded_tuples,
+    index_subsets,
+    reconstruct_by_filtering,
+    strict,
+)
 
 ENGINE = HurwitzEngine()
 
@@ -43,9 +49,9 @@ def test_two_face_examples():
 
 def check_identity(g, mu, nu):
     direct = ENGINE.double(g, mu, nu)
-    by_degrees = reconstruct_double_hurwitz(g, mu, nu, ENGINE.phat)
+    by_polynomial = reconstruct_double_hurwitz(g, mu, nu, ENGINE.phat)
     by_forests = reconstruct_via_forests(g, mu, nu, ENGINE.phat)
-    assert direct == by_degrees == by_forests, (g, mu, nu, direct, by_degrees, by_forests)
+    assert direct == by_polynomial == by_forests, (g, mu, nu, direct, by_polynomial, by_forests)
 
 
 def test_reconstruction_battery_small():
@@ -75,23 +81,16 @@ def test_degree_mismatch_rejected():
 
 
 def test_block_factor_forms_agree_with_generating_function():
-    # the per-face regrafting factor three ways: degree-sequence sum,
-    # forest enumeration, and the generating-function evaluation
-    # r * (r + sum(weights))^(p-1)
-    from prunedhurwitz.reconstruction import (
-        _degree_block_factor,
-        _forest_block_factor,
-    )
-
-    for roots in (1, 2, 3):
-        for weights in [(), (1,), (2,), (3, 1), (2, 2), (1, 1, 2)]:
-            by_degrees = _degree_block_factor(roots, weights)
-            by_forests = _forest_block_factor(roots, weights)
-            if weights:
-                closed = roots * (roots + sum(weights)) ** (len(weights) - 1)
-            else:
-                closed = 1
-            assert by_degrees == by_forests == closed, (roots, weights)
+    # the per-face regrafting factor three ways: the forest polynomial
+    # r * (r + sum(weights))^(p-1), the paper's sum over out-degree
+    # sequences, and forest enumeration; every block here has at most
+    # 8 vertices, the enumeration's bound
+    for roots in range(1, 5):
+        for p in range(5):
+            for weights in product(range(1, 4), repeat=p):
+                closed = _cayley_block_factor(roots, weights)
+                assert closed == block_factor_by_degrees(roots, weights), (roots, weights)
+                assert closed == _forest_block_factor(roots, weights), (roots, weights)
 
 
 class CoefficientOracle:
@@ -117,7 +116,7 @@ class CoefficientOracle:
 
 def test_assignment_enumeration_equals_the_filtered_sum():
     forms = [
-        (reconstruct_double_hurwitz, _degree_block_factor),
+        (reconstruct_double_hurwitz, _cayley_block_factor),
         (reconstruct_via_forests, _forest_block_factor),
     ]
     for d in range(1, 7):
