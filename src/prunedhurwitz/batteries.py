@@ -134,15 +134,15 @@ def _verify_main_theorem(args, engine) -> bool:
     all_match = True
     for g, mu, nu in _main_theorem_instances(args):
         direct = engine.double(g, mu, nu)
-        by_degrees = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
+        by_polynomial = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
         by_forests = reconstruct_via_forests(g, mu, nu, engine.phat)
-        match = direct == by_degrees == by_forests
+        match = direct == by_polynomial == by_forests
         all_match &= match
         _emit({
             "type": "main-theorem",
             "genus": g, "mu": list(mu), "nu": list(nu),
             "direct": _fraction_obj(direct),
-            "reconstruction": _fraction_obj(by_degrees),
+            "reconstruction": _fraction_obj(by_polynomial),
             "forest_form": _fraction_obj(by_forests),
             "match": match,
         }, args)

@@ -55,9 +55,9 @@ exactly the cycle halves, "literal" excludes (genus, inherited faces)
 The split family is one loop for both variants, which choose only the
 oracle (``phat`` or ``ph``), the halves skipped (the stability rule,
 or the tree halves and one-cycle splits) and the integer factor of a
-term.  It visits
-split configurations with g1 <= g2; on a genus tie each unordered
-configuration is visited in both orders, so it enters with weight 1/2.
+term.  It visits split configurations with g1 <= g2; on a genus tie
+each unordered configuration is visited in both orders, so it enters
+with weight 1/2.
 
 The cores of the genus-drop and join families and the vertex splits
 of the split family are built once per call, each with its path

@@ -103,14 +103,14 @@ def test_criterion_3_reconstruction_identity(engine):
     single_face = {"match": 0, "mismatch": 0}
     for g, mu, nu in reconstruction_battery():
         direct = engine.double(g, mu, nu)
-        by_degrees = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
+        by_polynomial = reconstruct_double_hurwitz(g, mu, nu, engine.phat)
         by_forests = reconstruct_via_forests(g, mu, nu, engine.phat)
         if len(nu) < 2:
-            single_face["match" if direct == by_degrees == by_forests else "mismatch"] += 1
+            single_face["match" if direct == by_polynomial == by_forests else "mismatch"] += 1
             continue
         checked += 1
-        if not (direct == by_degrees == by_forests):
-            failures.append((g, mu, nu, direct, by_degrees, by_forests))
+        if not (direct == by_polynomial == by_forests):
+            failures.append((g, mu, nu, direct, by_polynomial, by_forests))
     # the two provable counterexamples behave exactly as analysed
     impossible_confirmed = (
         reconstruct_double_hurwitz(0, (1, 1), (2,), engine.phat) == 0
