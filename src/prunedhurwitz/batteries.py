@@ -82,11 +82,9 @@ def _enumerated_instances(args):
 
 def cmd_verify(args) -> int:
     if args.which == "poly":
-        from .polynomiality import degree_bound
+        from .polynomiality import samples_needed
 
-        # a sequence of degree D shows its vanishing (D + 1)-th difference
-        # only on D + 2 samples or more
-        need = 2 + max(degree_bound(0, len(mu), len(nu)) for mu, nu in INTERIOR_BASE_POINTS)
+        need = max(samples_needed(0, len(mu), len(nu)) for mu, nu in INTERIOR_BASE_POINTS)
         if args.t_max < need:
             sys.stderr.write(f"the poly battery needs --t-max >= {need}\n")
             return EXIT_USAGE
@@ -308,18 +306,27 @@ def cmd_fit(args) -> int:
     if sum(mu) != sum(nu):
         sys.stderr.write(f"degree mismatch: |mu|={sum(mu)} but |nu|={sum(nu)}\n")
         return EXIT_USAGE
-    if args.t_max < 2:
-        sys.stderr.write("fitting needs --t-max >= 2\n")
-        return EXIT_USAGE
     from .combinatorics import is_wall_point
     from .polynomiality import (
         degree_bound,
         finite_difference_degree,
         fit_univariate,
+        samples_needed,
         scaling_values,
     )
 
-    if is_wall_point(mu, nu) and not args.allow_wall:
+    bound = degree_bound(g, len(mu), len(nu))
+    if bound < 0:
+        sys.stderr.write("polynomiality says nothing at m = 0 (genus 0, one part on each side)\n")
+        return EXIT_USAGE
+    wall = is_wall_point(mu, nu)
+    # the bound is claimed at chamber points only: --allow-wall fits a
+    # wall point on any window of two samples or more
+    need = 2 if wall else samples_needed(g, len(mu), len(nu))
+    if args.t_max < need:
+        sys.stderr.write(f"fitting this base point needs --t-max >= {need}\n")
+        return EXIT_USAGE
+    if wall and not args.allow_wall:
         sys.stderr.write(
             "refusing wall base point (a proper sub-balance holds); "
             "pass --allow-wall to fit anyway\n"
@@ -336,7 +343,6 @@ def cmd_fit(args) -> int:
     values = scaling_values(g, mu, nu, kind, args.t_max, engine)
     degree = finite_difference_degree(values)
     coeffs = fit_univariate(values)
-    bound = degree_bound(g, len(mu), len(nu))
     _emit({
         "command": "fit",
         "genus": g, "mu": list(mu), "nu": list(nu), "kind": kind.value,
@@ -346,7 +352,7 @@ def cmd_fit(args) -> int:
         "coefficients": [_fraction_obj(c) for c in coeffs],
         "bound": bound,
         "bound_met": degree == bound,
-        "wall": is_wall_point(mu, nu),
+        "wall": wall,
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }, args)
     return EXIT_OK

@@ -7,8 +7,9 @@ Exit codes: 0 success / all match, 1 verified mismatch, 2 usage error,
 search deeper than Python recurses, also under ``--force``), 4 wall
 refusal.
 
-This module keeps the parser, the budget check and ``compute``;
-``verify``, ``fit`` and ``cache check`` run from
+This module keeps the parser, in which each ``verify`` battery is a
+sub-parser taking only the options it reads, the budget check and
+``compute``; ``verify``, ``fit`` and ``cache check`` run from
 :mod:`prunedhurwitz.batteries`, which only they import.  Building the
 parser loads no other module of the package: each command imports what
 it runs when it runs (the budget check ``factorizations``, an engine
@@ -108,18 +109,6 @@ def _over_budget(args, g, mu, nu) -> bool:
     return True
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR), metavar="PATH",
-                        help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
-    parser.add_argument("--m0-pruned-convention", action="store_true",
-                        help="treat the edgeless tuple (m=0) as pruned")
-    parser.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
-                        help="refuse enumerations whose bound on the memoised search work exceeds this")
-    parser.add_argument("--force", action="store_true", help="override the budget guard")
-    parser.add_argument("--omit-timing", action="store_true",
-                        help="drop timing fields for byte-stable output")
-
-
 def cmd_compute(args) -> int:
     g, mu, nu = args.genus, args.mu, args.nu
     if sum(mu) != sum(nu):
@@ -152,6 +141,23 @@ def cmd_compute(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    values = argparse.ArgumentParser(add_help=False)
+    values.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR), metavar="PATH",
+                        help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
+    values.add_argument("--m0-pruned-convention", action="store_true",
+                        help="treat the edgeless tuple (m=0) as pruned")
+    values.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
+                        help="refuse enumerations whose bound on the memoised search work exceeds this")
+    values.add_argument("--force", action="store_true", help="override the budget guard")
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--omit-timing", action="store_true",
+                        help="drop timing fields for byte-stable output")
+    common = [values, timing]
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-d", type=int, default=4)
+    bounds.add_argument("--max-g", type=int, default=1)
+    bounds.add_argument("--max-m", type=int, default=5)
+
     parser = argparse.ArgumentParser(
         prog="prunedhurwitz",
         description="Exact double Hurwitz numbers from the characters of S_d, "
@@ -161,40 +167,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="one exact value")
+    p = sub.add_parser("compute", help="one exact value", parents=common)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--mu", type=_parse_partition, required=True, metavar="A,B,...")
     p.add_argument("--nu", type=_parse_partition, required=True, metavar="A,B,...")
     p.add_argument("--kind", choices=sorted(KIND_BY_NAME), default="full")
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="run an identity battery")
-    p.add_argument("which", choices=["main-theorem", "cut-and-join", "forests", "poly"])
-    p.add_argument("--max-d", type=int, default=4)
-    p.add_argument("--max-g", type=int, default=1)
-    p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--max-n", type=int, default=6, help="forest size bound (forests)")
-    p.add_argument("--t-max", type=int, default=4, help="scaling window (poly)")
-    p.add_argument("--variant", choices=VARIANTS, default="plain",
-                   help="recursion evaluator (cut-and-join)")
+    battery = sub.add_parser("verify", help="run an identity battery").add_subparsers(
+        dest="which", required=True)
+    battery.add_parser("main-theorem", parents=[bounds, *common])
+    p = battery.add_parser("cut-and-join", parents=[bounds, *common])
+    p.add_argument("--variant", choices=VARIANTS, default="plain", help="recursion evaluator")
     p.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
-                   help="split-term exclusion rule of the plain recursion (cut-and-join)")
-    _add_common(p)
+                   help="split-term exclusion rule of the plain recursion")
+    p = battery.add_parser("forests", parents=[timing])
+    p.add_argument("--max-n", type=int, default=6, help="forest size bound")
+    p = battery.add_parser("poly", parents=common)
+    p.add_argument("--t-max", type=int, default=4, help="scaling window")
 
-    p = sub.add_parser("fit", help="fit the scaling polynomial at a base point")
+    p = sub.add_parser("fit", help="fit the scaling polynomial at a base point", parents=common)
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--mu", type=_parse_partition, required=True, metavar="A,B,...")
     p.add_argument("--nu", type=_parse_partition, required=True, metavar="A,B,...")
     p.add_argument("--kind", choices=sorted(KIND_BY_NAME), default="pruned")
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--allow-wall", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser("cache", help="check stored values against a recomputation")
+    p = sub.add_parser("cache", help="check stored values against a recomputation", parents=common)
     p.add_argument("action", choices=["check"])
     p.add_argument("--sample", type=int, default=10,
                    help="records to recompute, evenly spaced through the file")
-    _add_common(p)
 
     return parser
 

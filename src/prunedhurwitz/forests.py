@@ -71,13 +71,10 @@ def count_forests_with_degrees(degrees: Sequence[int], roots: Iterable[int]) -> 
     return math.factorial(n - s - 1) * rooted // math.prod(map(math.factorial, degrees))
 
 
-def enumerate_rooted_forests(
-    n: int,
-    roots: Iterable[int],
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> Iterator[RootedForest]:
+def enumerate_rooted_forests(n: int, roots: Iterable[int]) -> Iterator[RootedForest]:
     """Every rooted forest on n vertices with the given root set, in
-    lexicographic order of the parent tuple.  Refuses n above ``bound``.
+    lexicographic order of the parent tuple.  Refuses n above
+    ``DEFAULT_ENUMERATION_BOUND``.
 
     The parents of the non-roots are assigned in increasing vertex order
     by an iterative depth-first walk, candidates in increasing order.
@@ -88,8 +85,8 @@ def enumerate_rooted_forests(
     generated, and every partial assignment extends to one.  The walk
     counts the out-degrees as it assigns and withdraws parents.
     """
-    if n > bound:
-        raise ValueError(f"n={n} exceeds enumeration bound {bound}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise ValueError(f"n={n} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     root_set = sorted(set(roots))
     if not root_set:
         raise ValueError("root set must be non-empty")

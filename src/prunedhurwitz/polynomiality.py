@@ -28,6 +28,13 @@ def degree_bound(g: int, k: int, l: int) -> int:
     return 4 * g - 3 + k + l
 
 
+def samples_needed(g: int, k: int, l: int) -> int:
+    """The shortest scaling window t = 1..T that can show the degree
+    bound: a sequence of degree D shows its vanishing (D + 1)-th
+    difference only on D + 2 samples or more."""
+    return degree_bound(g, k, l) + 2
+
+
 def scaling_values(
     g: int,
     mu: Sequence[int],

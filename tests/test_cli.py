@@ -122,8 +122,79 @@ def test_negative_budget_exit_2(capsys, argv, budget):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
+    # each verify battery is a parser of its own, named in the error line
+    prog = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
     assert [line for line in out.err.splitlines() if "error:" in line] == [
-        f"prunedhurwitz {argv[0]}: error: argument --budget: budget must be >= 0: {budget!r}"
+        f"prunedhurwitz {prog}: error: argument --budget: budget must be >= 0: {budget!r}"
+    ]
+
+
+VALUE_OPTIONS = {"--cache", "--m0-pruned-convention", "--budget", "--force"}
+BOUNDS = {"--max-d", "--max-g", "--max-m"}
+BATTERY_OPTIONS = {
+    "main-theorem": BOUNDS | VALUE_OPTIONS | {"--omit-timing"},
+    "cut-and-join": BOUNDS | VALUE_OPTIONS | {"--omit-timing", "--variant", "--stability-reading"},
+    "forests": {"--max-n", "--omit-timing"},
+    "poly": {"--t-max", *VALUE_OPTIONS, "--omit-timing"},
+}
+# the (battery, option) pairs the batteries shared and did not read
+INERT = [
+    (battery, option)
+    for battery, taken in BATTERY_OPTIONS.items()
+    for option in sorted(set().union(*BATTERY_OPTIONS.values()) - taken)
+]
+# an argument for each option that takes one
+OPTION_VALUE = {
+    "--max-d": "3", "--max-g": "1", "--max-m": "3", "--max-n": "3", "--t-max": "3",
+    "--variant": "corrected", "--stability-reading": "facecount",
+    "--cache": "/nonexistent/x.jsonl", "--budget": "5",
+}
+
+
+def subparsers_of(parser):
+    (action,) = [a for a in parser._actions if hasattr(a, "add_parser")]
+    return action.choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    from prunedhurwitz.cli import build_parser
+
+    def flags(parser):
+        return {flag for action in parser._actions for flag in action.option_strings} - {
+            "-h", "--help"}
+
+    commands = subparsers_of(build_parser())
+    batteries = subparsers_of(commands["verify"])
+    assert {name: flags(p) for name, p in batteries.items()} == BATTERY_OPTIONS
+    # of the 48 (battery, option) pairs the batteries once shared
+    assert sum(map(len, BATTERY_OPTIONS.values())) == 26 and len(INERT) == 22
+    # the other commands keep all the value options and --omit-timing
+    assert flags(commands["compute"]) == {"--genus", "--mu", "--nu", "--kind", "--omit-timing",
+                                          *VALUE_OPTIONS}
+    assert flags(commands["fit"]) == {"--genus", "--mu", "--nu", "--kind", "--t-max",
+                                      "--allow-wall", "--omit-timing", *VALUE_OPTIONS}
+    assert flags(commands["cache"]) == {"--sample", "--omit-timing", *VALUE_OPTIONS}
+
+
+@pytest.mark.parametrize("battery,option", INERT)
+def test_an_option_the_battery_does_not_read_is_a_usage_error(
+    capsys, monkeypatch, battery, option
+):
+    # accepted and ignored in silence once: refused by the parser now,
+    # before any evaluation
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    monkeypatch.setattr(forests, "enumerate_rooted_forests", no_evaluation)
+    extra = [OPTION_VALUE[option]] if option in OPTION_VALUE else []
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", battery, option, *extra, "--omit-timing"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        "prunedhurwitz: error: unrecognized arguments: " + " ".join([option, *extra])
     ]
 
 
@@ -286,10 +357,27 @@ def test_negative_genus_rejected(capsys):
     assert "genus" in capsys.readouterr().err
 
 
-def test_fit_needs_two_samples(capsys):
-    code = main(["fit", "--mu", "2,3", "--nu", "1,4", "--t-max", "1"])
-    assert code == 2
-    assert "t-max" in capsys.readouterr().err
+def test_fit_needs_two_samples(capsys, monkeypatch):
+    # the window must be able to show the degree bound, which takes
+    # bound + 2 samples, and m = 0 has no bound to show: refused before
+    # any value, not reported as a point that fails its bound
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    for argv, need in [
+        (["--mu", "2,3", "--nu", "1,4", "--t-max", "1"], 3),
+        (["--mu", "2,3", "--nu", "1,4", "--t-max", "2"], 3),
+        (["--genus", "1", "--mu", "2", "--nu", "2", "--t-max", "3"], 5),
+        (["--genus", "1", "--mu", "2", "--nu", "2"], 5),  # the default --t-max 4
+        (["--mu", "2,3", "--nu", "2,3", "--t-max", "1"], 2),  # a wall point
+    ]:
+        code, rows, err = run_cli(capsys, "fit", *argv)
+        assert code == 2 and not rows
+        assert err == f"fitting this base point needs --t-max >= {need}\n"
+    code, rows, err = run_cli(capsys, "fit", "--mu", "3", "--nu", "3")
+    assert code == 2 and not rows
+    assert err == "polynomiality says nothing at m = 0 (genus 0, one part on each side)\n"
 
 
 def test_verify_poly_needs_three_samples(capsys, monkeypatch):
