@@ -320,9 +320,7 @@ def cmd_fit(args) -> int:
         sys.stderr.write("polynomiality says nothing at m = 0 (genus 0, one part on each side)\n")
         return EXIT_USAGE
     wall = is_wall_point(mu, nu)
-    # the bound is claimed at chamber points only: --allow-wall fits a
-    # wall point on any window of two samples or more
-    need = 2 if wall else samples_needed(g, len(mu), len(nu))
+    need = samples_needed(g, len(mu), len(nu))
     if args.t_max < need:
         sys.stderr.write(f"fitting this base point needs --t-max >= {need}\n")
         return EXIT_USAGE

@@ -236,9 +236,17 @@ def test_wall_refusal_exit_4(capsys):
     assert code == 4 and not rows and "wall" in err
     code, rows, _ = run_cli(
         capsys, "fit", "--mu", "2,3", "--nu", "2,3", "--allow-wall",
-        "--t-max", "2", "--omit-timing",
+        "--t-max", "3", "--omit-timing",
     )
     assert code == 0 and rows[0]["wall"] is True
+    assert rows[0]["degree"] == 1 and rows[0]["bound_met"] is True
+    # a wall point needs the same window as any other: two samples
+    # cannot show a degree, so --t-max 2 is a usage error
+    code, rows, err = run_cli(
+        capsys, "fit", "--mu", "2,3", "--nu", "2,3", "--allow-wall",
+        "--t-max", "2", "--omit-timing",
+    )
+    assert code == 2 and not rows and "--t-max >= 3" in err
 
 
 def test_fit_report(capsys):
@@ -370,7 +378,8 @@ def test_fit_needs_two_samples(capsys, monkeypatch):
         (["--mu", "2,3", "--nu", "1,4", "--t-max", "2"], 3),
         (["--genus", "1", "--mu", "2", "--nu", "2", "--t-max", "3"], 5),
         (["--genus", "1", "--mu", "2", "--nu", "2"], 5),  # the default --t-max 4
-        (["--mu", "2,3", "--nu", "2,3", "--t-max", "1"], 2),  # a wall point
+        # a wall point needs the same window
+        (["--mu", "2,3", "--nu", "2,3", "--allow-wall", "--t-max", "2"], 3),
     ]:
         code, rows, err = run_cli(capsys, "fit", *argv)
         assert code == 2 and not rows
