@@ -16,10 +16,14 @@ stored.  ``evaluator`` names what made the value (see
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
 recomputed; the warning about them counts only the stale records whose
-key has no current record in the file.  Records made under the other
-m = 0 convention are ignored, stale or not, other keys of ``conv`` are
-not read (older records also carry the cut-and-join stability
-reading), and malformed lines are skipped with a warning.  The
+key has no current record in the file.  The m = 0 convention
+(``conv``'s ``m0_pruned``) changes PH at m = 0 (genus 0, one part on
+each side) and no other value: a PH record at m = 0 made under the
+other convention is ignored, stale or not, and every other record is
+read under either convention, so a file used under both holds one
+record per value.  Other keys of ``conv`` are not read (older records
+also carry the cut-and-join stability reading), and malformed lines
+are skipped with a warning.  The
 ``PHHAT`` records older files hold are well-formed, and are skipped
 without a warning, since nothing reads them.
 """
@@ -51,8 +55,9 @@ def _warn(msg: str, *args: object) -> None:
 
 
 def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, Fraction]:
-    """Read every valid record of this schema version made under the
-    ``m0_pruned`` convention of ``conventions`` from ``path``."""
+    """Read every valid record of this schema version from ``path``; a
+    PH record at m = 0 only when made under the ``m0_pruned``
+    convention of ``conventions``."""
     out: dict[CacheKey, Fraction] = {}
     m0_pruned = conventions["m0_pruned"]
     stale: list[CacheKey] = []
@@ -69,7 +74,9 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                     _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
                 conv = rec.get("conv")
-                if not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned:
+                # the m = 0 convention changes PH at genus 0, (d)|(d) and no other value
+                m0_ph = key[3] == "PH" and key[0] == 0 and len(key[1]) == len(key[2]) == 1
+                if m0_ph and (not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned):
                     continue
                 if key[3] == "PHHAT":
                     continue  # nothing reads them: the modified value is a closed form of PH
@@ -132,23 +139,24 @@ def append_record(
     value: Fraction,
     conventions: Mapping[str, object],
 ) -> bool:
-    """Append one record; on an unwritable path warn and report False."""
+    """Append one record; on an unwritable path, or a value too long to
+    write as a decimal string, warn and report False."""
     g, mu, nu, kind = key
-    rec = {
-        "g": g,
-        "mu": list(mu),
-        "nu": list(nu),
-        "kind": kind,
-        "num": str(value.numerator),
-        "den": str(value.denominator),
-        "conv": {"m0_pruned": conventions["m0_pruned"]},
-        "version": CACHE_VERSION,
-        "evaluator": evaluator_of(key),
-    }
     try:
+        rec = {
+            "g": g,
+            "mu": list(mu),
+            "nu": list(nu),
+            "kind": kind,
+            "num": str(value.numerator),
+            "den": str(value.denominator),
+            "conv": {"m0_pruned": conventions["m0_pruned"]},
+            "version": CACHE_VERSION,
+            "evaluator": evaluator_of(key),
+        }
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return True
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _warn("cache %s not writable (%s); continuing without persistence", path, exc)
         return False

@@ -91,7 +91,8 @@ def _emit(report: dict, args) -> None:
 def _engine(args):
     from .hurwitz import Conventions, HurwitzEngine
 
-    return HurwitzEngine(Conventions(m0_pruned=args.m0_pruned_convention), cache_path=args.cache)
+    m0_pruned = getattr(args, "m0_pruned_convention", False)
+    return HurwitzEngine(Conventions(m0_pruned=m0_pruned), cache_path=args.cache)
 
 
 def _over_budget(args, g, mu, nu) -> bool:
@@ -144,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     values = argparse.ArgumentParser(add_help=False)
     values.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR), metavar="PATH",
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
-    values.add_argument("--m0-pruned-convention", action="store_true",
-                        help="treat the edgeless tuple (m=0) as pruned")
     values.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
                         help="refuse enumerations whose bound on the memoised search work exceeds this")
     values.add_argument("--force", action="store_true", help="override the budget guard")
@@ -153,6 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     timing.add_argument("--omit-timing", action="store_true",
                         help="drop timing fields for byte-stable output")
     common = [values, timing]
+    # only for the commands that can read a PH at m = 0, the one value it changes
+    m0 = argparse.ArgumentParser(add_help=False)
+    m0.add_argument("--m0-pruned-convention", action="store_true",
+                    help="treat the edgeless tuple (m=0) as pruned")
     bounds = argparse.ArgumentParser(add_help=False)
     bounds.add_argument("--max-d", type=int, default=4)
     bounds.add_argument("--max-g", type=int, default=1)
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="one exact value", parents=common)
+    p = sub.add_parser("compute", help="one exact value", parents=[*common, m0])
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--mu", type=_parse_partition, required=True, metavar="A,B,...")
     p.add_argument("--nu", type=_parse_partition, required=True, metavar="A,B,...")
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     battery = sub.add_parser("verify", help="run an identity battery").add_subparsers(
         dest="which", required=True)
     battery.add_parser("main-theorem", parents=[bounds, *common])
-    p = battery.add_parser("cut-and-join", parents=[bounds, *common])
+    p = battery.add_parser("cut-and-join", parents=[bounds, *common, m0])
     p.add_argument("--variant", choices=VARIANTS, default="plain", help="recursion evaluator")
     p.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
                    help="split-term exclusion rule of the plain recursion")
@@ -193,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--allow-wall", action="store_true")
 
-    p = sub.add_parser("cache", help="check stored values against a recomputation", parents=common)
+    p = sub.add_parser("cache", help="check stored values against a recomputation",
+                       parents=[*common, m0])
     p.add_argument("action", choices=["check"])
     p.add_argument("--sample", type=int, default=10,
                    help="records to recompute, evenly spaced through the file")
@@ -202,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values pass 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "genus", 0) < 0:

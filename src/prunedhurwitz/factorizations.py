@@ -88,7 +88,8 @@ Pruned-ness conventions at the degenerate edge counts:
   so the single vertex has valency 2);
 * m = 0: not pruned by default.  The edgeless graph is arguably
   leaf-free vacuously, so the opposite convention is available through
-  the ``m0_pruned`` flag; every caller threads it.
+  the ``m0_pruned`` flag, which only an m = 0 count reads; the engine
+  passes its convention.
 """
 
 from __future__ import annotations

@@ -62,9 +62,11 @@ class Kind(enum.Enum):
 
 
 class Conventions(NamedTuple):
-    """The value conventions, which cache records are keyed on.
+    """The value conventions.
 
     ``m0_pruned``: whether the edgeless tuple (m = 0) counts as pruned.
+    It changes PH at m = 0 (genus 0, one part on each side) and no
+    other value, so only those cache records are keyed on it.
     """
 
     m0_pruned: bool = False

@@ -6,8 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from prunedhurwitz import forests, hurwitz
+from prunedhurwitz import characters, forests, hurwitz
 from prunedhurwitz.cli import main
+
+
+@pytest.fixture(autouse=True)
+def restore_int_max_str_digits():
+    # main lifts the interpreter's int-to-str digit limit for its process,
+    # which here is the test session's
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +70,8 @@ def test_conventions_carry_only_the_m0_convention(capsys):
     for argv in (
         ["compute", "--genus", "0", "--mu", "2", "--nu", "1,1", "--stability-reading", "facecount"],
         ["fit", "--mu", "2,3", "--nu", "1,4", "--stability-reading", "facecount"],
+        # fit never reads a value at m = 0, the one the m = 0 convention changes
+        ["fit", "--mu", "2,3", "--nu", "1,4", "--m0-pruned-convention"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -129,11 +141,13 @@ def test_negative_budget_exit_2(capsys, argv, budget):
     ]
 
 
-VALUE_OPTIONS = {"--cache", "--m0-pruned-convention", "--budget", "--force"}
+VALUE_OPTIONS = {"--cache", "--budget", "--force"}
+M0 = "--m0-pruned-convention"
 BOUNDS = {"--max-d", "--max-g", "--max-m"}
 BATTERY_OPTIONS = {
     "main-theorem": BOUNDS | VALUE_OPTIONS | {"--omit-timing"},
-    "cut-and-join": BOUNDS | VALUE_OPTIONS | {"--omit-timing", "--variant", "--stability-reading"},
+    "cut-and-join": BOUNDS | VALUE_OPTIONS | {"--omit-timing", "--variant", "--stability-reading",
+                                              M0},
     "forests": {"--max-n", "--omit-timing"},
     "poly": {"--t-max", *VALUE_OPTIONS, "--omit-timing"},
 }
@@ -167,13 +181,40 @@ def test_each_command_takes_only_the_options_it_reads():
     batteries = subparsers_of(commands["verify"])
     assert {name: flags(p) for name, p in batteries.items()} == BATTERY_OPTIONS
     # of the 48 (battery, option) pairs the batteries once shared
-    assert sum(map(len, BATTERY_OPTIONS.values())) == 26 and len(INERT) == 22
-    # the other commands keep all the value options and --omit-timing
+    assert sum(map(len, BATTERY_OPTIONS.values())) == 24 and len(INERT) == 24
+    # the other commands keep all the value options and --omit-timing, and
+    # the m = 0 convention where a value at m = 0 can be read
     assert flags(commands["compute"]) == {"--genus", "--mu", "--nu", "--kind", "--omit-timing",
-                                          *VALUE_OPTIONS}
+                                          *VALUE_OPTIONS, M0}
     assert flags(commands["fit"]) == {"--genus", "--mu", "--nu", "--kind", "--t-max",
                                       "--allow-wall", "--omit-timing", *VALUE_OPTIONS}
-    assert flags(commands["cache"]) == {"--sample", "--omit-timing", *VALUE_OPTIONS}
+    assert flags(commands["cache"]) == {"--sample", "--omit-timing", *VALUE_OPTIONS, M0}
+
+
+@pytest.mark.parametrize("argv,reads_m0", [
+    (["verify", "main-theorem", "--max-d", "6"], False),
+    (["verify", "cut-and-join", "--max-d", "5", "--variant", "corrected"], False),
+    (["verify", "poly"], False),
+    (["fit", "--mu", "2,3", "--nu", "1,4"], False),
+    # the plain variant's split halves include genus 0, (d)|(d)
+    (["verify", "cut-and-join", "--max-d", "5"], True),
+])
+def test_only_the_commands_taking_the_m0_convention_ask_for_an_m0_value(
+    capsys, monkeypatch, argv, reads_m0
+):
+    # the convention changes no value at m >= 1, so a command that never
+    # asks for m = 0 has no use for the flag
+    asked = set()
+    value = hurwitz.HurwitzEngine.value
+
+    def recording(self, g, mu, nu, kind):
+        asked.add(2 * g - 2 + len(mu) + len(nu))
+        return value(self, g, mu, nu, kind)
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", recording)
+    assert main([*argv, "--omit-timing"]) in (0, 1)
+    capsys.readouterr()
+    assert asked and (0 in asked) is reads_m0
 
 
 @pytest.mark.parametrize("battery,option", INERT)
@@ -357,6 +398,23 @@ def test_cache_env_var_default(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert cache.exists()
+
+
+def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch):
+    # once refused with exit 3 by Python's 4300-digit limit on str(int)
+    cache = tmp_path / "values.jsonl"
+    argv = ["compute", "--genus", "1400", "--mu", "10", "--nu", "10", "--force",
+            "--cache", str(cache), "--omit-timing"]
+    code, rows, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(rows[0]["value"]["num"]) == 4628
+    # the record is written and read back, the second run evaluating nothing
+    assert len(cache.read_text().splitlines()) == 1
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
+    assert run_cli(capsys, *argv) == (code, rows, "")
 
 
 def test_negative_genus_rejected(capsys):
@@ -554,15 +612,16 @@ def test_cache_check_refusals(tmp_path, capsys, monkeypatch):
 def test_cache_check_with_no_loadable_record_is_a_usage_error(
     tmp_path, capsys, monkeypatch, content
 ):
-    # a missing file, an empty one, or one holding only records of the
-    # other m = 0 convention: refused before any evaluation, instead of
-    # reporting all_match: true having checked nothing
+    # a missing file, an empty one, or one holding only a record of the
+    # other m = 0 convention (a PH at m = 0, the one value it changes):
+    # refused before any evaluation, instead of reporting all_match: true
+    # having checked nothing
     from prunedhurwitz import factorizations
 
     cache = tmp_path / "values.jsonl"
     if content == "other convention":
-        write_cache(cache, ["compute", "--genus", "0", "--mu", "2,2", "--nu", "3,1",
-                            "--m0-pruned-convention"])
+        write_cache(cache, ["compute", "--genus", "0", "--mu", "4", "--nu", "4",
+                            "--kind", "pruned", "--m0-pruned-convention"])
         assert cache.read_text()
     elif content is not None:
         cache.write_text(content)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,26 @@ def test_m0_convention_flag():
     assert flagged.pruned(0, (2,), (1, 1)) == ENGINE.pruned(0, (2,), (1, 1))
 
 
+def test_the_m0_convention_changes_only_ph_at_m0():
+    # the premise of the file cache's rule, which keys only PH at m = 0 on
+    # the convention: over g <= 2, d <= 5 and the three kinds (792 values)
+    # the two conventions differ at genus 0, (d)|(d) only, and not in H
+    engines = [HurwitzEngine(Conventions(m0_pruned=m0_pruned)) for m0_pruned in (False, True)]
+    keys = [
+        (g, mu, nu, kind)
+        for d in range(1, 6)
+        for mu in partitions(d)
+        for nu in partitions(d)
+        for g in range(3)
+        for kind in Kind
+    ]
+    assert len(keys) == 792
+    differ = {key for key in keys if len({engine.value(*key) for engine in engines}) == 2}
+    assert differ == {
+        (0, (d,), (d,), kind) for d in range(1, 6) for kind in (Kind.PRUNED, Kind.MODIFIED_PRUNED)
+    }
+
+
 def test_query_validation(tmp_path):
     with pytest.raises(ValueError):
         HurwitzQuery(0, (2,), (1, 1, 1), Kind.FULL)
@@ -200,16 +221,33 @@ def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
     # a record whose conventions also carry the cut-and-join stability
     # reading, as older writers added, answers without enumeration
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps(current({
-        "g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1",
-        "conv": {"m0_pruned": False, "stability_reading": "facecount"},
-    })) + "\n")
+    conv = {"m0_pruned": False, "stability_reading": "facecount"}
+    path.write_text("".join(json.dumps(current(rec)) + "\n" for rec in [
+        {"g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1", "conv": conv},
+        {"g": 0, "mu": [3], "nu": [3], "kind": "PH", "num": "0", "den": "1", "conv": conv},
+    ]))
     monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
-    assert HurwitzEngine(cache_path=str(path)).pruned(1, (3,), (2, 1)) == 9
-    # the other m = 0 convention still keeps to its own records
+    engine = HurwitzEngine(cache_path=str(path))
+    assert engine.pruned(1, (3,), (2, 1)) == 9 and engine.pruned(0, (3,), (3,)) == 0
+    # the other m = 0 convention reads the value at m >= 1, which it does
+    # not change, but keeps to its own records at m = 0
     other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
+    assert other.pruned(1, (3,), (2, 1)) == 9
     with pytest.raises(AssertionError, match="evaluated"):
-        other.pruned(1, (3,), (2, 1))
+        other.pruned(0, (3,), (3,))
+
+
+def test_a_value_the_m0_convention_does_not_change_is_stored_once(tmp_path, monkeypatch):
+    # H and PH at m >= 1, computed under one convention, answer under the
+    # other from the file, and no second record is written
+    path = tmp_path / "cache.jsonl"
+    first = HurwitzEngine(cache_path=str(path))
+    values = first.double(0, (2, 3), (1, 4)), first.pruned(0, (2, 3), (1, 4))
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
+    other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
+    assert (other.double(0, (3, 2), (4, 1)), other.pruned(0, (3, 2), (4, 1))) == values
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
@@ -221,7 +259,7 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
                             "conv": conv})),
         json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "WRONG", "num": "1", "den": "2",
                     "conv": conv, "version": CACHE_VERSION, "evaluator": "characters"}),
-        json.dumps(current({"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "77", "den": "1",
+        json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "PH", "num": "77", "den": "1",
                             "conv": {"m0_pruned": True, "stability_reading": "literal"}})),
         json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2",
                             "conv": conv})),
@@ -232,10 +270,11 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
         engine = HurwitzEngine(cache_path=str(path))
     assert engine.double(0, (2,), (2,)) == Fraction(1, 2)
-    # the den=0 and non-json rows warned; the foreign-convention row is
-    # silently ignored and must not leak its bogus value
+    # the den=0 and non-json rows warned; the foreign-convention row (a
+    # PH at m = 0, the one value the convention changes) is silently
+    # ignored and must not leak its bogus value
     assert len(caplog.records) >= 2
-    assert engine.double(0, (2,), (1, 1)) == 1
+    assert engine.pruned(0, (2,), (2,)) == 0
 
 
 def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
@@ -385,6 +424,27 @@ def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):
         engine = HurwitzEngine(cache_path=str(bad))
         assert engine.double(0, (2,), (1, 1)) == 1
     assert any("not writable" in r.message for r in caplog.records)
+
+
+def test_cache_value_past_the_int_to_str_digit_limit_warns_but_computes(tmp_path, caplog):
+    # the record's decimal numerator is over the interpreter's default
+    # limit: the value is returned and not persisted, as on an unwritable path
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    import logging
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        path = tmp_path / "cache.jsonl"
+        with caplog.at_level(logging.WARNING):
+            value = HurwitzEngine(cache_path=str(path)).double(1400, (10,), (10,))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == HurwitzEngine().double(1400, (10,), (10,))
+    assert value.numerator > 10 ** 4300
+    assert any("not writable" in r.message for r in caplog.records)
+    assert not path.exists()
 
 
 def test_tuple_count_inverts_the_value():
