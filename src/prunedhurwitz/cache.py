@@ -9,9 +9,10 @@ One JSON object per line:
 Partitions are stored sorted descending (values depend only on the
 multisets).  The genus and the parts must be JSON integers (not
 booleans), ``num`` and ``den`` JSON integers or decimal-integer
-strings.  ``kind`` is ``H`` or ``PH``: the modified pruned value is a
-closed form of PH (see :mod:`prunedhurwitz.hurwitz`) and is never
-stored.  ``evaluator`` names what made the value (see
+strings; a decimal string may pass the interpreter's int-to-str digit
+limit, which is lifted around its conversions only.  ``kind`` is ``H``
+or ``PH``: the modified pruned value is a closed form of PH (see
+:mod:`prunedhurwitz.hurwitz`) and is never stored.  ``evaluator`` names what made the value (see
 :func:`evaluator_of`).  A record of another schema ``version`` (records
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
@@ -31,6 +32,7 @@ without a warning, since nothing reads them.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -98,6 +100,20 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
     return out
 
 
+def _exact(convert, x):
+    """``convert(x)`` with Python's int-to-str digit limit lifted, then
+    restored: an exact value may pass its default of 4300 digits, and
+    the limit is the process's, so a library caller keeps its own."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return convert(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _parse_integer(x: object, what: str) -> int:
     """A JSON integer or a decimal-integer string; floats, booleans and
     strings ``int()`` would also take (spaces, underscores) are refused."""
@@ -106,7 +122,7 @@ def _parse_integer(x: object, what: str) -> int:
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
-            return int(x)
+            return _exact(int, x)
     raise ValueError(f"bad {what} {x!r}")
 
 
@@ -139,8 +155,8 @@ def append_record(
     value: Fraction,
     conventions: Mapping[str, object],
 ) -> bool:
-    """Append one record; on an unwritable path, or a value too long to
-    write as a decimal string, warn and report False."""
+    """Append one record; on a path it cannot write, warn and report
+    False."""
     g, mu, nu, kind = key
     try:
         rec = {
@@ -148,8 +164,8 @@ def append_record(
             "mu": list(mu),
             "nu": list(nu),
             "kind": kind,
-            "num": str(value.numerator),
-            "den": str(value.denominator),
+            "num": _exact(str, value.numerator),
+            "den": _exact(str, value.denominator),
             "conv": {"m0_pruned": conventions["m0_pruned"]},
             "version": CACHE_VERSION,
             "evaluator": evaluator_of(key),

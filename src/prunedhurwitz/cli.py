@@ -8,8 +8,9 @@ search deeper than Python recurses, also under ``--force``), 4 wall
 refusal.
 
 This module keeps the parser, in which each ``verify`` battery is a
-sub-parser taking only the options it reads, the budget check and
-``compute``; ``verify``, ``fit`` and ``cache check`` run from
+sub-parser taking only the options it reads, the budget check, the
+checks every command shares in :func:`main` and ``compute``;
+``verify``, ``fit`` and ``cache check`` run from
 :mod:`prunedhurwitz.batteries`, which only they import.  Building the
 parser loads no other module of the package: each command imports what
 it runs when it runs (the budget check ``factorizations``, an engine
@@ -83,7 +84,7 @@ def _fraction_obj(value) -> dict:
 def _emit(report: dict, args) -> None:
     import json
 
-    if getattr(args, "omit_timing", False):
+    if args.omit_timing:
         report.pop("elapsed_seconds", None)
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
@@ -112,9 +113,6 @@ def _over_budget(args, g, mu, nu) -> bool:
 
 def cmd_compute(args) -> int:
     g, mu, nu = args.genus, args.mu, args.nu
-    if sum(mu) != sum(nu):
-        sys.stderr.write(f"degree mismatch: |mu|={sum(mu)} but |nu|={sum(nu)}\n")
-        return EXIT_USAGE
     if _over_budget(args, g, mu, nu):
         return EXIT_BUDGET
     from .hurwitz import Kind
@@ -181,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     battery.add_parser("main-theorem", parents=[bounds, *common])
     p = battery.add_parser("cut-and-join", parents=[bounds, *common, m0])
     p.add_argument("--variant", choices=VARIANTS, default="plain", help="recursion evaluator")
-    p.add_argument("--stability-reading", choices=STABILITY_READINGS, default="literal",
-                   help="split-term exclusion rule of the plain recursion")
+    p.add_argument("--stability-reading", choices=STABILITY_READINGS,
+                   help="split-term exclusion rule of the plain recursion (default: literal)")
     p = battery.add_parser("forests", parents=[timing])
     p.add_argument("--max-n", type=int, default=6, help="forest size bound")
     p = battery.add_parser("poly", parents=common)
@@ -213,6 +211,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "genus", 0) < 0:
         sys.stderr.write("genus must be non-negative\n")
         return EXIT_USAGE
+    if hasattr(args, "mu") and sum(args.mu) != sum(args.nu):
+        sys.stderr.write(f"degree mismatch: |mu|={sum(args.mu)} but |nu|={sum(args.nu)}\n")
+        return EXIT_USAGE
+    if getattr(args, "variant", None) == "corrected":
+        # only the plain recursion reads them: the corrected one asks for no m = 0 half
+        unread = [flag for flag, given in [("--m0-pruned-convention", args.m0_pruned_convention),
+                                           ("--stability-reading", args.stability_reading)] if given]
+        if unread:
+            parser.error(f"--variant corrected does not read {' or '.join(unread)}")
     try:
         if args.command == "compute":
             return cmd_compute(args)

@@ -144,10 +144,11 @@ def test_negative_budget_exit_2(capsys, argv, budget):
 VALUE_OPTIONS = {"--cache", "--budget", "--force"}
 M0 = "--m0-pruned-convention"
 BOUNDS = {"--max-d", "--max-g", "--max-m"}
+# the cut-and-join options only --variant plain reads
+PLAIN_ONLY = {"--stability-reading", M0}
 BATTERY_OPTIONS = {
     "main-theorem": BOUNDS | VALUE_OPTIONS | {"--omit-timing"},
-    "cut-and-join": BOUNDS | VALUE_OPTIONS | {"--omit-timing", "--variant", "--stability-reading",
-                                              M0},
+    "cut-and-join": BOUNDS | VALUE_OPTIONS | PLAIN_ONLY | {"--omit-timing", "--variant"},
     "forests": {"--max-n", "--omit-timing"},
     "poly": {"--t-max", *VALUE_OPTIONS, "--omit-timing"},
 }
@@ -236,6 +237,27 @@ def test_an_option_the_battery_does_not_read_is_a_usage_error(
     assert out.out == ""
     assert [line for line in out.err.splitlines() if "error:" in line] == [
         "prunedhurwitz: error: unrecognized arguments: " + " ".join([option, *extra])
+    ]
+
+
+@pytest.mark.parametrize("given", [
+    [M0], ["--stability-reading", "literal"], ["--stability-reading", "facecount"],
+    ["--stability-reading", "facecount", M0],
+])
+def test_the_corrected_variant_refuses_the_options_only_plain_reads(capsys, monkeypatch, given):
+    # accepted once, and the output was the same with and without them
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hurwitz.HurwitzEngine, "value", no_evaluation)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cut-and-join", "--variant", "corrected", *given, "--omit-timing"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    unread = " or ".join(flag for flag in (M0, "--stability-reading") if flag in given)
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        f"prunedhurwitz: error: --variant corrected does not read {unread}"
     ]
 
 
@@ -348,6 +370,44 @@ def test_verify_poly(capsys):
     assert rows[-1]["all_match"] is True
 
 
+def test_poly_and_fit_judge_a_base_point_alike(capsys):
+    from prunedhurwitz.batteries import INTERIOR_BASE_POINTS
+
+    code, rows, _ = run_cli(capsys, "verify", "poly", "--t-max", "4", "--omit-timing")
+    assert code == 0
+    polys = {(tuple(r["mu"]), tuple(r["nu"])): r for r in rows if r.get("type") == "poly"}
+    assert list(polys) == INTERIOR_BASE_POINTS
+    judgement = ("samples", "degree", "bound")
+    for (mu, nu), poly in polys.items():
+        code, (fit,), _ = run_cli(
+            capsys, "fit", "--mu", ",".join(map(str, mu)), "--nu", ",".join(map(str, nu)),
+            "--kind", "pruned", "--t-max", "4", "--omit-timing",
+        )
+        assert code == 0 and fit["bound_met"] is poly["match"] is True
+        assert [fit[k] for k in judgement] == [poly[k] for k in judgement]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["main-theorem", "--max-d", "4", "--max-g", "2"], 0),
+    # the plain variant's term breakdown is reported, and is no instance
+    (["cut-and-join", "--max-d", "4"], 1),
+])
+def test_the_budget_sees_the_instances_the_battery_reports(capsys, monkeypatch, argv, code):
+    from prunedhurwitz import batteries
+
+    seen = []
+
+    def recording(args, g, mu, nu):
+        seen.append((g, list(mu), list(nu)))
+        return False
+
+    monkeypatch.setattr(batteries, "_over_budget", recording)
+    exit_code, rows, _ = run_cli(capsys, "verify", *argv, "--omit-timing")
+    assert exit_code == code
+    reported = [(r["genus"], r["mu"], r["nu"]) for r in rows if r.get("type") == argv[0]]
+    assert reported and seen == reported
+
+
 def test_verify_main_theorem_small(capsys):
     code, rows, _ = run_cli(capsys, "verify", "main-theorem", "--max-d", "3", "--omit-timing")
     assert code == 0
@@ -400,7 +460,7 @@ def test_cache_env_var_default(tmp_path, capsys, monkeypatch):
     assert cache.exists()
 
 
-def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch):
+def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch, caplog):
     # once refused with exit 3 by Python's 4300-digit limit on str(int)
     cache = tmp_path / "values.jsonl"
     argv = ["compute", "--genus", "1400", "--mu", "10", "--nu", "10", "--force",
@@ -415,6 +475,18 @@ def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
     assert run_cli(capsys, *argv) == (code, rows, "")
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    # main leaves the limit lifted in this process: a library caller
+    # under the default limit reads the record as one value, not as a
+    # malformed line, and keeps its limit
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    with caplog.at_level("WARNING"):
+        value = hurwitz.HurwitzEngine(cache_path=str(cache)).double(1400, (10,), (10,))
+    assert caplog.records == []
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(0)
+    assert rows[0]["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def test_negative_genus_rejected(capsys):

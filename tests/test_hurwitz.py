@@ -426,25 +426,33 @@ def test_cache_unwritable_path_warns_but_computes(tmp_path, caplog):
     assert any("not writable" in r.message for r in caplog.records)
 
 
-def test_cache_value_past_the_int_to_str_digit_limit_warns_but_computes(tmp_path, caplog):
+def test_cache_value_past_the_int_to_str_digit_limit_is_written_and_read(
+    tmp_path, caplog, monkeypatch
+):
     # the record's decimal numerator is over the interpreter's default
-    # limit: the value is returned and not persisted, as on an unwritable path
+    # limit: once warned about, recomputed and never persisted, it is
+    # written and read back, and the caller's limit is kept
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int-to-str digit limit")
     import logging
 
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    default = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(default)
     try:
         path = tmp_path / "cache.jsonl"
         with caplog.at_level(logging.WARNING):
             value = HurwitzEngine(cache_path=str(path)).double(1400, (10,), (10,))
+            assert sys.get_int_max_str_digits() == default
+            monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", None)
+            assert HurwitzEngine(cache_path=str(path)).double(1400, (10,), (10,)) == value
+            assert sys.get_int_max_str_digits() == default
     finally:
         sys.set_int_max_str_digits(limit)
+    monkeypatch.undo()
     assert value == HurwitzEngine().double(1400, (10,), (10,))
     assert value.numerator > 10 ** 4300
-    assert any("not writable" in r.message for r in caplog.records)
-    assert not path.exists()
+    assert caplog.records == [] and len(path.read_text().splitlines()) == 1
 
 
 def test_tuple_count_inverts_the_value():
