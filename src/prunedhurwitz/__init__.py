@@ -21,12 +21,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "automorphism_factor": "combinatorics",
     "centralizer_order": "combinatorics",
-    "falling_factorial": "combinatorics",
     "is_wall_point": "combinatorics",
-    "multinomial": "combinatorics",
     "RecursionReport": "cutjoin",
     "RecursionTerm": "cutjoin",
-    "cut_and_join_rhs": "cutjoin",
     "cut_and_join_terms": "cutjoin",
     "verify_recursion": "cutjoin",
     "count_factorizations": "factorizations",
@@ -36,7 +33,6 @@ _EXPORTS = {
     "enumerate_rooted_forests": "forests",
     "Conventions": "hurwitz",
     "HurwitzEngine": "hurwitz",
-    "HurwitzQuery": "hurwitz",
     "Kind": "hurwitz",
     "NOT_POLYNOMIAL": "polynomiality",
     "degree_bound": "polynomiality",

@@ -204,8 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact values pass 4300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)  # exact values pass 4300 digits; put back on return
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "genus", 0) < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -35,28 +34,6 @@ def check_partition(p: Sequence[int]) -> Partition:
     if min(parts) < 1:
         raise ValueError(f"partition parts must be >= 1, got {parts}")
     return parts
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n!/(p_1! ... p_k!), extended by zero.
-
-    Returns 0 when any part is negative or the parts do not sum to n.
-    The zero extension keeps sums over formally decremented indices
-    total: terms with a -1 entry simply vanish.
-    """
-    if n < 0:
-        return 0
-    total = 0
-    for p in parts:
-        if p < 0:
-            return 0
-        total += p
-    if total != n:
-        return 0
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -113,28 +90,20 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1), the number of injections of k slots into n
-    labels.  Zero when k exceeds n; k must be non-negative."""
-    if k < 0:
-        raise ValueError("falling_factorial needs k >= 0")
-    if n < 0 or k > n:
-        return 0
-    return math.perm(n, k)
-
-
-def _proper_subset_sums(parts: Sequence[int]) -> set[int]:
-    sums = set()
-    for r in range(1, len(parts)):
-        for chosen in combinations(parts, r):
-            sums.add(sum(chosen))
+def _subset_sums(parts: Sequence[int]) -> set[int]:
+    """The sums of the subsets of ``parts``, adding one part at a time."""
+    sums = {0}
+    for p in parts:
+        sums |= {s + p for s in sums}
     return sums
 
 
 def is_wall_point(mu: Sequence[int], nu: Sequence[int]) -> bool:
     """True iff some proper non-empty sub-balance holds between mu and
     nu: a point on a wall sum_I mu_i = sum_J nu_j of the polynomiality
-    chambers."""
-    if sum(mu) != sum(nu):
+    chambers.  Parts are positive, so the sums of the proper non-empty
+    subsets are exactly the subset sums strictly between 0 and d."""
+    d = sum(mu)
+    if d != sum(nu):
         raise ValueError("wall detection needs a balanced point")
-    return bool(_proper_subset_sums(mu) & _proper_subset_sums(nu))
+    return any(0 < s < d for s in _subset_sums(mu) & _subset_sums(nu))

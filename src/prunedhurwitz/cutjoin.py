@@ -77,17 +77,17 @@ would need one contribute zero and are not enumerated: a core or split
 half without vertices, a split half whose new face would have no
 perimeter (alpha or beta < 1), and every genus drop at g = 0.  It is
 verification machinery, not a computation path for PH: base cases at
-l(nu) < 3 are not defined.
+l(nu) < 3 are not defined.  ``cut_and_join_terms`` yields the terms;
+``verify_recursion`` sums them and compares the sum with PH.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .combinatorics import falling_factorial
 from .hurwitz import HurwitzEngine
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -144,7 +144,7 @@ def _check_arguments(g: int, mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
 def _attachment(mu: tuple, removed: Sequence[int], m: int) -> int:
     """(p + 1)! * (m-1)!/(m-p-1)! * prod(mu_removed) for a path through
     the p removed vertices; 0 when the path needs more than m - 1 labels."""
-    attach = falling_factorial(m - 1, len(removed)) * factorial(len(removed) + 1)
+    attach = perm(m - 1, len(removed)) * factorial(len(removed) + 1)
     for x in removed:
         attach *= mu[x]
     return attach
@@ -343,23 +343,6 @@ def cut_and_join_terms(
     oracle = phat if variant == "plain" else ph
     yield from _split_terms(g, nu, m, oracle, splits, variant, stability_reading)
     yield from _join_terms(g, nu, phat, cores)
-
-
-def cut_and_join_rhs(
-    g: int,
-    mu: Sequence[int],
-    nu: Sequence[int],
-    phat: PhatOracle,
-    stability_reading: str = "literal",
-    variant: str = "plain",
-    ph: PhatOracle | None = None,
-) -> Fraction:
-    """Total of the recursion right-hand side."""
-    return sum(
-        (t.value for t in cut_and_join_terms(
-            g, mu, nu, phat, stability_reading, variant, ph)),
-        Fraction(0),
-    )
 
 
 def verify_recursion(

@@ -102,7 +102,6 @@ from .combinatorics import (
     automorphism_factor,
     bell_number,
     centralizer_order,
-    multinomial,
     partition_count,
 )
 
@@ -222,7 +221,8 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     if m <= 0:
         return 1
     pairs = d * (d - 1) // 2
-    types = min(math.factorial(d), partition_count(d) * multinomial(d, mu))
+    words = math.factorial(d) // math.prod(map(math.factorial, mu))
+    types = min(math.factorial(d), partition_count(d) * words)
     states = types * 3 ** len(mu) * bell_number(len(mu))
     # P^k passes the cap after a few k (or, for P < 2, never changes
     # again): every later term is the same

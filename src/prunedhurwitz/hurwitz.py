@@ -75,31 +75,21 @@ class Conventions(NamedTuple):
         return self._asdict()
 
 
-class HurwitzQuery:
-    """One validated value request: an ``int`` genus >= 0 and two
-    partitions of the same degree (see ``check_partition``)."""
-
-    __slots__ = ("genus", "mu", "nu", "kind")
-
-    def __init__(self, genus: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> None:
-        self.mu = check_partition(mu)
-        self.nu = check_partition(nu)
-        if sum(self.mu) != sum(self.nu):
-            raise ValueError("mu and nu must have equal degree")
-        if genus.__class__ is not int and not is_int(genus):
-            raise ValueError(f"genus must be an int, got {genus!r}")
-        if genus < 0:
-            raise ValueError("genus must be non-negative")
-        self.genus = genus
-        self.kind = kind
-
-    def key(self) -> CacheKey:
-        return (
-            self.genus,
-            tuple(sorted(self.mu, reverse=True)),
-            tuple(sorted(self.nu, reverse=True)),
-            self.kind.value,
-        )
+def _key(genus: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> CacheKey:
+    """Check a request; its memo and cache key has both profiles sorted
+    and the H tag for H, the PH tag for PH and its closed form alike."""
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    if sum(mu) != sum(nu):
+        raise ValueError("mu and nu must have equal degree")
+    if genus.__class__ is not int and not is_int(genus):
+        raise ValueError(f"genus must be an int, got {genus!r}")
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    if not isinstance(kind, Kind):
+        raise ValueError(f"kind must be a Kind, got {kind!r}")
+    tag = (Kind.FULL if kind is Kind.FULL else Kind.PRUNED).value
+    return genus, tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True)), tag
 
 
 class HurwitzEngine:
@@ -108,7 +98,8 @@ class HurwitzEngine:
     Values are cached in memory under sorted-partition keys and,
     optionally, in an append-only file (see :mod:`prunedhurwitz.cache`,
     which is imported only when ``cache_path`` is given: to load the
-    file here, and to append each new value).
+    file here, and to append each new value, until an append fails:
+    it warns once, and ``cache_path`` is set to None).
     Evaluation is pure given the conventions, so concurrent duplicate
     computation is harmless.  Every count the engine makes shares one
     set of the coloured engine's move tables
@@ -148,10 +139,7 @@ class HurwitzEngine:
     # -- the three value flavours ---------------------------------------------
 
     def value(self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> Fraction:
-        g, smu, snu, _ = HurwitzQuery(g, mu, nu, kind).key()
-        # the modified value is a closed form of PH: one key, so one
-        # memo entry and one cache record, for both
-        key = (g, smu, snu, (Kind.FULL if kind is Kind.FULL else Kind.PRUNED).value)
+        g, smu, snu, _ = key = _key(g, mu, nu, kind)
         val = self._values.get(key)
         if val is None:
             if kind is Kind.FULL:
@@ -176,7 +164,8 @@ class HurwitzEngine:
         if self.cache_path:
             from .cache import append_record
 
-            append_record(self.cache_path, key, val, self.conventions.as_dict())
+            if not append_record(self.cache_path, key, val, self.conventions.as_dict()):
+                self.cache_path = None
 
     def double(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         return self.value(g, mu, nu, Kind.FULL)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import is_wall_point  # the walls, importable from here too
 from .hurwitz import HurwitzEngine, Kind
 
 NOT_POLYNOMIAL = None

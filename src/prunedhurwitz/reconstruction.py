@@ -44,9 +44,9 @@ so callers are expected to stay on l(nu) >= 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 from typing import Callable, Sequence
 
-from .combinatorics import falling_factorial
 from .forests import enumerate_rooted_forests
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -135,7 +135,7 @@ def _reconstruct(
         if core_value:
             # the multinomial of the edge labels over the core and the
             # blocks, times l(mu_{I_i})! per block, is m!/(m - p)!
-            total += core_value * (falling_factorial(m, len(mu) - len(core)) * blocks_sum)
+            total += core_value * (perm(m, len(mu) - len(core)) * blocks_sum)
     return total
 
 

@@ -15,11 +15,35 @@ tau_1 * sigma1 applies sigma1 first.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations, product
+from itertools import combinations, permutations as iter_permutations, product
 
 from math import factorial
 
-from prunedhurwitz.combinatorics import bell_number, multinomial, partition_count, partitions
+from prunedhurwitz.combinatorics import bell_number, partition_count, partitions
+
+
+def multinomial(n, parts):
+    """Multinomial coefficient n!/(p_1! ... p_k!), extended by zero.
+
+    Returns 0 when any part is negative or the parts do not sum to n.
+    The zero extension keeps sums over formally decremented indices
+    total: terms with a -1 entry simply vanish.
+    """
+    if n < 0 or any(p < 0 for p in parts) or sum(parts) != n:
+        return 0
+    out = factorial(n)
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def wall_by_subsets(mu, nu):
+    """Whether some proper non-empty subset of mu and one of nu have the
+    same sum, by listing every such subset of both."""
+    def sums(parts):
+        return {sum(c) for r in range(1, len(parts)) for c in combinations(parts, r)}
+
+    return bool(sums(mu) & sums(nu))
 
 
 def identity_permutation(d):

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from prunedhurwitz.cli import main as cli_main
-from prunedhurwitz.combinatorics import partitions
+from prunedhurwitz.combinatorics import is_wall_point, partitions
 from prunedhurwitz.cutjoin import verify_recursion
 from prunedhurwitz.forests import count_forests_with_degrees, enumerate_rooted_forests
 from prunedhurwitz.hurwitz import HurwitzEngine, Kind
@@ -19,7 +19,6 @@ from prunedhurwitz.polynomiality import (
     degree_bound,
     finite_difference_degree,
     forward_differences,
-    is_wall_point,
     scaling_values,
 )
 from prunedhurwitz.reconstruction import (

@@ -10,16 +10,6 @@ from prunedhurwitz import characters, forests, hurwitz
 from prunedhurwitz.cli import main
 
 
-@pytest.fixture(autouse=True)
-def restore_int_max_str_digits():
-    # main lifts the interpreter's int-to-str digit limit for its process,
-    # which here is the test session's
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -477,16 +467,56 @@ def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch, 
     assert run_cli(capsys, *argv) == (code, rows, "")
     if not hasattr(sys, "set_int_max_str_digits"):
         return
-    # main leaves the limit lifted in this process: a library caller
-    # under the default limit reads the record as one value, not as a
-    # malformed line, and keeps its limit
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    # a library caller under the default limit reads the record as one
+    # value, not as a malformed line, and keeps its limit
+    limit = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(default)
+    try:
+        with caplog.at_level("WARNING"):
+            value = hurwitz.HurwitzEngine(cache_path=str(cache)).double(1400, (10,), (10,))
+        assert caplog.records == []
+        assert sys.get_int_max_str_digits() == default
+        sys.set_int_max_str_digits(0)  # the numerator's decimal passes the default limit
+        assert rows[0]["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_main_leaves_the_int_to_str_digit_limit_as_it_found_it(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        # a value past 4300 digits, a usage error and --version (both
+        # leave main by SystemExit), and a refusal
+        code, rows, _ = run_cli(capsys, "compute", "--genus", "1400", "--mu", "10",
+                                "--nu", "10", "--force", "--omit-timing")
+        assert code == 0 and len(rows[0]["value"]["num"]) == 4628
+        assert sys.get_int_max_str_digits() == 5000
+        for argv in [["compute", "--genus", "0"], ["--version"]]:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert sys.get_int_max_str_digits() == 5000
+        assert main(["compute", "--genus", "6", "--mu", "6,6,6,6", "--nu", "8,8,8"]) == 3
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_an_unwritable_cache_path_warns_once(tmp_path, capsys, caplog):
+    # the engine stops appending after the first refused record, and the
+    # report is the one a run without a cache gives
+    argv = ["verify", "main-theorem", "--max-d", "4", "--omit-timing"]
+    plain = run_cli(capsys, *argv)
     with caplog.at_level("WARNING"):
-        value = hurwitz.HurwitzEngine(cache_path=str(cache)).double(1400, (10,), (10,))
-    assert caplog.records == []
-    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(0)
-    assert rows[0]["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
+        cached = run_cli(capsys, *argv, "--cache", str(tmp_path / "missing" / "x.jsonl"))
+    assert cached[:2] == plain[:2] and plain[0] == 0
+    assert len(plain[1]) > 2
+    assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+        f"cache {tmp_path / 'missing' / 'x.jsonl'} not writable"
+    ]
 
 
 def test_negative_genus_rejected(capsys):

@@ -4,8 +4,6 @@ from prunedhurwitz.combinatorics import (
     automorphism_factor,
     bell_number,
     centralizer_order,
-    falling_factorial,
-    multinomial,
     partitions,
 )
 
@@ -14,6 +12,7 @@ from oracles import (
     bounded_tuples,
     compositions,
     index_subsets,
+    multinomial,
     ordered_set_partitions,
     perm_type,
 )
@@ -72,17 +71,6 @@ def test_centralizer_counts_class_size():
         target = tuple(sorted(mu, reverse=True))
         size = sum(1 for p in permutations(range(d)) if perm_type(p) == target)
         assert size == math.factorial(d) // centralizer_order(mu)
-
-
-def test_falling_factorial():
-    assert falling_factorial(4, 2) == 12
-    assert falling_factorial(4, 0) == 1
-    assert falling_factorial(2, 5) == 0
-    assert falling_factorial(-1, 1) == 0
-    # cross-check against a multinomial-based computation
-    for n in range(8):
-        for k in range(n + 2):
-            assert falling_factorial(n, k) == multinomial(n, (k, n - k)) * math.factorial(k)
 
 
 def test_bounded_tuples():

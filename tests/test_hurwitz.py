@@ -7,7 +7,7 @@ import pytest
 from prunedhurwitz import characters, hurwitz
 from prunedhurwitz.cache import CACHE_VERSION, evaluator_of
 from prunedhurwitz.combinatorics import partitions
-from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, HurwitzQuery, Kind
+from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, Kind
 
 ENGINE = HurwitzEngine()
 
@@ -177,9 +177,9 @@ def test_the_m0_convention_changes_only_ph_at_m0():
 
 def test_query_validation(tmp_path):
     with pytest.raises(ValueError):
-        HurwitzQuery(0, (2,), (1, 1, 1), Kind.FULL)
+        ENGINE.value(0, (2,), (1, 1, 1), Kind.FULL)
     with pytest.raises(ValueError):
-        HurwitzQuery(-1, (2,), (2,), Kind.FULL)
+        ENGINE.value(-1, (2,), (2,), Kind.FULL)
     with pytest.raises(ValueError):
         ENGINE.double(0, (2, 0), (1, 1))
     # the genus and every part must be an int that is not a bool: int()
@@ -196,11 +196,21 @@ def test_query_validation(tmp_path):
         (True, (2,), (2,)),
         ("0", (2,), (2,)),
     ]:
-        with pytest.raises(ValueError):
-            HurwitzQuery(g, mu, nu, Kind.FULL)
-        with pytest.raises(ValueError):
-            engine.double(g, mu, nu)
+        for kind in Kind:
+            with pytest.raises(ValueError):
+                engine.value(g, mu, nu, kind)
     assert not path.exists()
+
+
+def test_a_kind_that_is_not_a_kind_is_refused(tmp_path):
+    # a tag is not a Kind: "H" must not be read as some other flavour
+    path = tmp_path / "cache.jsonl"
+    engine = HurwitzEngine(cache_path=str(path))
+    for kind in ["H", "PH", "PHHAT", None, 0]:
+        with pytest.raises(ValueError, match="Kind"):
+            engine.value(0, (2, 3), (1, 4), kind)
+    assert not path.exists()
+    assert engine.value(0, (2, 3), (1, 4), Kind.FULL) == 8
 
 
 def test_persistent_cache_roundtrip(tmp_path, monkeypatch):

@@ -1,16 +1,19 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from prunedhurwitz.combinatorics import is_wall_point, partitions
 from prunedhurwitz.hurwitz import HurwitzEngine, Kind
 from prunedhurwitz.polynomiality import (
     NOT_POLYNOMIAL,
     degree_bound,
     finite_difference_degree,
     fit_univariate,
-    is_wall_point,
     scaling_values,
 )
+
+from oracles import wall_by_subsets
 
 ENGINE = HurwitzEngine()
 
@@ -42,6 +45,21 @@ def test_wall_is_scale_invariant():
         base = is_wall_point(mu, nu)
         for t in (2, 3, 5):
             assert is_wall_point([t * x for x in mu], [t * x for x in nu]) == base
+
+
+def test_wall_detection_equals_the_subset_enumeration():
+    for d in range(1, 11):
+        for mu in partitions(d):
+            for nu in partitions(d):
+                assert is_wall_point(mu, nu) == wall_by_subsets(mu, nu), (mu, nu)
+
+
+def test_wall_detection_is_fast_on_many_parts():
+    # the subset enumeration would list 2^40 + 2^20 subsets
+    start = time.perf_counter()
+    assert is_wall_point((1,) * 40, (2,) * 20)
+    assert not is_wall_point((1,) * 40, (40,))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_scaling_values():
