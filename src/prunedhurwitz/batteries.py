@@ -228,8 +228,9 @@ def _poly(args, instances, engine):
 
 def cmd_cache_check(args) -> int:
     """Recompute an evenly spaced sample of the records the engine would
-    load from the cache: H by the enumeration's full mode, the pruned
-    values by one engine without the cache."""
+    load from the cache: H by the enumeration's full mode, in the
+    orientation with the smaller search bound, the pruned values by one
+    engine without the cache."""
     if not args.cache:
         sys.stderr.write(f"cache check needs --cache or ${CACHE_ENV_VAR}\n")
         return EXIT_USAGE
@@ -249,11 +250,22 @@ def cmd_cache_check(args) -> int:
         return EXIT_USAGE
     size = min(args.sample, len(records))
     sample = [records[i * len(records) // size] for i in range(size)]
-    if any(_over_budget(args, g, mu, nu) for (g, mu, nu, _), _ in sample):
+    if any(_over_budget(args, g, *_enumerated(g, mu, nu, tag)) for (g, mu, nu, tag), _ in sample):
         return EXIT_BUDGET
     summary = {"command": "cache", "action": "check", "records": len(records),
                "checked": len(sample)}
     return _report(_recomputed(sample, conventions), summary, args)
+
+
+def _enumerated(g, mu, nu, tag):
+    """The profiles a record is recomputed with, sigma1's type first:
+    for H, symmetric and stored once per unordered pair, the orientation
+    whose search bound is the smaller."""
+    from .factorizations import search_work_bound
+
+    if tag == "H" and search_work_bound(g, nu, mu) < search_work_bound(g, mu, nu):
+        return nu, mu
+    return mu, nu
 
 
 def _recomputed(sample, conventions):
@@ -261,11 +273,13 @@ def _recomputed(sample, conventions):
     from .hurwitz import HurwitzEngine, Kind
 
     # the records' keys differ, so the engine's memo never answers one
-    # from another; only its move tables are shared
+    # from another; only its move tables are shared, by every count
     engine = HurwitzEngine(conventions)
     for (g, mu, nu, tag), stored in sample:
         if tag == Kind.FULL.value:
-            recomputed = value_from_count(count_factorizations(g, mu, nu), mu, nu)
+            frozen, target = _enumerated(g, mu, nu, tag)
+            n = count_factorizations(g, frozen, target, tables=engine._tables)
+            recomputed = value_from_count(n, frozen, target)
             by = "enumeration"
         else:
             recomputed = engine.value(g, mu, nu, Kind(tag))

@@ -6,13 +6,20 @@ One JSON object per line:
      "num": "8", "den": "1", "conv": {"m0_pruned": false},
      "version": 2, "evaluator": "characters"}
 
-Partitions are stored sorted descending (values depend only on the
-multisets).  The genus and the parts must be JSON integers (not
-booleans), ``num`` and ``den`` JSON integers or decimal-integer
-strings; a decimal string may pass the interpreter's int-to-str digit
-limit, which is lifted around its conversions only.  ``kind`` is ``H``
-or ``PH``: the modified pruned value is a closed form of PH (see
-:mod:`prunedhurwitz.hurwitz`) and is never stored.  ``evaluator`` names what made the value (see
+A record's key is made by :func:`prunedhurwitz.hurwitz._key`, as a
+request's is, so a record is checked as a request is and a malformed
+one is skipped with a warning.  ``kind`` is ``H`` or ``PH``: the
+modified pruned value is a closed form of PH (see
+:mod:`prunedhurwitz.hurwitz`) and is never stored; the ``PHHAT``
+records older files hold are well-formed, and are skipped without a
+warning, since nothing reads them.  Partitions are stored sorted
+descending (values depend only on the multisets), and H, which is
+symmetric in its profiles, once per unordered pair, the smaller
+profile first; a record of the other orientation, which older files
+hold, is read under the same key.  ``num`` and ``den`` are JSON
+integers or decimal-integer strings; a decimal string may pass the
+interpreter's int-to-str digit limit, which is lifted around its
+conversions only.  ``evaluator`` names what made the value (see
 :func:`evaluator_of`).  A record of another schema ``version`` (records
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
@@ -23,10 +30,7 @@ each side) and no other value: a PH record at m = 0 made under the
 other convention is ignored, stale or not, and every other record is
 read under either convention, so a file used under both holds one
 record per value.  Other keys of ``conv`` are not read (older records
-also carry the cut-and-join stability reading), and malformed lines
-are skipped with a warning.  The
-``PHHAT`` records older files hold are well-formed, and are skipped
-without a warning, since nothing reads them.
+also carry the cut-and-join stability reading).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .combinatorics import is_int
+from .hurwitz import Kind, _key
 
 CACHE_VERSION = 2
 
@@ -71,17 +76,17 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                     continue
                 try:
                     rec = json.loads(line)
-                    key, value = _parse_record(rec)
+                    kind, key, value = _parse_record(rec)
                 except (ValueError, KeyError, TypeError) as exc:
                     _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
+                if kind is Kind.MODIFIED_PRUNED:
+                    continue  # nothing reads them: the modified value is a closed form of PH
                 conv = rec.get("conv")
                 # the m = 0 convention changes PH at genus 0, (d)|(d) and no other value
                 m0_ph = key[3] == "PH" and key[0] == 0 and len(key[1]) == len(key[2]) == 1
                 if m0_ph and (not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned):
                     continue
-                if key[3] == "PHHAT":
-                    continue  # nothing reads them: the modified value is a closed form of PH
                 if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
                     stale.append(key)
                     continue
@@ -126,27 +131,14 @@ def _parse_integer(x: object, what: str) -> int:
     raise ValueError(f"bad {what} {x!r}")
 
 
-def _parse_record(rec: dict) -> tuple[CacheKey, Fraction]:
-    g = rec["g"]
-    mu = tuple(rec["mu"])
-    nu = tuple(rec["nu"])
-    kind = rec["kind"]
-    if not is_int(g) or g < 0:
-        raise ValueError("bad genus")
-    if kind not in ("H", "PH", "PHHAT"):
-        raise ValueError(f"bad kind {kind!r}")
-    # JSON gives no int subclass but bool, which is no part
-    if not mu or not nu or any(type(x) is not int or x < 1 for x in mu + nu):
-        raise ValueError("bad partition")
-    if sum(mu) != sum(nu):
-        raise ValueError("degree mismatch")
+def _parse_record(rec: dict) -> tuple[Kind, CacheKey, Fraction]:
+    kind = Kind(rec["kind"])
+    key = _key(rec["g"], rec["mu"], rec["nu"], kind)
     num = _parse_integer(rec["num"], "numerator")
     den = _parse_integer(rec["den"], "denominator")
     if den <= 0:
         raise ValueError("denominator must be positive")
-    mu = tuple(sorted(mu, reverse=True))
-    nu = tuple(sorted(nu, reverse=True))
-    return (g, mu, nu, kind), Fraction(num, den)
+    return kind, key, Fraction(num, den)
 
 
 def append_record(

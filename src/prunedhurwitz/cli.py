@@ -217,12 +217,14 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "genus", 0) < 0:
-        sys.stderr.write("genus must be non-negative\n")
-        return EXIT_USAGE
-    if hasattr(args, "mu") and sum(args.mu) != sum(args.nu):
-        sys.stderr.write(f"degree mismatch: |mu|={sum(args.mu)} but |nu|={sum(args.nu)}\n")
-        return EXIT_USAGE
+    if hasattr(args, "mu"):
+        from .combinatorics import check_request
+
+        try:
+            check_request(args.genus, args.mu, args.nu)
+        except ValueError as exc:
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_USAGE
     if getattr(args, "variant", None) == "corrected":
         # only the plain recursion reads them: the corrected one asks for no m = 0 half
         unread = [flag for flag, given in [("--m0-pruned-convention", args.m0_pruned_convention),

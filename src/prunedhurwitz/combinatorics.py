@@ -4,6 +4,8 @@ Partitions are plain tuples of positive integers.  The order of the
 parts is meaningful (parts are labelled by their position), but every
 counting function defined here depends only on the underlying multiset.
 All arithmetic is exact: Python ints and ``fractions.Fraction``.
+:func:`check_request` is the one rule for a value request (g, mu, nu);
+every entry to a value, the command line included, calls it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,21 @@ def check_partition(p: Sequence[int]) -> Partition:
     if min(parts) < 1:
         raise ValueError(f"partition parts must be >= 1, got {parts}")
     return parts
+
+
+def check_request(g: object, mu: Sequence[int], nu: Sequence[int]) -> tuple[Partition, Partition]:
+    """The profiles of a request (g, mu, nu) as tuples, or a ValueError
+    naming the first rule it breaks, in this order: the genus is a
+    non-negative ``int`` (not a ``bool``), both profiles pass
+    :func:`check_partition`, and their degrees are equal."""
+    if g.__class__ is not int and not is_int(g):
+        raise ValueError(f"genus must be an int, got {g!r}")
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    mu, nu = check_partition(mu), check_partition(nu)
+    if sum(mu) != sum(nu):
+        raise ValueError(f"degree mismatch: |mu|={sum(mu)} but |nu|={sum(nu)}")
+    return mu, nu
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -70,15 +70,16 @@ The terms come in the order of the per-face enumeration over every
 subset, every base-3 vertex assignment and every perimeter, which
 ``tests/oracles.py`` keeps as the reference.
 
-The evaluator is total for g >= 0 and never asks its oracles for a
-degenerate value (a negative genus, an empty profile or unequal
-degrees), on which the engine's values raise.  Configurations that
-would need one contribute zero and are not enumerated: a core or split
-half without vertices, a split half whose new face would have no
-perimeter (alpha or beta < 1), and every genus drop at g = 0.  It is
-verification machinery, not a computation path for PH: base cases at
-l(nu) < 3 are not defined.  ``cut_and_join_terms`` yields the terms;
-``verify_recursion`` sums them and compares the sum with PH.
+The evaluator refuses a negative genus, as every value entry does, and
+never asks its oracles for a degenerate value (a negative genus, an
+empty profile or unequal degrees), on which the engine's values raise.
+Configurations that would need one contribute zero and are not
+enumerated: a core or split half without vertices, a split half whose
+new face would have no perimeter (alpha or beta < 1), and every genus
+drop at g = 0.  It is verification machinery, not a computation path
+for PH: base cases at l(nu) < 3 are not defined.  ``cut_and_join_terms``
+yields the terms; ``verify_recursion`` sums them and compares the sum
+with PH.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ from itertools import combinations
 from math import comb, factorial, perm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from .combinatorics import check_request
 from .hurwitz import HurwitzEngine
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -127,18 +129,6 @@ def _stability_excluded(reading: str, g_t: int, inherited_faces: int) -> bool:
     if reading == "facecount":
         return g_t == 0 and inherited_faces == 1
     return (g_t, inherited_faces) == (0, 2)
-
-
-def _check_arguments(g: int, mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    d = sum(mu)
-    if d < 1 or sum(nu) != d:
-        raise ValueError("mu and nu must be partitions of the same d >= 1")
-    if len(nu) < 3:
-        raise ValueError("the recursion needs l(nu) >= 3")
-    m = 2 * g - 2 + len(mu) + len(nu)
-    if m <= 0:
-        raise ValueError("the recursion needs 2g - 2 + l(mu) + l(nu) > 0")
-    return m
 
 
 def _attachment(mu: tuple, removed: Sequence[int], m: int) -> int:
@@ -322,9 +312,10 @@ def cut_and_join_terms(
     split halves and raises ``ValueError`` without it.  Only the plain
     variant reads ``stability_reading``.
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
-    m = _check_arguments(g, mu, nu)
+    mu, nu = check_request(g, mu, nu)
+    if len(nu) < 3:
+        raise ValueError("the recursion needs l(nu) >= 3")
+    m = 2 * g - 2 + len(mu) + len(nu)  # at least 2, as l(nu) >= 3
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     if stability_reading not in STABILITY_READINGS:
@@ -358,6 +349,7 @@ def verify_recursion(
     Never asserts; the report carries both sides, per-case totals and
     every term for mismatch forensics.
     """
+    check_request(g, mu, nu)  # before the engine is asked for anything
     engine = engine or HurwitzEngine()
     lhs = engine.pruned(g, mu, nu)
     totals = {GENUS_DROP: Fraction(0), SPLIT: Fraction(0), JOIN: Fraction(0)}

@@ -86,10 +86,11 @@ Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
   so the single vertex has valency 2);
-* m = 0: not pruned by default.  The edgeless graph is arguably
-  leaf-free vacuously, so the opposite convention is available through
-  the ``m0_pruned`` flag, which only an m = 0 count reads; the engine
-  passes its convention.
+* m = 0: not pruned by default.  A checked request has m = 0 only at
+  genus 0 with mu = nu = (d), where the empty sequence qualifies.  The
+  edgeless graph is arguably leaf-free vacuously, so the opposite
+  convention is available through the ``m0_pruned`` flag, which only an
+  m = 0 count reads; the engine passes its convention.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ from .combinatorics import (
     automorphism_factor,
     bell_number,
     centralizer_order,
+    check_request,
     partition_count,
 )
 
@@ -143,17 +145,6 @@ class MoveTables:
         self.closers: dict[Partition, dict[tuple, tuple[list, list]]] = {}
 
 
-def _count_m0(mu: Partition, target: Partition, pruned: bool, m0_pruned: bool) -> int:
-    """The empty-sequence case: sigma2 = sigma1^(-1)."""
-    if tuple(sorted(mu, reverse=True)) != target:
-        return 0
-    if len(mu) != 1:  # orbits of <sigma1> alone are its cycles
-        return 0
-    if pruned and not m0_pruned:
-        return 0
-    return 1
-
-
 def count_factorizations(
     g: int,
     mu: Sequence[int],
@@ -165,21 +156,16 @@ def count_factorizations(
 ) -> int:
     """Number of qualifying transposition sequences with sigma1 frozen.
 
-    Returns 0 when m = 2g - 2 + l(mu) + l(nu) is negative.  The move
-    tables are ``tables`` when given, and built for this call only when
-    not.
+    The request is checked by
+    :func:`prunedhurwitz.combinatorics.check_request`.  The move tables
+    are ``tables`` when given, and built for this call only when not.
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
-    d = sum(mu)
-    if d < 1 or sum(nu) != d:
-        raise ValueError("mu and nu must be partitions of the same d >= 1")
+    mu, nu = check_request(g, mu, nu)
     m = 2 * g - 2 + len(mu) + len(nu)
-    if m < 0:
-        return 0
-    target = tuple(sorted(nu, reverse=True))
     if m == 0:
-        return _count_m0(mu, target, pruned, m0_pruned)
+        # mu = nu = (d): the empty sequence, pruned by convention only
+        return int(not pruned or m0_pruned)
+    target = tuple(sorted(nu, reverse=True))
     if pruned and m == 1 and len(mu) != 1:
         return 0
     track_touches = pruned and m > 1

@@ -38,7 +38,7 @@ import enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .combinatorics import check_partition, is_int
+from .combinatorics import check_request
 from .factorizations import (
     MoveTables,
     classes_from_value,
@@ -76,26 +76,23 @@ class Conventions(NamedTuple):
 
 
 def _key(genus: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> CacheKey:
-    """Check a request; its memo and cache key has both profiles sorted
-    and the H tag for H, the PH tag for PH and its closed form alike."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise ValueError("mu and nu must have equal degree")
-    if genus.__class__ is not int and not is_int(genus):
-        raise ValueError(f"genus must be an int, got {genus!r}")
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
+    """The memo and cache key of a checked request, for requests and
+    cache records alike: both profiles sorted; for H, symmetric in them
+    (inverting a tuple swaps them), the smaller first and the H tag; for
+    PH and its closed form, the request's orientation and the PH tag."""
+    mu, nu = check_request(genus, mu, nu)
     if not isinstance(kind, Kind):
         raise ValueError(f"kind must be a Kind, got {kind!r}")
-    tag = (Kind.FULL if kind is Kind.FULL else Kind.PRUNED).value
-    return genus, tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True)), tag
+    mu, nu = tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True))
+    if kind is Kind.FULL:
+        return (genus, *sorted((mu, nu)), Kind.FULL.value)
+    return genus, mu, nu, Kind.PRUNED.value
 
 
 class HurwitzEngine:
     """Memoised evaluator for H, PH and the modified PH.
 
-    Values are cached in memory under sorted-partition keys and,
+    Values are cached in memory under the keys of :func:`_key` and,
     optionally, in an append-only file (see :mod:`prunedhurwitz.cache`,
     which is imported only when ``cache_path`` is given: to load the
     file here, and to append each new value, until an append fails:

@@ -47,6 +47,7 @@ from fractions import Fraction
 from math import perm
 from typing import Callable, Sequence
 
+from .combinatorics import check_request
 from .forests import enumerate_rooted_forests
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -110,11 +111,7 @@ def _reconstruct(
     phat: PhatOracle,
     block_factor: Callable[[int, Sequence[int]], int],
 ) -> Fraction:
-    mu = tuple(mu)
-    nu = tuple(nu)
-    d = sum(mu)
-    if d < 1 or sum(nu) != d:
-        raise ValueError("mu and nu must be partitions of the same d >= 1")
+    mu, nu = check_request(g, mu, nu)
     m = 2 * g - 2 + len(mu) + len(nu)
     factors: dict[tuple, int] = {}
     # (core parts, nu~) -> sum over its block assignments of the

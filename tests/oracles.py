@@ -793,13 +793,31 @@ def strict(oracle):
     return checked
 
 
+def attachment(mu, removed, m):
+    """The ways to re-attach a labelled path through the p removed
+    vertices: (p + 1)! * (m - 1)!/(m - p - 1)! * prod(mu_removed), and 0
+    when p > m - 1 (more path labels than the m - 1 other edges)."""
+    p = len(removed)
+    if p > m - 1:
+        return 0
+    count = factorial(p + 1) * factorial(m - 1) // factorial(m - p - 1)
+    for x in removed:
+        count *= mu[x]
+    return count
+
+
+def stability_excluded(reading, genus, inherited_faces):
+    """The plain split sum's stability rule: "literal" excludes a half
+    with (genus, inherited faces) = (0, 2), "facecount" one with (0, 1)."""
+    excluded = {"literal": (0, 2), "facecount": (0, 1)}[reading]
+    return (genus, inherited_faces) == excluded
+
+
 def split_data(mu, nu, m, i):
     """The split shapes at face i: ordered bipartitions of the other
     faces, then every assignment of the vertices to part1, part2 or the
     removed path (base-3 numbering), filtered for non-empty parts, a
     budget of at least two and a path that fits."""
-    from prunedhurwitz.cutjoin import _attachment
-
     vertex_splits = []
     for assignment in range(3 ** len(mu)):
         part1, part2, removed = [], [], []
@@ -812,7 +830,7 @@ def split_data(mu, nu, m, i):
         budget = nu[i] - sum(mu[x] for x in removed)
         if budget < 2:
             continue
-        attach = _attachment(mu, removed, m)
+        attach = attachment(mu, removed, m)
         if attach == 0:
             continue
         vertex_splits.append((tuple(part1), tuple(part2), tuple(removed), budget, attach))
@@ -839,10 +857,7 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
     from itertools import combinations
     from math import comb
 
-    from prunedhurwitz.cutjoin import (
-        GENUS_DROP, JOIN, SPLIT, RecursionTerm,
-        _attachment, _stability_excluded,
-    )
+    from prunedhurwitz.cutjoin import GENUS_DROP, JOIN, SPLIT, RecursionTerm
 
     mu, nu = tuple(mu), tuple(nu)
     m = 2 * g - 2 + len(mu) + len(nu)
@@ -857,7 +872,7 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
             for core in cores:
                 removed = removed_of(core)
                 budget = nu[i] - sum(mu[x] for x in removed)
-                attach = _attachment(mu, removed, m)
+                attach = attachment(mu, removed, m)
                 if budget < 2 or attach == 0:
                     continue
                 for alpha in range(1, budget):
@@ -879,8 +894,8 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
                 params = {}
                 factor = attach
                 if variant == "plain":
-                    if (_stability_excluded(stability_reading, g1, len(faces1))
-                            or _stability_excluded(stability_reading, g2, len(faces2))):
+                    if (stability_excluded(stability_reading, g1, len(faces1))
+                            or stability_excluded(stability_reading, g2, len(faces2))):
                         continue
                 else:
                     # a genus-0 half with one face is a tree; pruned, it is
@@ -923,7 +938,7 @@ def cut_and_join_terms_by_filtering(g, mu, nu, phat, stability_reading, variant,
         for core in cores:
             removed = removed_of(core)
             alpha = nu[i] + nu[j] - sum(mu[x] for x in removed)
-            attach = _attachment(mu, removed, m)
+            attach = attachment(mu, removed, m)
             if alpha < 1 or attach == 0:
                 continue
             value = phat(g, tuple(mu[x] for x in core), other_faces + (alpha,))

@@ -166,3 +166,53 @@ def test_each_kind_loads_only_its_evaluator():
     pruned = loaded_by("from prunedhurwitz import HurwitzEngine; HurwitzEngine().pruned(1, (3, 3), (4, 2))")
     assert "prunedhurwitz.coloured" in pruned
     assert "prunedhurwitz.characters" not in pruned
+
+
+REFUSED_REQUESTS = [
+    # request, what the refusal names
+    pytest.param((-1, (2, 2, 2), (2, 2, 2)), "genus must be non-negative", id="genus-three-faces"),
+    pytest.param((-1, (2, 2), (2, 2)), "genus must be non-negative", id="genus-two-faces"),
+    pytest.param((0, (True, 1), (2,)), "parts must be ints", id="bool-part-one-face"),
+    pytest.param((1, (3, True), (2, 1, 1)), "parts must be ints", id="bool-part-three-faces"),
+    pytest.param((0, (2, 2, 2), (2, 2, 1)), "degree mismatch", id="degrees"),
+]
+
+
+class RecordingEngine(prunedhurwitz.HurwitzEngine):
+    """An engine that records every value it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def value(self, g, mu, nu, kind):
+        self.calls.append((g, mu, nu, kind))
+        return super().value(g, mu, nu, kind)
+
+
+@pytest.mark.parametrize("query, reason", REFUSED_REQUESTS)
+def test_every_value_entry_refuses_what_the_engine_refuses(query, reason):
+    # a negative genus, a bool part and unequal degrees are refused by
+    # one check before any oracle is asked for a value
+    from fractions import Fraction
+
+    calls = []
+
+    def oracle(g, mu, nu):
+        calls.append((g, mu, nu))
+        return Fraction(1)
+
+    engine = RecordingEngine()
+    entries = {
+        "count_factorizations": prunedhurwitz.count_factorizations,
+        "count_isomorphism_classes": prunedhurwitz.count_isomorphism_classes,
+        "cut_and_join_terms": lambda *q: list(prunedhurwitz.cut_and_join_terms(*q, oracle)),
+        "verify_recursion": lambda *q: prunedhurwitz.verify_recursion(*q, engine),
+        "reconstruct_double_hurwitz":
+            lambda *q: prunedhurwitz.reconstruct_double_hurwitz(*q, oracle),
+        "reconstruct_via_forests": lambda *q: prunedhurwitz.reconstruct_via_forests(*q, oracle),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ValueError, match=reason):
+            entry(*query)
+        assert not calls and not engine.calls, name

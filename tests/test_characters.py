@@ -52,6 +52,22 @@ def test_characters_equal_the_enumeration():
     assert cases == 836
 
 
+def test_the_characters_are_symmetric_in_the_two_profiles():
+    # H(g, mu, nu) = H(g, nu, mu), the premise of the engine's one H key
+    # per unordered pair: every g <= 3, d <= 8 and mu < nu, 1,704 pairs
+    table = CharacterTable()
+    pairs = 0
+    for d in range(1, 9):
+        shapes = list(partitions(d))
+        for g in range(4):
+            for mu in shapes:
+                for nu in shapes:
+                    if mu < nu:
+                        assert table.double_hurwitz(g, mu, nu) == table.double_hurwitz(g, nu, mu)
+                        pairs += 1
+    assert pairs == 1704
+
+
 def test_pinned_values_beyond_the_enumeration():
     engine = HurwitzEngine()
     assert engine.double(1, (15, 15), (12, 18)) == 4_941_000

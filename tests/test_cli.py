@@ -612,7 +612,7 @@ def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
     assert run.returncode == 0
     assert run.stdout == clean.stdout
     assert run.stderr.splitlines() == [
-        f"cache {cache}:1 skipped: bad genus",
+        f"cache {cache}:1 skipped: genus must be an int, got True",
         f"cache {cache}:2 skipped: Expecting value: line 1 column 1 (char 0)",
     ]
 
@@ -692,6 +692,22 @@ def test_cache_check_fails_on_a_corrupted_h_record(tmp_path, capsys):
     assert [(row["kind"], row["stored"]["num"], row["recomputed"]["num"]) for row in bad] == [
         ("H", "4033", "4032"),
     ]
+
+
+def test_cache_check_enumerates_h_in_its_cheaper_orientation(tmp_path, capsys):
+    # H(0, (4), (1,1,1,1)) is stored as (1,1,1,1)|(4), whose search bound
+    # is 258; freezing sigma1 of type (4) instead bounds it by 132
+    cache = tmp_path / "values.jsonl"
+    write_cache(cache, ["compute", "--genus", "0", "--mu", "4", "--nu", "1,1,1,1"])
+    capsys.readouterr()
+    assert json.loads(cache.read_text())["mu"] == [1, 1, 1, 1]
+    code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache),
+                            "--budget", "200", "--omit-timing")
+    assert code == 0
+    assert [(row["mu"], row["nu"], row["match"]) for row in rows[:-1]] == [
+        ([1, 1, 1, 1], [4], True),
+    ]
+    assert main(["cache", "check", "--cache", str(cache), "--budget", "131"]) == 3
 
 
 def test_cache_check_refusals(tmp_path, capsys, monkeypatch):

@@ -213,6 +213,25 @@ def test_orbit_counts_match_free_action_formula():
                             n * automorphism_factor(mu) * automorphism_factor(nu)
 
 
+def test_the_full_count_is_symmetric_in_the_two_profiles():
+    # H(g, mu, nu) = H(g, nu, mu) by the enumeration's full mode, which
+    # freezes sigma1 of type mu, so the two sides count different
+    # sequences: every g <= 2, d <= 6, m <= 6 and mu < nu, 159 pairs
+    tables = MoveTables()
+    pairs = 0
+    for d in range(1, 7):
+        shapes = list(partitions(d))
+        for g in range(3):
+            for mu in shapes:
+                for nu in shapes:
+                    if mu < nu and 2 * g - 2 + len(mu) + len(nu) <= 6:
+                        one = value_from_count(count_factorizations(g, mu, nu, tables=tables), mu, nu)
+                        other = value_from_count(count_factorizations(g, nu, mu, tables=tables), nu, mu)
+                        assert one == other, (g, mu, nu)
+                        pairs += 1
+    assert pairs == 159
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         count_factorizations(0, (2,), (1, 1, 1))

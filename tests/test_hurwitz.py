@@ -227,6 +227,42 @@ def test_persistent_cache_roundtrip(tmp_path, monkeypatch):
     assert second.tuple_count(0, (3, 2), (4, 1), pruned=False) == 48
 
 
+def test_h_is_evaluated_and_stored_once_per_unordered_pair(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    calls = []
+    original = characters.CharacterTable.double_hurwitz
+
+    def counted(table, g, mu, nu):
+        calls.append((g, mu, nu))
+        return original(table, g, mu, nu)
+
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", counted)
+    engine = HurwitzEngine(cache_path=str(path))
+    assert engine.double(0, (2, 3), (1, 4)) == engine.double(0, (1, 4), (2, 3)) == 8
+    assert len(calls) == 1
+    (record,) = [json.loads(line) for line in path.read_text().splitlines()]
+    # the smaller profile first
+    assert (record["mu"], record["nu"]) == ([3, 2], [4, 1])
+    # the tuple count still divides by the requested orientation's
+    # normalisation: 48 sequences for sigma1 of type (3, 2), 32 for (4, 1)
+    assert engine.tuple_count(0, (2, 3), (1, 4), pruned=False) == 48
+    assert engine.tuple_count(0, (1, 4), (2, 3), pruned=False) == 32
+
+
+def test_a_record_of_the_other_orientation_answers(tmp_path, monkeypatch):
+    # files made before H was keyed on the unordered pair may hold only
+    # the orientation that was asked for
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(current(
+        {"g": 0, "mu": [4, 1], "nu": [3, 2], "kind": "H", "num": "8", "den": "1",
+         "conv": Conventions().as_dict()}
+    )) + "\n")
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
+    engine = HurwitzEngine(cache_path=str(path))
+    assert engine.double(0, (1, 4), (2, 3)) == engine.double(0, (2, 3), (1, 4)) == 8
+    assert len(path.read_text().splitlines()) == 1
+
+
 def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
     # a record whose conventions also carry the cut-and-join stability
     # reading, as older writers added, answers without enumeration
@@ -411,9 +447,10 @@ def test_records_of_the_parent_format_are_recomputed(tmp_path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         reloaded = HurwitzEngine(cache_path=str(path))._values
+    # an H key holds the smaller profile first
     assert reloaded == {
-        (0, (2,), (1, 1), "H"): 1,
-        (0, (3,), (2, 1), "H"): 1,
+        (0, (1, 1), (2,), "H"): 1,
+        (0, (2, 1), (3,), "H"): 1,
         (1, (2,), (2,), "PH"): F(1, 2),
     }
     # every stale record now has a current one after it: nothing to warn of
@@ -470,6 +507,6 @@ def test_tuple_count_inverts_the_value():
     assert engine.tuple_count(1, (4, 4), (3, 5), pruned=True) == 100352
     assert engine.pruned(1, (4, 4), (3, 5)) == 6272
     # a value that no integer count normalises to is refused
-    engine._values[(0, (2,), (1, 1), "H")] = Fraction(1, 3)
+    engine._values[(0, (1, 1), (2,), "H")] = Fraction(1, 3)
     with pytest.raises(ArithmeticError):
         engine.tuple_count(0, (2,), (1, 1), pruned=False)
