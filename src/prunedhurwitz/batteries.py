@@ -238,15 +238,11 @@ def cmd_cache_check(args) -> int:
         sys.stderr.write("--sample must be at least 1\n")
         return EXIT_USAGE
     from .cache import load_cache
-    from .hurwitz import Conventions
 
-    conventions = Conventions(m0_pruned=args.m0_pruned_convention)
-    records = list(load_cache(args.cache, conventions.as_dict()).items())
+    records = list(load_cache(args.cache).items())
     if not records:
         # checking nothing would report all_match: true
-        sys.stderr.write(
-            f"cache {args.cache} holds no record to check under these conventions\n"
-        )
+        sys.stderr.write(f"cache {args.cache} holds no record to check\n")
         return EXIT_USAGE
     size = min(args.sample, len(records))
     sample = [records[i * len(records) // size] for i in range(size)]
@@ -254,7 +250,7 @@ def cmd_cache_check(args) -> int:
         return EXIT_BUDGET
     summary = {"command": "cache", "action": "check", "records": len(records),
                "checked": len(sample)}
-    return _report(_recomputed(sample, conventions), summary, args)
+    return _report(_recomputed(sample), summary, args)
 
 
 def _enumerated(g, mu, nu, tag):
@@ -268,13 +264,13 @@ def _enumerated(g, mu, nu, tag):
     return mu, nu
 
 
-def _recomputed(sample, conventions):
+def _recomputed(sample):
     from .factorizations import count_factorizations, value_from_count
     from .hurwitz import HurwitzEngine, Kind
 
     # the records' keys differ, so the engine's memo never answers one
     # from another; only its move tables are shared, by every count
-    engine = HurwitzEngine(conventions)
+    engine = HurwitzEngine()
     for (g, mu, nu, tag), stored in sample:
         if tag == Kind.FULL.value:
             frozen, target = _enumerated(g, mu, nu, tag)

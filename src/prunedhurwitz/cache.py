@@ -3,8 +3,7 @@
 One JSON object per line:
 
     {"g": 0, "mu": [3, 2], "nu": [4, 1], "kind": "H",
-     "num": "8", "den": "1", "conv": {"m0_pruned": false},
-     "version": 2, "evaluator": "characters"}
+     "num": "8", "den": "1", "version": 2, "evaluator": "characters"}
 
 A record's key is made by :func:`prunedhurwitz.hurwitz._key`, as a
 request's is, so a record is checked as a request is and a malformed
@@ -24,13 +23,12 @@ conversions only.  ``evaluator`` names what made the value (see
 without one are version 1), or whose evaluator is not the one that
 makes its key now, is never trusted: it is skipped and its value is
 recomputed; the warning about them counts only the stale records whose
-key has no current record in the file.  The m = 0 convention
-(``conv``'s ``m0_pruned``) changes PH at m = 0 (genus 0, one part on
-each side) and no other value: a PH record at m = 0 made under the
-other convention is ignored, stale or not, and every other record is
-read under either convention, so a file used under both holds one
-record per value.  Other keys of ``conv`` are not read (older records
-also carry the cut-and-join stability reading).
+key has no current record in the file.  The engine answers every
+request at m = 0 (genus 0, one part on each side) in closed form, so
+no record at m = 0 is written, and those older files hold, of either
+m = 0 convention, are skipped without a warning.  No stored value
+depends on a convention: the ``conv`` field older records carry is
+not read.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Mapping
 
 from .combinatorics import is_int
 from .hurwitz import Kind, _key
@@ -61,12 +58,12 @@ def _warn(msg: str, *args: object) -> None:
     logging.getLogger(__name__).warning(msg, *args)
 
 
-def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, Fraction]:
-    """Read every valid record of this schema version from ``path``; a
-    PH record at m = 0 only when made under the ``m0_pruned``
-    convention of ``conventions``."""
+def load_cache(path: str, conventions: object = None) -> dict[CacheKey, Fraction]:
+    """Read every valid record of this schema version from ``path``,
+    but those at m = 0 and the modified pruned ones, which nothing
+    reads."""
+    # ``conventions`` is not read (no record depends on one); perfbench/run.py passes them
     out: dict[CacheKey, Fraction] = {}
-    m0_pruned = conventions["m0_pruned"]
     stale: list[CacheKey] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,13 +77,9 @@ def load_cache(path: str, conventions: Mapping[str, object]) -> dict[CacheKey, F
                 except (ValueError, KeyError, TypeError) as exc:
                     _warn("cache %s:%d skipped: %s", path, lineno, exc)
                     continue
-                if kind is Kind.MODIFIED_PRUNED:
-                    continue  # nothing reads them: the modified value is a closed form of PH
-                conv = rec.get("conv")
-                # the m = 0 convention changes PH at genus 0, (d)|(d) and no other value
-                m0_ph = key[3] == "PH" and key[0] == 0 and len(key[1]) == len(key[2]) == 1
-                if m0_ph and (not isinstance(conv, dict) or conv.get("m0_pruned") != m0_pruned):
-                    continue
+                g, mu, nu, _ = key
+                if kind is Kind.MODIFIED_PRUNED or 2 * g - 2 + len(mu) + len(nu) == 0:
+                    continue  # nothing reads them: both are closed forms
                 if rec.get("version") != CACHE_VERSION or rec.get("evaluator") != evaluator_of(key):
                     stale.append(key)
                     continue
@@ -141,12 +134,7 @@ def _parse_record(rec: dict) -> tuple[Kind, CacheKey, Fraction]:
     return kind, key, Fraction(num, den)
 
 
-def append_record(
-    path: str,
-    key: CacheKey,
-    value: Fraction,
-    conventions: Mapping[str, object],
-) -> bool:
+def append_record(path: str, key: CacheKey, value: Fraction) -> bool:
     """Append one record; on a path it cannot write, warn and report
     False."""
     g, mu, nu, kind = key
@@ -158,7 +146,6 @@ def append_record(
             "kind": kind,
             "num": _exact(str, value.numerator),
             "den": _exact(str, value.denominator),
-            "conv": {"m0_pruned": conventions["m0_pruned"]},
             "version": CACHE_VERSION,
             "evaluator": evaluator_of(key),
         }

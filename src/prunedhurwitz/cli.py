@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-wall", action="store_true")
 
     p = sub.add_parser("cache", help="check stored values against a recomputation",
-                       parents=[*common, m0])
+                       parents=common)
     p.add_argument("action", choices=["check"])
     p.add_argument("--sample", type=int, default=10,
                    help="records to recompute, evenly spaced through the file")

@@ -78,14 +78,14 @@ enumerated: a core or split half without vertices, a split half whose
 new face would have no perimeter (alpha or beta < 1), and every genus
 drop at g = 0.  It is verification machinery, not a computation path
 for PH: base cases at l(nu) < 3 are not defined.  ``cut_and_join_terms``
-yields the terms; ``verify_recursion`` sums them and compares the sum
-with PH.
+checks its arguments and returns an iterator of the terms;
+``verify_recursion`` sums them and compares the sum with PH.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial, perm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -305,7 +305,8 @@ def cut_and_join_terms(
     variant: str = "plain",
     ph: PhatOracle | None = None,
 ) -> Iterator[RecursionTerm]:
-    """Yield every non-zero term of the recursion right-hand side.
+    """Every non-zero term of the recursion right-hand side, as an
+    iterator; the arguments are checked by this call, before any term.
 
     ``phat`` supplies modified pruned values.  The corrected variant
     also needs ``ph`` (automorphism-weighted pruned values) for the
@@ -329,11 +330,14 @@ def cut_and_join_terms(
     # less one, and those of a split at most the largest face less two
     top = sorted(nu, reverse=True)
     cores = _cores(mu, m, top[0] + top[1] - 1)
-    yield from _genus_drop_terms(g, nu, phat, cores)
     splits = _vertex_splits(mu, m, top[0] - 2)
     oracle = phat if variant == "plain" else ph
-    yield from _split_terms(g, nu, m, oracle, splits, variant, stability_reading)
-    yield from _join_terms(g, nu, phat, cores)
+    # generators: no oracle is asked for anything before the first term
+    return chain(
+        _genus_drop_terms(g, nu, phat, cores),
+        _split_terms(g, nu, m, oracle, splits, variant, stability_reading),
+        _join_terms(g, nu, phat, cores),
+    )
 
 
 def verify_recursion(
@@ -349,14 +353,13 @@ def verify_recursion(
     Never asserts; the report carries both sides, per-case totals and
     every term for mismatch forensics.
     """
-    check_request(g, mu, nu)  # before the engine is asked for anything
     engine = engine or HurwitzEngine()
+    # checks every argument before the engine is asked for anything
+    rhs_terms = cut_and_join_terms(g, mu, nu, engine.phat, stability_reading, variant, engine.ph)
     lhs = engine.pruned(g, mu, nu)
     totals = {GENUS_DROP: Fraction(0), SPLIT: Fraction(0), JOIN: Fraction(0)}
     terms = []
-    for term in cut_and_join_terms(
-        g, mu, nu, engine.phat, stability_reading, variant, engine.ph
-    ):
+    for term in rhs_terms:
         totals[term.case] += term.value
         terms.append(term)
     return RecursionReport(

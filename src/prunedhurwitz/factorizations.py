@@ -86,11 +86,12 @@ Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
   so the single vertex has valency 2);
-* m = 0: not pruned by default.  A checked request has m = 0 only at
-  genus 0 with mu = nu = (d), where the empty sequence qualifies.  The
-  edgeless graph is arguably leaf-free vacuously, so the opposite
-  convention is available through the ``m0_pruned`` flag, which only an
-  m = 0 count reads; the engine passes its convention.
+* m = 0: not pruned.  A checked request has m = 0 only at genus 0
+  with mu = nu = (d), where the empty sequence qualifies in full mode;
+  its one sigma1 cycle meets no transposition.  Counting it as pruned
+  is a convention of the engine
+  (:class:`prunedhurwitz.hurwitz.Conventions`), which answers m = 0 in
+  closed form and asks for no such count.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ def count_factorizations(
     nu: Sequence[int],
     pruned: bool = False,
     *,
-    m0_pruned: bool = False,
     tables: MoveTables | None = None,
 ) -> int:
     """Number of qualifying transposition sequences with sigma1 frozen.
@@ -163,8 +163,8 @@ def count_factorizations(
     mu, nu = check_request(g, mu, nu)
     m = 2 * g - 2 + len(mu) + len(nu)
     if m == 0:
-        # mu = nu = (d): the empty sequence, pruned by convention only
-        return int(not pruned or m0_pruned)
+        # mu = nu = (d): the empty sequence, whose one sigma1 cycle no transposition meets
+        return int(not pruned)
     target = tuple(sorted(nu, reverse=True))
     if pruned and m == 1 and len(mu) != 1:
         return 0
@@ -227,7 +227,6 @@ def count_isomorphism_classes(
     nu: Sequence[int],
     pruned: bool = False,
     *,
-    m0_pruned: bool = False,
     tables: MoveTables | None = None,
 ) -> int:
     """Number of simultaneous-conjugation classes of qualifying tuples
@@ -264,7 +263,7 @@ def count_isomorphism_classes(
     be two h-cycles, and the half-turn swaps them instead of fixing
     each.
     """
-    n = count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned, tables=tables)
+    n = count_factorizations(g, mu, nu, pruned, tables=tables)
     classes = classes_from_value(g, mu, nu, value_from_count(n, mu, nu))
     if classes.denominator != 1:
         raise ArithmeticError("Burnside count is not an integer; bug")

@@ -27,6 +27,10 @@ So H and the modified pruned values it is rebuilt from by the main
 theorem share no code: ``verify main-theorem`` compares two
 evaluators.
 
+A request at m = 0 (genus 0, mu = nu = (d), the cover z -> z^d) is
+answered in closed form, by neither evaluator, and never stored: H is
+1/d, and PH 1/d or 0 by the m = 0 convention (:class:`Conventions`).
+
 The file cache (:mod:`prunedhurwitz.cache`, and with it ``json``) is
 loaded only by an engine given a cache path, so building one without
 compiles neither.
@@ -64,9 +68,10 @@ class Kind(enum.Enum):
 class Conventions(NamedTuple):
     """The value conventions.
 
-    ``m0_pruned``: whether the edgeless tuple (m = 0) counts as pruned.
-    It changes PH at m = 0 (genus 0, one part on each side) and no
-    other value, so only those cache records are keyed on it.
+    ``m0_pruned``: whether the edgeless tuple (m = 0) counts as pruned,
+    vacuously, as its graph has no leaf.  A checked request has m = 0
+    only at genus 0 with mu = nu = (d), which the engine answers in
+    closed form without storing it; there PH is 1/d or 0 by this flag.
     """
 
     m0_pruned: bool = False
@@ -96,7 +101,8 @@ class HurwitzEngine:
     optionally, in an append-only file (see :mod:`prunedhurwitz.cache`,
     which is imported only when ``cache_path`` is given: to load the
     file here, and to append each new value, until an append fails:
-    it warns once, and ``cache_path`` is set to None).
+    it warns once, and ``cache_path`` is set to None); a value at
+    m = 0 is a closed form and is kept in neither.
     Evaluation is pure given the conventions, so concurrent duplicate
     computation is harmless.  Every count the engine makes shares one
     set of the coloured engine's move tables
@@ -119,7 +125,7 @@ class HurwitzEngine:
         if cache_path:
             from .cache import load_cache
 
-            self._values.update(load_cache(cache_path, self.conventions.as_dict()))
+            self._values.update(load_cache(cache_path))
 
     # -- raw sequence counts -------------------------------------------------
 
@@ -137,7 +143,11 @@ class HurwitzEngine:
 
     def value(self, g: int, mu: Sequence[int], nu: Sequence[int], kind: Kind) -> Fraction:
         g, smu, snu, _ = key = _key(g, mu, nu, kind)
-        val = self._values.get(key)
+        if 2 * g - 2 + len(smu) + len(snu) == 0:
+            # the empty sequence: counted in full mode, in pruned mode by convention
+            val = value_from_count(int(kind is Kind.FULL or self.conventions.m0_pruned), smu, snu)
+        else:
+            val = self._values.get(key)
         if val is None:
             if kind is Kind.FULL:
                 if self._characters is None:
@@ -146,10 +156,7 @@ class HurwitzEngine:
                     self._characters = CharacterTable()
                 val = self._characters.double_hurwitz(g, smu, snu)
             else:
-                n = count_factorizations(
-                    g, smu, snu, pruned=True, m0_pruned=self.conventions.m0_pruned,
-                    tables=self._tables,
-                )
+                n = count_factorizations(g, smu, snu, pruned=True, tables=self._tables)
                 val = value_from_count(n, smu, snu)
             self._store(key, val)
         if kind is Kind.MODIFIED_PRUNED:
@@ -161,7 +168,7 @@ class HurwitzEngine:
         if self.cache_path:
             from .cache import append_record
 
-            if not append_record(self.cache_path, key, val, self.conventions.as_dict()):
+            if not append_record(self.cache_path, key, val):
                 self.cache_path = None
 
     def double(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:

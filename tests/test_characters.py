@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 from prunedhurwitz.characters import CharacterTable
 from prunedhurwitz.combinatorics import centralizer_order, partitions
@@ -32,6 +33,14 @@ def test_characters_are_orthogonal_and_give_the_dimensions():
                 a, b = table.column(mu), table.column(nu)
                 inner = sum(chi * b.get(shape, 0) for shape, chi in a.items())
                 assert inner == (centralizer_order(mu) if mu == nu else 0), (mu, nu)
+
+
+def test_characters_give_the_cover_z_to_the_d():
+    # the engine answers genus 0, (d)|(d) in closed form and no longer
+    # asks the characters there: they still give its value, 1/d
+    table = CharacterTable()
+    for d in range(1, 13):
+        assert table.double_hurwitz(0, (d,), (d,)) == Fraction(1, d), d
 
 
 def test_characters_equal_the_enumeration():

@@ -174,12 +174,13 @@ def test_each_command_takes_only_the_options_it_reads():
     # of the 48 (battery, option) pairs the batteries once shared
     assert sum(map(len, BATTERY_OPTIONS.values())) == 24 and len(INERT) == 24
     # the other commands keep all the value options and --omit-timing, and
-    # the m = 0 convention where a value at m = 0 can be read
+    # the m = 0 convention where a value at m = 0 can be read: cache check
+    # reads none, since no value at m = 0 is stored
     assert flags(commands["compute"]) == {"--genus", "--mu", "--nu", "--kind", "--omit-timing",
                                           *VALUE_OPTIONS, M0}
     assert flags(commands["fit"]) == {"--genus", "--mu", "--nu", "--kind", "--t-max",
                                       "--allow-wall", "--omit-timing", *VALUE_OPTIONS}
-    assert flags(commands["cache"]) == {"--sample", "--omit-timing", *VALUE_OPTIONS, M0}
+    assert flags(commands["cache"]) == {"--sample", "--omit-timing", *VALUE_OPTIONS}
 
 
 @pytest.mark.parametrize("argv,reads_m0", [
@@ -730,17 +731,25 @@ def test_cache_check_refusals(tmp_path, capsys, monkeypatch):
 def test_cache_check_with_no_loadable_record_is_a_usage_error(
     tmp_path, capsys, monkeypatch, content
 ):
-    # a missing file, an empty one, or one holding only a record of the
-    # other m = 0 convention (a PH at m = 0, the one value it changes):
-    # refused before any evaluation, instead of reporting all_match: true
-    # having checked nothing
+    # a missing file, an empty one, or one holding only the records at
+    # m = 0 an older writer made under each convention, which no engine
+    # loads: refused before any evaluation, instead of reporting
+    # all_match: true having checked nothing
     from prunedhurwitz import factorizations
 
     cache = tmp_path / "values.jsonl"
     if content == "other convention":
         write_cache(cache, ["compute", "--genus", "0", "--mu", "4", "--nu", "4",
                             "--kind", "pruned", "--m0-pruned-convention"])
-        assert cache.read_text()
+        assert not cache.exists()
+        cache.write_text("".join(
+            json.dumps({"g": 0, "mu": [4], "nu": [4], "kind": kind, "num": num, "den": "4",
+                        "conv": {"m0_pruned": m0_pruned}, "version": 2, "evaluator": evaluator})
+            + "\n"
+            for kind, num, m0_pruned, evaluator in [("H", "1", False, "characters"),
+                                                   ("PH", "1", True, "coloured"),
+                                                   ("PH", "0", False, "coloured")]
+        ))
     elif content is not None:
         cache.write_text(content)
     capsys.readouterr()
@@ -752,4 +761,12 @@ def test_cache_check_with_no_loadable_record_is_a_usage_error(
     monkeypatch.setattr(factorizations, "count_factorizations", no_evaluation)
     code, rows, err = run_cli(capsys, "cache", "check", "--cache", str(cache), "--omit-timing")
     assert code == 2 and not rows
-    assert err.count("\n") == 1, err
+    assert err == f"cache {cache} holds no record to check\n"
+
+
+def test_cache_check_refuses_the_m0_convention(tmp_path, capsys):
+    # no stored value depends on the convention: passing it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "check", "--cache", str(tmp_path / "x.jsonl"), "--m0-pruned-convention"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m0-pruned-convention" in capsys.readouterr().err

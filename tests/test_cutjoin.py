@@ -157,6 +157,21 @@ def test_preconditions():
     ) == ENGINE.pruned(1, (3, 2), (3, 1, 1)) == 10380
 
 
+@pytest.mark.parametrize("option", [{"variant": "bogus"}, {"stability_reading": "bogus"}],
+                         ids=["variant", "stability-reading"])
+def test_refusals_come_before_any_evaluation(option):
+    # the terms are generators, but the arguments are checked by the call
+    # itself, and verify_recursion makes it before it asks for the
+    # left-hand side
+    engine = HurwitzEngine()
+    with pytest.raises(ValueError, match="unknown"):
+        verify_recursion(1, (3, 3), (2, 2, 2), engine, **option)
+    assert not engine._values
+    with pytest.raises(ValueError, match="unknown"):
+        cut_and_join_terms(1, (3, 3), (2, 2, 2), engine.phat, **option)
+    assert not engine._values
+
+
 def test_corrected_variant_at_degree_six():
     for g, mu, nu in [(0, (3, 3), (2, 2, 2)), (0, (2, 2, 2), (2, 2, 2))]:
         report = verify_recursion(g, mu, nu, ENGINE, variant="corrected")

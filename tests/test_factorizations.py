@@ -17,7 +17,7 @@ from prunedhurwitz.factorizations import (
     count_isomorphism_classes,
     search_work_bound,
 )
-from prunedhurwitz.hurwitz import HurwitzEngine, Kind, value_from_count
+from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, Kind, value_from_count
 from prunedhurwitz.polynomiality import finite_difference_degree, scaling_values
 
 from oracles import (
@@ -103,16 +103,20 @@ def test_count_factorizations_examples():
     assert count_factorizations(0, (2,), (2,)) == 1
     assert count_factorizations(1, (2,), (2,), pruned=True) == 1
     assert count_factorizations(0, (1,), (1,)) == 1
-    # m = 0: the empty sequence qualifies iff sigma1 spans and types agree
+    # m = 0: the empty sequence qualifies iff sigma1 spans and types agree;
+    # its one cycle meets no transposition, so it is pruned only by the
+    # engine's convention
     assert count_factorizations(0, (3,), (3,)) == 1
     assert count_factorizations(0, (3,), (3,), pruned=True) == 0
-    assert count_factorizations(0, (3,), (3,), pruned=True, m0_pruned=True) == 1
+    flagged = HurwitzEngine(Conventions(m0_pruned=True))
+    assert flagged.tuple_count(0, (3,), (3,), pruned=True) == 1
 
 
 def test_count_matches_naive_filter():
     # the memoised counter against the naive product-and-filter
-    # enumeration: every (g <= 1, d <= 4, m <= 4) case, both modes, both
-    # m = 0 conventions
+    # enumeration: every (g <= 1, d <= 4, m <= 4) case, both modes; the
+    # m = 0 convention through the engine
+    flagged = HurwitzEngine(Conventions(m0_pruned=True))
     for d in range(1, 5):
         for g in (0, 1):
             for mu in partitions(d):
@@ -122,10 +126,10 @@ def test_count_matches_naive_filter():
                         continue
                     tuples = list(iter_factorization_tuples(g, mu, nu))
                     assert count_factorizations(g, mu, nu) == len(tuples)
-                    for m0_pruned in (False, True):
-                        naive = sum(is_pruned(t, m0_pruned=m0_pruned) for t in tuples)
-                        got = count_factorizations(g, mu, nu, True, m0_pruned=m0_pruned)
-                        assert got == naive, (g, mu, nu, m0_pruned)
+                    naive = sum(map(is_pruned, tuples))
+                    assert count_factorizations(g, mu, nu, True) == naive, (g, mu, nu)
+                    naive = sum(is_pruned(t, m0_pruned=True) for t in tuples)
+                    assert flagged.tuple_count(g, mu, nu, True) == naive, (g, mu, nu)
 
 
 def test_pruned_counts_beyond_the_naive_reach():
@@ -175,14 +179,16 @@ def test_isomorphism_class_examples():
 
 def test_isomorphism_classes_match_brute_force_orbits():
     # fully ramified (n)|(n): the closed form against orbits of the
-    # centralizer counted one by one; g = 1 for n <= 8, g = 2 for n <= 5
+    # centralizer counted one by one; g = 1 for n <= 8, g = 2 for n <= 5;
+    # the m = 0 convention through the engine, whose modified pruned
+    # value of (n)|(n) is the class count (A = 1 on each side)
+    flagged = HurwitzEngine(Conventions(m0_pruned=True))
     for n in range(1, 9):
         for g in range(3 if n <= 5 else 2):
-            for m0_pruned in (False, True):
-                expected = fully_ramified_orbit_count(n, g, m0_pruned)
-                assert count_isomorphism_classes(
-                    g, (n,), (n,), pruned=True, m0_pruned=m0_pruned,
-                ) == expected, (n, g, m0_pruned)
+            expected = fully_ramified_orbit_count(n, g)
+            assert count_isomorphism_classes(g, (n,), (n,), pruned=True) == expected, (n, g)
+            expected = fully_ramified_orbit_count(n, g, m0_pruned=True)
+            assert flagged.modified_pruned(g, (n,), (n,)) == expected, (n, g)
 
 
 def test_isomorphism_class_values_pinned():
@@ -309,9 +315,9 @@ def test_search_work_bound_covers_the_visited_states():
 
 def test_count_matches_permutation_search():
     # the coloured cycle-type engine against the permutation search it
-    # replaced, now an oracle: every ordering of mu, both modes, both
-    # m = 0 conventions, g <= 3, d <= 5, m <= 6; and (d)|(d) for
-    # 6 <= d <= 8, g <= 2
+    # replaced, now an oracle: every ordering of mu, both modes, g <= 3,
+    # d <= 5, m <= 6, and the other m = 0 convention through the engine;
+    # and (d)|(d) for 6 <= d <= 8, g <= 2
     cases = [
         (g, mu, nu)
         for d in range(1, 6)
@@ -322,12 +328,14 @@ def test_count_matches_permutation_search():
         for mu in sorted(set(permutations(part)))
     ]
     cases += [(g, (d,), (d,)) for d in range(6, 9) for g in range(3)]
+    flagged = HurwitzEngine(Conventions(m0_pruned=True))
     for g, mu, nu in cases:
-        conventions = (False, True) if 2 * g - 2 + len(mu) + len(nu) == 0 else (False,)
         for pruned in (False, True):
-            for m0_pruned in conventions:
-                assert count_factorizations(g, mu, nu, pruned, m0_pruned=m0_pruned) == \
-                    search_count(g, mu, nu, pruned, m0_pruned), (g, mu, nu, pruned, m0_pruned)
+            assert count_factorizations(g, mu, nu, pruned) == \
+                search_count(g, mu, nu, pruned), (g, mu, nu, pruned)
+        if 2 * g - 2 + len(mu) + len(nu) == 0:
+            assert flagged.tuple_count(g, mu, nu, pruned=True) == \
+                search_count(g, mu, nu, True, m0_pruned=True), (g, mu, nu)
 
 
 def test_reach_beyond_the_permutation_search():

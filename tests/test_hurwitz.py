@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from prunedhurwitz import characters, hurwitz
 from prunedhurwitz.cache import CACHE_VERSION, evaluator_of
 from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, Kind
+
+from oracles import fully_ramified_orbit_count, search_count
 
 ENGINE = HurwitzEngine()
 
@@ -59,21 +62,17 @@ def test_pruned_is_not_symmetric():
     assert ENGINE.pruned(0, (1, 1), (2,)) == 0
 
 
-def test_double_is_symmetric():
-    for d in range(1, 5):
-        for g in (0, 1):
-            for mu in partitions(d):
-                for nu in partitions(d):
-                    m = 2 * g - 2 + len(mu) + len(nu)
-                    if m < 0 or m > 4:
-                        continue
-                    assert ENGINE.double(g, mu, nu) == ENGINE.double(g, nu, mu)
-
-
 def test_multiset_invariance():
-    assert ENGINE.double(0, (3, 2), (4, 1)) == ENGINE.double(0, (2, 3), (1, 4))
-    assert ENGINE.pruned(0, (3, 2), (4, 1)) == ENGINE.pruned(0, (2, 3), (1, 4))
-    assert ENGINE.modified_pruned(1, (1, 2), (2, 1)) == ENGINE.modified_pruned(1, (2, 1), (1, 2))
+    # each ordering by a fresh engine: one engine would read the first
+    # ordering's memo entry, since the key sorts the parts
+    for g, mu, nu, other_mu, other_nu in [
+        (0, (3, 2), (4, 1), (2, 3), (1, 4)),
+        (1, (1, 2), (2, 1), (2, 1), (1, 2)),
+        (1, (1, 2, 3), (3, 3), (3, 1, 2), (3, 3)),
+    ]:
+        for kind in Kind:
+            assert HurwitzEngine().value(g, mu, nu, kind) == \
+                HurwitzEngine().value(g, other_mu, other_nu, kind), (g, mu, nu, kind)
 
 
 def test_edgeless_covers():
@@ -122,17 +121,15 @@ def test_fully_ramified_family():
 
 
 def test_modified_pruned_keeps_the_pruned_value():
-    # the fully ramified class count is solved for N, including the
-    # m = 0 rotations and the half-turn term of even d: the pruned value
-    # it stores equals a fresh engine's, under both m = 0 conventions
-    for m0_pruned in (False, True):
-        conventions = Conventions(m0_pruned=m0_pruned)
-        for d in range(1, 7):
-            for g in range(3):
-                engine = HurwitzEngine(conventions)
-                engine.modified_pruned(g, (d,), (d,))
-                kept = engine._values[(g, (d,), (d,), "PH")]
-                assert kept == HurwitzEngine(conventions).pruned(g, (d,), (d,)), (d, g, m0_pruned)
+    # the fully ramified modified value is read off PH, with the
+    # half-turn term of even d: the pruned value it stores equals a
+    # fresh engine's (at m = 0 nothing is stored)
+    for d in range(1, 7):
+        for g in (1, 2):
+            engine = HurwitzEngine()
+            engine.modified_pruned(g, (d,), (d,))
+            kept = engine._values[(g, (d,), (d,), "PH")]
+            assert kept == HurwitzEngine().pruned(g, (d,), (d,)), (d, g)
 
 
 def test_phat_and_ph_raise_on_degenerate_arguments():
@@ -155,10 +152,77 @@ def test_m0_convention_flag():
     assert flagged.pruned(0, (2,), (1, 1)) == ENGINE.pruned(0, (2,), (1, 1))
 
 
+def test_m0_values_equal_the_naive_oracle():
+    # genus 0, (d)|(d), answered in closed form, under both conventions:
+    # H and PH against the permutation search's count of the empty
+    # sequence, the modified PH against the orbits counted one by one
+    for m0_pruned in (False, True):
+        engine = HurwitzEngine(Conventions(m0_pruned=m0_pruned))
+        for d in range(1, 7):
+            full, pruned = (search_count(0, (d,), (d,), mode, m0_pruned) for mode in (False, True))
+            assert engine.double(0, (d,), (d,)) == F(full, d) == F(1, d)
+            assert engine.pruned(0, (d,), (d,)) == F(pruned, d), (d, m0_pruned)
+            assert engine.modified_pruned(0, (d,), (d,)) == \
+                fully_ramified_orbit_count(d, 0, m0_pruned), (d, m0_pruned)
+
+
+def test_m0_values_reach_no_evaluator(monkeypatch):
+    # the characters once built d hook shapes of up to d rows for 1/d
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
+    start = time.perf_counter()
+    assert HurwitzEngine().double(0, (100000,), (100000,)) == F(1, 100000)
+    assert time.perf_counter() - start < 1
+
+
+def test_no_m0_value_is_stored(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for m0_pruned in (False, True):
+        engine = HurwitzEngine(Conventions(m0_pruned=m0_pruned), cache_path=str(path))
+        for d in range(1, 6):
+            for kind in Kind:
+                engine.value(0, (d,), (d,), kind)
+            assert engine.tuple_count(0, (d,), (d,), pruned=True) == int(m0_pruned)
+        assert not engine._values
+    assert not path.exists()
+
+
+def test_older_m0_records_are_skipped_silently(tmp_path, caplog, monkeypatch):
+    # older writers stored H and PH at m = 0, PH keyed on the convention;
+    # none of them is read, whatever its value, and there is nothing to
+    # warn of, while the other records load with or without a conv field
+    path = tmp_path / "cache.jsonl"
+    rows = [
+        current({"g": 0, "mu": [3], "nu": [3], "kind": kind, "num": "7", "den": "1",
+                 "conv": {"m0_pruned": m0_pruned}})
+        for kind in ("H", "PH") for m0_pruned in (False, True)
+    ]
+    rows += [
+        current({"g": 0, "mu": [2, 3], "nu": [1, 4], "kind": "H", "num": "8", "den": "1",
+                 "conv": {"m0_pruned": True}}),
+        current({"g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1"}),
+        # of another version at m = 0: not even counted as stale
+        {"g": 0, "mu": [4], "nu": [4], "kind": "PH", "num": "5", "den": "1"},
+    ]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in rows))
+    import logging
+
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", no_evaluation)
+    monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
+    for m0_pruned in (False, True):
+        with caplog.at_level(logging.WARNING):
+            engine = HurwitzEngine(Conventions(m0_pruned=m0_pruned), cache_path=str(path))
+        assert not caplog.records
+        assert engine._values == {(0, (3, 2), (4, 1), "H"): 8, (1, (3,), (2, 1), "PH"): 9}
+        assert engine.double(0, (3,), (3,)) == F(1, 3)
+        assert engine.pruned(0, (3,), (3,)) == F(int(m0_pruned), 3)
+    assert len(path.read_text().splitlines()) == len(rows)
+
+
 def test_the_m0_convention_changes_only_ph_at_m0():
-    # the premise of the file cache's rule, which keys only PH at m = 0 on
-    # the convention: over g <= 2, d <= 5 and the three kinds (792 values)
-    # the two conventions differ at genus 0, (d)|(d) only, and not in H
+    # why no stored value depends on the convention, the engine answering
+    # m = 0 in closed form: over g <= 2, d <= 5 and the three kinds (792
+    # values) the two conventions differ at genus 0, (d)|(d) only, and not in H
     engines = [HurwitzEngine(Conventions(m0_pruned=m0_pruned)) for m0_pruned in (False, True)]
     keys = [
         (g, mu, nu, kind)
@@ -265,22 +329,18 @@ def test_a_record_of_the_other_orientation_answers(tmp_path, monkeypatch):
 
 def test_cache_is_shared_across_stability_readings(tmp_path, monkeypatch):
     # a record whose conventions also carry the cut-and-join stability
-    # reading, as older writers added, answers without enumeration
+    # reading, as older writers added, answers without enumeration, under
+    # either m = 0 convention: no stored value depends on one
     path = tmp_path / "cache.jsonl"
-    conv = {"m0_pruned": False, "stability_reading": "facecount"}
+    conv = {"m0_pruned": True, "stability_reading": "facecount"}
     path.write_text("".join(json.dumps(current(rec)) + "\n" for rec in [
         {"g": 1, "mu": [3], "nu": [2, 1], "kind": "PH", "num": "9", "den": "1", "conv": conv},
-        {"g": 0, "mu": [3], "nu": [3], "kind": "PH", "num": "0", "den": "1", "conv": conv},
+        {"g": 1, "mu": [3], "nu": [3], "kind": "PH", "num": "2", "den": "1", "conv": conv},
     ]))
     monkeypatch.setattr(hurwitz, "count_factorizations", no_evaluation)
-    engine = HurwitzEngine(cache_path=str(path))
-    assert engine.pruned(1, (3,), (2, 1)) == 9 and engine.pruned(0, (3,), (3,)) == 0
-    # the other m = 0 convention reads the value at m >= 1, which it does
-    # not change, but keeps to its own records at m = 0
-    other = HurwitzEngine(Conventions(m0_pruned=True), cache_path=str(path))
-    assert other.pruned(1, (3,), (2, 1)) == 9
-    with pytest.raises(AssertionError, match="evaluated"):
-        other.pruned(0, (3,), (3,))
+    for conventions in (Conventions(), Conventions(m0_pruned=True)):
+        engine = HurwitzEngine(conventions, cache_path=str(path))
+        assert engine.pruned(1, (3,), (2, 1)) == 9 and engine.pruned(1, (3,), (3,)) == 2
 
 
 def test_a_value_the_m0_convention_does_not_change_is_stored_once(tmp_path, monkeypatch):
@@ -301,13 +361,13 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
     conv = Conventions().as_dict()
     rows = [
         "not json at all",
-        json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "0",
+        json.dumps(current({"g": 1, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "0",
                             "conv": conv})),
         json.dumps({"g": 0, "mu": [2], "nu": [2], "kind": "WRONG", "num": "1", "den": "2",
                     "conv": conv, "version": CACHE_VERSION, "evaluator": "characters"}),
         json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "PH", "num": "77", "den": "1",
                             "conv": {"m0_pruned": True, "stability_reading": "literal"}})),
-        json.dumps(current({"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2",
+        json.dumps(current({"g": 1, "mu": [2], "nu": [2], "kind": "H", "num": "1", "den": "2",
                             "conv": conv})),
     ]
     path.write_text("\n".join(rows) + "\n")
@@ -315,10 +375,10 @@ def test_cache_skips_malformed_and_foreign_records(tmp_path, caplog):
 
     with caplog.at_level(logging.WARNING):
         engine = HurwitzEngine(cache_path=str(path))
-    assert engine.double(0, (2,), (2,)) == Fraction(1, 2)
-    # the den=0 and non-json rows warned; the foreign-convention row (a
-    # PH at m = 0, the one value the convention changes) is silently
-    # ignored and must not leak its bogus value
+    assert engine._values == {(1, (2,), (2,), "H"): Fraction(1, 2)}
+    # the den=0 and non-json rows warned; the PH row at m = 0, which an
+    # older writer made under the other convention, is silently ignored
+    # and must not leak its bogus value
     assert len(caplog.records) >= 2
     assert engine.pruned(0, (2,), (2,)) == 0
 
@@ -329,7 +389,7 @@ def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     conv = Conventions().as_dict()
     bogus = [
-        {"g": True, "mu": [2], "nu": [2], "kind": "PH", "num": "5", "den": "1"},
+        {"g": True, "mu": [2], "nu": [1, 1], "kind": "PH", "num": "5", "den": "1"},
         {"g": 0, "mu": [True, 1], "nu": [2], "kind": "H", "num": "5", "den": "1"},
         {"g": 0, "mu": [2, 1], "nu": [3], "kind": "H", "num": 8.9, "den": "1"},
         {"g": 0, "mu": [2], "nu": [1, 1], "kind": "H", "num": "7", "den": True},
@@ -354,8 +414,8 @@ def test_cache_rejects_booleans_floats_and_loose_strings(tmp_path, caplog):
     assert engine.double(0, (2, 2), (3, 1)) == fresh.double(0, (2, 2), (3, 1))
     # integers written as JSON numbers still load
     path.write_text(json.dumps(current(
-        {"g": 0, "mu": [2], "nu": [2], "kind": "H", "num": 3, "den": 4, "conv": conv})) + "\n")
-    assert HurwitzEngine(cache_path=str(path)).double(0, (2,), (2,)) == F(3, 4)
+        {"g": 1, "mu": [2], "nu": [2], "kind": "H", "num": 3, "den": 4, "conv": conv})) + "\n")
+    assert HurwitzEngine(cache_path=str(path)).double(1, (2,), (2,)) == F(3, 4)
 
 
 def test_records_name_their_evaluator(tmp_path):
