@@ -10,7 +10,8 @@ instances it checks; the budget check and the empty-battery check read
 that same list before any record is made.  One loop, :func:`_report`,
 emits the records of every battery and of ``cache check`` and writes
 their summary.  ``verify poly`` and ``fit`` judge a base point with one
-function, :func:`_judge`.
+function, :func:`_judge`.  A command refuses by raising
+:class:`prunedhurwitz.cli.Refusal`, which :func:`prunedhurwitz.cli.main` reports.
 
 :mod:`prunedhurwitz.cli` imports this module only when one of them
 runs, so ``--version``, ``compute`` and a budget refusal do not
@@ -19,21 +20,19 @@ compile it.
 
 from __future__ import annotations
 
-import sys
 import time
 
 from .cli import (
     CACHE_ENV_VAR,
-    EXIT_BUDGET,
     EXIT_MISMATCH,
     EXIT_OK,
-    EXIT_USAGE,
     EXIT_WALL,
     KIND_BY_NAME,
+    Refusal,
+    _check_budget,
     _emit,
     _engine,
     _fraction_obj,
-    _over_budget,
 )
 
 # poly battery: chamber-interior points (a,b | c,d) with c < a,b < d
@@ -83,11 +82,8 @@ def cmd_verify(args) -> int:
         from .forests import DEFAULT_ENUMERATION_BOUND
 
         if not 1 <= args.max_n <= DEFAULT_ENUMERATION_BOUND:
-            sys.stderr.write(
-                f"the forests battery enumerates 1 <= n <= {DEFAULT_ENUMERATION_BOUND}; "
-                f"got --max-n {args.max_n}\n"
-            )
-            return EXIT_USAGE
+            raise Refusal(f"the forests battery enumerates 1 <= n <= {DEFAULT_ENUMERATION_BOUND}; "
+                          f"got --max-n {args.max_n}")
         # the forests battery reads no Hurwitz value
         records = _forests(args.max_n)
     else:
@@ -96,8 +92,7 @@ def cmd_verify(args) -> int:
 
             need = max(samples_needed(0, len(mu), len(nu)) for mu, nu in INTERIOR_BASE_POINTS)
             if args.t_max < need:
-                sys.stderr.write(f"the poly battery needs --t-max >= {need}\n")
-                return EXIT_USAGE
+                raise Refusal(f"the poly battery needs --t-max >= {need}")
             instances = [(0, mu, nu) for mu, nu in INTERIOR_BASE_POINTS]
             # the budget reads each point the scaling reaches
             enumerated = [
@@ -112,13 +107,10 @@ def cmd_verify(args) -> int:
             if not instances:
                 # an empty battery would report all_match: true having checked nothing
                 needs = f"l(nu) >= {min_nu_parts}" + (f" and m >= {min_m}" if min_m else "")
-                sys.stderr.write(
-                    f"the {args.which} battery has no instance with d <= {args.max_d}, "
-                    f"g <= {args.max_g} and m <= {args.max_m} (it needs {needs})\n"
-                )
-                return EXIT_USAGE
-        if any(_over_budget(args, g, mu, nu) for g, mu, nu in enumerated):
-            return EXIT_BUDGET
+                raise Refusal(f"the {args.which} battery has no instance with d <= {args.max_d}, "
+                              f"g <= {args.max_g} and m <= {args.max_m} (it needs {needs})")
+        for g, mu, nu in enumerated:
+            _check_budget(args, g, mu, nu)
         battery = {"main-theorem": _main_theorem, "cut-and-join": _cut_and_join, "poly": _poly}
         records = battery[args.which](args, instances, _engine(args))
     return _report(records, {"command": "verify", "which": args.which}, args)
@@ -232,22 +224,19 @@ def cmd_cache_check(args) -> int:
     orientation with the smaller search bound, the pruned values by one
     engine without the cache."""
     if not args.cache:
-        sys.stderr.write(f"cache check needs --cache or ${CACHE_ENV_VAR}\n")
-        return EXIT_USAGE
+        raise Refusal(f"cache check needs --cache or ${CACHE_ENV_VAR}")
     if args.sample < 1:
-        sys.stderr.write("--sample must be at least 1\n")
-        return EXIT_USAGE
+        raise Refusal("--sample must be at least 1")
     from .cache import load_cache
 
     records = list(load_cache(args.cache).items())
     if not records:
         # checking nothing would report all_match: true
-        sys.stderr.write(f"cache {args.cache} holds no record to check\n")
-        return EXIT_USAGE
+        raise Refusal(f"cache {args.cache} holds no record to check")
     size = min(args.sample, len(records))
     sample = [records[i * len(records) // size] for i in range(size)]
-    if any(_over_budget(args, g, *_enumerated(g, mu, nu, tag)) for (g, mu, nu, tag), _ in sample):
-        return EXIT_BUDGET
+    for (g, mu, nu, tag), _ in sample:
+        _check_budget(args, g, *_enumerated(g, mu, nu, tag))
     summary = {"command": "cache", "action": "check", "records": len(records),
                "checked": len(sample)}
     return _report(_recomputed(sample), summary, args)
@@ -296,21 +285,15 @@ def cmd_fit(args) -> int:
     from .polynomiality import degree_bound, fit_univariate, samples_needed
 
     if degree_bound(g, len(mu), len(nu)) < 0:
-        sys.stderr.write("polynomiality says nothing at m = 0 (genus 0, one part on each side)\n")
-        return EXIT_USAGE
+        raise Refusal("polynomiality says nothing at m = 0 (genus 0, one part on each side)")
     need = samples_needed(g, len(mu), len(nu))
     if args.t_max < need:
-        sys.stderr.write(f"fitting this base point needs --t-max >= {need}\n")
-        return EXIT_USAGE
+        raise Refusal(f"fitting this base point needs --t-max >= {need}")
     if is_wall_point(mu, nu) and not args.allow_wall:
-        sys.stderr.write(
-            "refusing wall base point (a proper sub-balance holds); "
-            "pass --allow-wall to fit anyway\n"
-        )
-        return EXIT_WALL
+        raise Refusal("refusing wall base point (a proper sub-balance holds); "
+                      "pass --allow-wall to fit anyway", EXIT_WALL)
     scaled = tuple(args.t_max * x for x in mu), tuple(args.t_max * x for x in nu)
-    if _over_budget(args, g, *scaled):
-        return EXIT_BUDGET
+    _check_budget(args, g, *scaled)
     from .hurwitz import Kind
 
     kind = Kind(KIND_BY_NAME[args.kind])

@@ -17,13 +17,14 @@ symmetric in its profiles, once per unordered pair, the smaller
 profile first; a record of the other orientation, which older files
 hold, is read under the same key.  ``num`` and ``den`` are JSON
 integers or decimal-integer strings; a decimal string may pass the
-interpreter's int-to-str digit limit, which is lifted around its
-conversions only.  ``evaluator`` names what made the value (see
-:func:`evaluator_of`).  A record of another schema ``version`` (records
-without one are version 1), or whose evaluator is not the one that
-makes its key now, is never trusted: it is skipped and its value is
-recomputed; the warning about them counts only the stale records whose
-key has no current record in the file.  The engine answers every
+interpreter's int-to-str digit limit, which is never changed: both
+directions convert by :func:`prunedhurwitz.combinatorics.exact`.
+``evaluator`` names what made the value (see :func:`evaluator_of`).
+A record of another schema ``version`` (records without one are
+version 1), or whose evaluator is not the one that makes its key now,
+is never trusted: it is skipped and its value is recomputed; the
+warning about them counts only the stale records whose key has no
+current record in the file.  The engine answers every
 request at m = 0 (genus 0, one part on each side) in closed form, so
 no record at m = 0 is written, and those older files hold, of either
 m = 0 convention, are skipped without a warning.  No stored value
@@ -34,10 +35,9 @@ not read.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
-from .combinatorics import is_int
+from .combinatorics import exact, is_int
 from .hurwitz import Kind, _key
 
 CACHE_VERSION = 2
@@ -98,20 +98,6 @@ def load_cache(path: str, conventions: object = None) -> dict[CacheKey, Fraction
     return out
 
 
-def _exact(convert, x):
-    """``convert(x)`` with Python's int-to-str digit limit lifted, then
-    restored: an exact value may pass its default of 4300 digits, and
-    the limit is the process's, so a library caller keeps its own."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return convert(x)
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _parse_integer(x: object, what: str) -> int:
     """A JSON integer or a decimal-integer string; floats, booleans and
     strings ``int()`` would also take (spaces, underscores) are refused."""
@@ -120,7 +106,7 @@ def _parse_integer(x: object, what: str) -> int:
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
-            return _exact(int, x)
+            return exact(int, x)
     raise ValueError(f"bad {what} {x!r}")
 
 
@@ -144,8 +130,8 @@ def append_record(path: str, key: CacheKey, value: Fraction) -> bool:
             "mu": list(mu),
             "nu": list(nu),
             "kind": kind,
-            "num": _exact(str, value.numerator),
-            "den": _exact(str, value.denominator),
+            "num": exact(str, value.numerator),
+            "den": exact(str, value.denominator),
             "version": CACHE_VERSION,
             "evaluator": evaluator_of(key),
         }

@@ -17,6 +17,10 @@ it runs when it runs (the budget check ``factorizations``, an engine
 ``hurwitz``, and ``cache`` only with a cache path), so ``--version``, a
 parse error or a refusal compiles little more than this file.
 
+A command refuses by raising :class:`Refusal` (exit 2 unless it names
+another code) or, from the library, ``ValueError`` (exit 3); :func:`main`
+alone turns either into one stderr line and the exit code.
+
 Values come from :class:`prunedhurwitz.hurwitz.HurwitzEngine`: H from
 the characters of S_d, PH from the coloured cycle-type engine and the
 modified PH as a closed form of PH.
@@ -77,8 +81,18 @@ def _parse_budget(text: str) -> int:
     return budget
 
 
+class Refusal(Exception):
+    """A command's refusal: :func:`main` writes its message and returns ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
 def _fraction_obj(value) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    from .combinatorics import exact
+
+    return {"num": exact(str, value.numerator), "den": exact(str, value.denominator)}
 
 
 def _emit(report: dict, args) -> None:
@@ -96,27 +110,24 @@ def _engine(args):
     return HurwitzEngine(Conventions(m0_pruned=m0_pruned), cache_path=args.cache)
 
 
-def _over_budget(args, g, mu, nu) -> bool:
+def _check_budget(args, g, mu, nu) -> None:
+    """Refuse a search whose work bound passes the budget, unless forced."""
     if args.force:
-        return False
+        return
+    from .combinatorics import exact
     from .factorizations import search_work_bound
 
     estimate = search_work_bound(g, mu, nu)
-    if estimate <= args.budget:
-        return False
-    sys.stderr.write(
-        f"refusing: estimated search size {estimate} exceeds "
-        f"budget {args.budget}; rerun with --force to override\n"
-    )
-    return True
+    if estimate > args.budget:
+        raise Refusal(f"refusing: estimated search size {exact(str, estimate)} exceeds "
+                      f"budget {args.budget}; rerun with --force to override", EXIT_BUDGET)
 
 
 def cmd_compute(args) -> int:
     g, mu, nu = args.genus, args.mu, args.nu
-    if _over_budget(args, g, mu, nu):
-        return EXIT_BUDGET
+    _check_budget(args, g, mu, nu)
     from .hurwitz import Kind
-    from .combinatorics import is_wall_point
+    from .combinatorics import exact, is_wall_point
 
     kind = Kind(KIND_BY_NAME[args.kind])
     engine = _engine(args)
@@ -131,7 +142,7 @@ def cmd_compute(args) -> int:
         "kind": kind.value,
         "value": _fraction_obj(value),
         "m": 2 * g - 2 + len(mu) + len(nu),
-        "tuple_count": str(n),
+        "tuple_count": exact(str, n),
         "wall": is_wall_point(mu, nu),
         "conventions": engine.conventions.as_dict(),
         "elapsed_seconds": round(time.perf_counter() - start, 6),
@@ -204,17 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)  # exact values pass 4300 digits; put back on return
-    try:
-        return _main(argv)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "mu"):
@@ -238,6 +238,9 @@ def _main(argv: list[str] | None) -> int:
 
         return {"verify": batteries.cmd_verify, "fit": batteries.cmd_fit,
                 "cache": batteries.cmd_cache_check}[args.command](args)
+    except Refusal as exc:
+        sys.stderr.write(f"{exc}\n")
+        return exc.code
     except ValueError as exc:
         # a parsed request the library still cannot take, such as a
         # search deeper than Python recurses: refused, budget or not

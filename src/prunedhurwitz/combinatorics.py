@@ -6,6 +6,7 @@ counting function defined here depends only on the underlying multiset.
 All arithmetic is exact: Python ints and ``fractions.Fraction``.
 :func:`check_request` is the one rule for a value request (g, mu, nu);
 every entry to a value, the command line included, calls it.
+:func:`exact` turns an exact integer into decimal text and back.
 """
 
 from __future__ import annotations
@@ -21,6 +22,19 @@ def is_int(x: object) -> bool:
     """An integer in the strict sense: ``bool`` is an ``int`` subclass,
     but True/False are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def exact(convert, x):
+    """``convert(x)`` for ``str`` of an int or ``int`` of a decimal
+    string; past the interpreter's int-to-str digit limit, the process's
+    and never changed, through :class:`decimal.Decimal`, which it does
+    not bound."""
+    try:
+        return convert(x)
+    except ValueError:
+        from decimal import Decimal
+
+        return convert(Decimal(x))
 
 
 def check_partition(p: Sequence[int]) -> Partition:

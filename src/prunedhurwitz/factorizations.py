@@ -205,7 +205,7 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)
     if m <= 0:
-        return 1
+        return 0  # the empty sum, returned before d! and p(d) are built
     pairs = d * (d - 1) // 2
     words = math.factorial(d) // math.prod(map(math.factorial, mu))
     types = min(math.factorial(d), partition_count(d) * words)

@@ -957,7 +957,7 @@ def literal_search_work_bound(g, mu, nu):
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)
     if m <= 0:
-        return 1
+        return 0
     pairs = d * (d - 1) // 2
     types = min(factorial(d), partition_count(d) * multinomial(d, mu))
     states = types * 3 ** len(mu) * bell_number(len(mu))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -96,11 +97,17 @@ def test_budget_refusal_exit_3(capsys):
         "--budget", "1000",
     )
     assert code == 3 and not rows and "budget" in err
-    # a zero budget is valid and refuses every enumeration
+    # a zero budget is valid and refuses every enumeration (bound 39 here)
     code, rows, err = run_cli(
-        capsys, "compute", "--genus", "0", "--mu", "3", "--nu", "3", "--budget", "0",
+        capsys, "compute", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1", "--budget", "0",
     )
-    assert code == 3 and not rows and "exceeds budget 0" in err
+    assert code == 3 and not rows and "size 39 exceeds budget 0" in err
+    # but not m = 0, which is answered in closed form and tries no move
+    code, rows, _ = run_cli(
+        capsys, "compute", "--genus", "0", "--mu", "3", "--nu", "3", "--budget", "0",
+        "--omit-timing",
+    )
+    assert code == 0 and rows[0]["value"] == {"num": "1", "den": "3"}
     # --force overrides (choose something actually tractable)
     code, rows, _ = run_cli(
         capsys, "compute", "--genus", "0", "--mu", "2,1", "--nu", "1,1,1",
@@ -390,13 +397,25 @@ def test_the_budget_sees_the_instances_the_battery_reports(capsys, monkeypatch, 
 
     def recording(args, g, mu, nu):
         seen.append((g, list(mu), list(nu)))
-        return False
 
-    monkeypatch.setattr(batteries, "_over_budget", recording)
+    monkeypatch.setattr(batteries, "_check_budget", recording)
     exit_code, rows, _ = run_cli(capsys, "verify", *argv, "--omit-timing")
     assert exit_code == code
     reported = [(r["genus"], r["mu"], r["nu"]) for r in rows if r.get("type") == argv[0]]
     assert reported and seen == reported
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cache", "check"], 2),  # a usage error found after parsing
+    # a budget refusal from the battery's first instance over the budget
+    (["verify", "main-theorem", "--max-d", "9"], 3),
+    (["fit", "--mu", "2,3", "--nu", "2,3"], 4),  # a wall point
+])
+def test_a_refusal_is_one_stderr_line_and_its_exit_code(capsys, monkeypatch, argv, code):
+    monkeypatch.delenv("PRUNEDHURWITZ_CACHE", raising=False)
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1, out.err
 
 
 def test_verify_main_theorem_small(capsys):
@@ -482,6 +501,24 @@ def test_a_value_past_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch, 
         assert rows[0]["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_exact_values_never_change_the_int_to_str_digit_limit(tmp_path, capsys, monkeypatch):
+    # an engine writes and reloads a value past 4300 digits, and main
+    # prints it, with no call that could change the process's limit
+    def no_change(limit):
+        raise AssertionError("changed the int-to-str digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", no_change, raising=False)
+    cache = str(tmp_path / "values.jsonl")
+    value = hurwitz.HurwitzEngine(cache_path=cache).double(1400, (10,), (10,))
+    monkeypatch.setattr(characters.CharacterTable, "double_hurwitz", None)
+    assert hurwitz.HurwitzEngine(cache_path=cache).double(1400, (10,), (10,)) == value
+    code, rows, err = run_cli(capsys, "compute", "--genus", "1400", "--mu", "10", "--nu", "10",
+                              "--force", "--cache", cache, "--omit-timing")
+    assert code == 0 and err == "" and len(rows[0]["value"]["num"]) == 4628
+    # Decimal converts without the limit
+    assert rows[0]["value"] == {"num": str(Decimal(value.numerator)), "den": str(value.denominator)}
 
 
 def test_main_leaves_the_int_to_str_digit_limit_as_it_found_it(capsys):

@@ -1,9 +1,13 @@
 import math
+import sys
+
+import pytest
 
 from prunedhurwitz.combinatorics import (
     automorphism_factor,
     bell_number,
     centralizer_order,
+    exact,
     partitions,
 )
 
@@ -136,6 +140,24 @@ def test_fraction_arithmetic_is_exact_and_reduced():
             assert p.numerator * b * d == a * c * p.denominator
             assert gcd(abs(s.numerator), s.denominator) == 1
             assert s.denominator > 0
+
+
+def test_exact_converts_past_the_int_to_str_digit_limit():
+    # 16,902 digits both ways under the least limit the interpreter
+    # accepts, which is the caller's before and after
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in (7**20_000 + 1, -(10**5000), 0, 4300):
+            text = exact(str, n)
+            assert exact(int, text) == n
+            assert sys.get_int_max_str_digits() == 640
+        assert len(exact(str, 7**20_000)) == 16_902
+        assert exact(str, -(10**5000)) == "-1" + "0" * 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bell_numbers():

@@ -262,7 +262,7 @@ def test_search_work_bound():
     # are the p(3) = 3 cycle types, and 3 * 3 * 1 = 9 states cap depths
     # 3 to 5
     assert search_work_bound(3, (3,), (3,)) == 3 * (1 + 3 + 9 + 9 + 9 + 9)
-    assert search_work_bound(0, (2,), (2,)) == 1  # m = 0
+    assert search_work_bound(0, (2,), (2,)) == 0  # m = 0: no move is tried
     # (4,4)|(3,5) at g = 2: p(8) * 8!/(4! 4!) = 22 * 70 coloured cycle
     # types, times 3^2 * Bell(2), cap depths 4 and 5 (d! would allow
     # 40,320 types)
