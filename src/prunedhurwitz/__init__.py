@@ -34,7 +34,6 @@ _EXPORTS = {
     "Conventions": "hurwitz",
     "HurwitzEngine": "hurwitz",
     "Kind": "hurwitz",
-    "NOT_POLYNOMIAL": "polynomiality",
     "degree_bound": "polynomiality",
     "finite_difference_degree": "polynomiality",
     "fit_univariate": "polynomiality",

@@ -189,16 +189,18 @@ def _forests(max_n: int):
 
 
 def _judge(g, mu, nu, kind, t_max, engine):
-    """The values at the base point scaled by t = 1..t_max, and their
-    judgement: the samples, their finite-difference degree, the degree
-    bound and whether the point lies on a wall."""
+    """The values at the base point scaled by t = 1..t_max, fitted once:
+    the fit's coefficients, and the judgement: the samples, their
+    finite-difference degree, the degree bound and whether the point
+    lies on a wall."""
     from .combinatorics import is_wall_point
-    from .polynomiality import degree_bound, finite_difference_degree, scaling_values
+    from .polynomiality import _fit, degree_bound, scaling_values
 
     values = scaling_values(g, mu, nu, kind, t_max, engine)
-    return values, {
+    coeffs, degree = _fit(values)
+    return coeffs, {
         "samples": [_fraction_obj(v) for v in values],
-        "degree": finite_difference_degree(values),
+        "degree": degree,
         "bound": degree_bound(g, len(mu), len(nu)),
         "wall": is_wall_point(mu, nu),
     }
@@ -282,7 +284,7 @@ def _recomputed(sample):
 def cmd_fit(args) -> int:
     g, mu, nu = args.genus, args.mu, args.nu
     from .combinatorics import is_wall_point
-    from .polynomiality import degree_bound, fit_univariate, samples_needed
+    from .polynomiality import degree_bound, samples_needed
 
     if degree_bound(g, len(mu), len(nu)) < 0:
         raise Refusal("polynomiality says nothing at m = 0 (genus 0, one part on each side)")
@@ -299,13 +301,13 @@ def cmd_fit(args) -> int:
     kind = Kind(KIND_BY_NAME[args.kind])
     engine = _engine(args)
     start = time.perf_counter()
-    values, judged = _judge(g, mu, nu, kind, args.t_max, engine)
+    coeffs, judged = _judge(g, mu, nu, kind, args.t_max, engine)
     _emit({
         "command": "fit",
         "genus": g, "mu": list(mu), "nu": list(nu), "kind": kind.value,
         "t_max": args.t_max,
         **judged,
-        "coefficients": [_fraction_obj(c) for c in fit_univariate(values)],
+        "coefficients": [_fraction_obj(c) for c in coeffs],
         "bound_met": judged["degree"] == judged["bound"],
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }, args)

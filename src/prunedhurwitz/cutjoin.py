@@ -344,7 +344,7 @@ def verify_recursion(
     g: int,
     mu: Sequence[int],
     nu: Sequence[int],
-    engine: HurwitzEngine | None = None,
+    engine: HurwitzEngine,
     stability_reading: str = "literal",
     variant: str = "plain",
 ) -> RecursionReport:
@@ -353,7 +353,6 @@ def verify_recursion(
     Never asserts; the report carries both sides, per-case totals and
     every term for mismatch forensics.
     """
-    engine = engine or HurwitzEngine()
     # checks every argument before the engine is asked for anything
     rhs_terms = cut_and_join_terms(g, mu, nu, engine.phat, stability_reading, variant, engine.ph)
     lhs = engine.pruned(g, mu, nu)

@@ -1,4 +1,4 @@
-"""Empirical piecewise-polynomiality checks.
+"""Empirical piecewise-polynomiality checks along scaling rays.
 
 Pruned (and full) double Hurwitz numbers are piecewise polynomial in
 the profile entries; the chambers are cut out by the wall hyperplanes
@@ -8,8 +8,9 @@ the profile entries; the chambers are cut out by the wall hyperplanes
 Scaling a base point by positive integers t never crosses a wall (the
 balances are homogeneous), so the sequence PH(t*mu, t*nu), t = 1..T,
 is polynomial in t of degree 4g - 3 + l(mu) + l(nu) with non-zero
-leading term; this is checked by exact forward differences and Newton
-interpolation, no tolerances anywhere.
+leading term.  One exact Newton interpolation, :func:`fit_univariate`,
+gives both the coefficients and the degree the window shows; no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hurwitz import HurwitzEngine, Kind
-
-NOT_POLYNOMIAL = None
 
 
 def degree_bound(g: int, k: int, l: int) -> int:
@@ -40,60 +39,55 @@ def scaling_values(
     nu: Sequence[int],
     kind: Kind,
     t_max: int,
-    engine: HurwitzEngine | None = None,
+    engine: HurwitzEngine,
 ) -> list[Fraction]:
     """[value(t*mu, t*nu) for t = 1..t_max], exact."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    engine = engine or HurwitzEngine()
     return [
         engine.value(g, tuple(t * x for x in mu), tuple(t * x for x in nu), kind)
         for t in range(1, t_max + 1)
     ]
 
 
-def forward_differences(values: Sequence[Fraction]) -> list[list[Fraction]]:
-    """values, then each successive forward-difference row."""
-    rows = [list(values)]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        rows.append([b - a for a, b in zip(prev, prev[1:])])
-    return rows
+def fit_univariate(values: Sequence[Fraction]) -> list[Fraction]:
+    """Exact coefficients (ascending powers of t, trailing zeros dropped)
+    of the unique polynomial through (t, values[t-1]), t = 1..len(values).
+
+    One walk of the forward-difference table takes its leading entries
+    D_k; Newton's form D_0 + (t-1)/1 (D_1 + (t-2)/2 (D_2 + ...)) is then
+    multiplied out from the top.  Its k-th term has degree exactly k, so
+    the fit's degree is the index of the last non-zero D_k."""
+    if not values:
+        raise ValueError("need at least one sample")
+    leads, row = [], list(values)
+    while row:
+        leads.append(Fraction(row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
+    while len(leads) > 1 and leads[-1] == 0:
+        leads.pop()
+    coeffs = [leads[-1]]
+    for k in range(len(leads) - 1, 0, -1):
+        # coeffs <- D_{k-1} + (t - k)/k * coeffs
+        coeffs = [(below - k * c) / k for below, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += leads[k - 1]
+    return coeffs
+
+
+def _fit(values: Sequence[Fraction]) -> tuple[list[Fraction], int | None]:
+    """The fit through the window and the degree the window shows: the
+    fit's degree D when D < len(values) - 1, where the window holds its
+    vanishing (D+1)-th differences (the samples lie on the fit), and
+    None otherwise."""
+    coeffs = fit_univariate(values)
+    return coeffs, len(coeffs) - 1 if len(coeffs) < len(values) else None
 
 
 def finite_difference_degree(values: Sequence[Fraction]) -> int | None:
     """Smallest D whose (D+1)-th forward difference vanishes on the
-    whole window; ``NOT_POLYNOMIAL`` (None) when no difference order
-    below the window length vanishes -- insufficient data or genuine
+    whole window, read off the fit; None when no difference order below
+    the window length vanishes -- insufficient data or genuine
     non-polynomiality, the caller decides which."""
     if len(values) < 2:
         raise ValueError("need at least two samples")
-    rows = forward_differences(values)
-    for depth in range(1, len(rows)):
-        if all(x == 0 for x in rows[depth]):
-            return depth - 1
-    return NOT_POLYNOMIAL
-
-
-def fit_univariate(values: Sequence[Fraction]) -> list[Fraction]:
-    """Exact coefficients (ascending powers of t) of the unique
-    polynomial through (t, values[t-1]), t = 1..len(values), by Newton
-    forward differences."""
-    rows = forward_differences(values)
-    coeffs = [Fraction(0)] * len(values)
-    # basis polynomial (t-1)(t-2)...(t-k)/k!, built up incrementally
-    basis = [Fraction(1)]
-    for k, row in enumerate(rows):
-        lead = Fraction(row[0])
-        if k > 0:
-            shift = Fraction(-k)  # multiply basis by (t - k), divide by k
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                nxt[i] += c * shift
-                nxt[i + 1] += c
-            basis = [c / k for c in nxt]
-        for i, c in enumerate(basis):
-            coeffs[i] += lead * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return _fit(values)[1]

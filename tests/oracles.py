@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations, product
 
-from math import factorial
+from math import factorial, prod
 
 from prunedhurwitz.combinatorics import bell_number, partition_count, partitions
 
@@ -694,6 +694,67 @@ def one_part_double_hurwitz(g, d, nu):
     return factorial(r) * Fraction(d) ** (r - 1) * series[g]
 
 
+def trivalent_trees(n):
+    """Every tree with n >= 3 labelled leaves 0..n-1 whose inner
+    vertices n, n+1, ..., 2n-3 are trivalent, as its list of edges:
+    (2n - 5)!! of them, each grown from the star on leaves 0, 1, 2 by
+    subdividing one edge per further leaf and hanging the leaf there."""
+    trees = [[(0, n), (1, n), (2, n)]]
+    for leaf in range(3, n):
+        inner = n + leaf - 2
+        trees = [
+            edges[:i] + edges[i + 1:] + [(a, inner), (inner, b), (leaf, inner)]
+            for edges in trees
+            for i, (a, b) in enumerate(edges)
+        ]
+    return trees
+
+
+def genus_zero_tree_sum(mu, nu):
+    """H(0, mu, nu) for l(mu) + l(nu) >= 3 as a sum over trees, the
+    genus-0 monodromy graphs of Cavalieri, Johnson and Markwig,
+    "Tropical Hurwitz numbers", J. Algebraic Combin. 32 (2010).
+
+    The leaves are the labelled parts, mu_i with weight +mu_i and nu_j
+    with -nu_j.  The flow on an inner edge is the weight on one side of
+    it.  A tree with a zero flow gives nothing; any other gives
+    e(T) * prod |flow|, where e(T) counts the orderings of the inner
+    vertices in which every inner edge's flow runs from the earlier
+    vertex to the later one.  It reads no character and no permutation."""
+    weights = list(mu) + [-x for x in nu]
+    n = len(weights)
+    inner = range(n, 2 * n - 2)
+    total = 0
+    for edges in trivalent_trees(n):
+        adjacent = {v: [] for v in range(2 * n - 2)}
+        for a, b in edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+
+        def side(a, b):
+            """The weight of the leaves on a's side of the edge (a, b)."""
+            seen, stack = {a, b}, [a]
+            weight = 0
+            while stack:
+                v = stack.pop()
+                weight += weights[v] if v < n else 0
+                fresh = [w for w in adjacent[v] if w not in seen]
+                seen.update(fresh)
+                stack.extend(fresh)
+            return weight
+
+        flows = {(a, b): side(a, b) for a, b in edges if a >= n and b >= n}
+        if 0 in flows.values():
+            continue
+        runs = [(a, b) if flow > 0 else (b, a) for (a, b), flow in flows.items()]
+        orderings = sum(
+            all(order.index(a) < order.index(b) for a, b in runs)
+            for order in iter_permutations(inner)
+        )
+        total += orderings * prod(abs(flow) for flow in flows.values())
+    return total
+
+
 # -- the identity evaluators by generate-and-filter ----------------------------
 
 
@@ -962,3 +1023,40 @@ def literal_search_work_bound(g, mu, nu):
     types = min(factorial(d), partition_count(d) * multinomial(d, mu))
     states = types * 3 ** len(mu) * bell_number(len(mu))
     return pairs * sum(min(pairs**k, states) for k in range(m))
+
+
+# -- polynomial interpolation ---------------------------------------------------
+
+
+def lagrange_fit(values):
+    """Coefficients (ascending powers of t, trailing zeros dropped) of
+    the polynomial through (t, values[t-1]), t = 1..n, by Lagrange's
+    formula multiplied out: sum_i values[i-1] prod_{j != i} (t - j)/(i - j)."""
+    from fractions import Fraction
+
+    n = len(values)
+    coeffs = [Fraction(0)] * n
+    for i, value in enumerate(values, start=1):
+        basis, scale = [Fraction(1)], Fraction(value)
+        for j in range(1, n + 1):
+            if j != i:
+                basis = [below - j * c for below, c in zip([0] + basis, basis + [0])]
+                scale /= i - j
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def least_reproducing_degree(values):
+    """The least D <= n - 2 whose Lagrange fit on the first D + 1
+    samples reproduces every sample; None when there is none."""
+    def at(coeffs, t):
+        return sum(c * t ** k for k, c in enumerate(coeffs))
+
+    for degree in range(len(values) - 1):
+        coeffs = lagrange_fit(values[:degree + 1])
+        if all(at(coeffs, t) == value for t, value in enumerate(values, start=1)):
+            return degree
+    return None

@@ -16,8 +16,7 @@ PUBLIC_NAMES = [
     "count_factorizations", "count_isomorphism_classes",
     "RootedForest", "count_forests_with_degrees", "enumerate_rooted_forests",
     "Conventions", "HurwitzEngine", "Kind",
-    "NOT_POLYNOMIAL", "degree_bound", "finite_difference_degree",
-    "fit_univariate", "scaling_values",
+    "degree_bound", "finite_difference_degree", "fit_univariate", "scaling_values",
     "reconstruct_double_hurwitz", "reconstruct_via_forests",
 ]
 
@@ -42,13 +41,12 @@ def test_top_level_exports():
     assert ph.count_forests_with_degrees((1, 1, 0), [0]) == 1
     assert not ph.is_wall_point((2, 3), (1, 4))
     assert ph.reconstruct_double_hurwitz(0, (2, 3), (1, 4), engine.phat) == 8
-    assert ph.NOT_POLYNOMIAL is None
     assert ph.__version__
 
 
 def test_public_names_resolve_and_star_import_binds_them():
     assert sorted(prunedhurwitz.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 22
+    assert len(PUBLIC_NAMES) == 21
     namespace = {}
     exec("from prunedhurwitz import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)

@@ -9,7 +9,7 @@ from prunedhurwitz.combinatorics import centralizer_order, partitions
 from prunedhurwitz.factorizations import MoveTables, count_factorizations
 from prunedhurwitz.hurwitz import HurwitzEngine, value_from_count
 
-from oracles import hurwitz_genus_zero
+from oracles import genus_zero_tree_sum, hurwitz_genus_zero, trivalent_trees
 
 
 def hook_length_dimension(shape):
@@ -122,3 +122,18 @@ def test_hurwitz_genus_zero_formula_with_many_equal_parts():
         nu = (2,) * (d // 2)
         assert HurwitzEngine().double(0, (1,) * d, nu) == hurwitz_genus_zero(nu) == value
     assert time.perf_counter() - start < 2.0
+
+
+def test_genus_zero_tree_sum_equals_the_characters():
+    # every profile with d <= 9 and 3 <= l(mu) + l(nu) <= 6: 589 cases
+    assert [len(trivalent_trees(n)) for n in range(3, 7)] == [1, 3, 15, 105]
+    engine = HurwitzEngine()
+    cases = 0
+    for d in range(1, 10):
+        shapes = list(partitions(d))
+        for mu in shapes:
+            for nu in shapes:
+                if 3 <= len(mu) + len(nu) <= 6:
+                    assert genus_zero_tree_sum(mu, nu) == engine.double(0, mu, nu), (mu, nu)
+                    cases += 1
+    assert cases == 589

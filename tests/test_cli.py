@@ -719,17 +719,20 @@ def test_cache_check_fails_on_a_corrupted_h_record(tmp_path, capsys):
     )
     capsys.readouterr()
     lines = cache.read_text().splitlines()
-    record = json.loads(lines[0])
-    assert (record["kind"], record["num"]) == ("H", "4032")
-    lines[0] = json.dumps({**record, "num": "4033"}, sort_keys=True)
-    cache.write_text("\n".join(lines) + "\n")
-    code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache), "--omit-timing")
-    assert code == 1
-    assert rows[-1]["all_match"] is False
-    bad = [row for row in rows[:-1] if not row["match"]]
-    assert [(row["kind"], row["stored"]["num"], row["recomputed"]["num"]) for row in bad] == [
-        ("H", "4033", "4032"),
-    ]
+    records = [json.loads(line) for line in lines]
+    assert [(record["kind"], record["num"]) for record in records] == [("H", "4032"), ("PH", "2")]
+    # each record corrupted alone: H is caught by the enumeration, PH by the engine
+    for index, num, want in [(0, "4033", ("H", "4033", "4032", "enumeration")),
+                             (1, "3", ("PH", "3", "2", "engine"))]:
+        corrupted = list(lines)
+        corrupted[index] = json.dumps({**records[index], "num": num}, sort_keys=True)
+        cache.write_text("\n".join(corrupted) + "\n")
+        code, rows, _ = run_cli(capsys, "cache", "check", "--cache", str(cache), "--omit-timing")
+        assert code == 1
+        assert rows[-1]["all_match"] is False
+        bad = [row for row in rows[:-1] if not row["match"]]
+        assert [(row["kind"], row["stored"]["num"], row["recomputed"]["num"],
+                 row["recomputed_by"]) for row in bad] == [want]
 
 
 def test_cache_check_enumerates_h_in_its_cheaper_orientation(tmp_path, capsys):

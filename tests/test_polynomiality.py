@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -6,14 +7,13 @@ import pytest
 from prunedhurwitz.combinatorics import is_wall_point, partitions
 from prunedhurwitz.hurwitz import HurwitzEngine, Kind
 from prunedhurwitz.polynomiality import (
-    NOT_POLYNOMIAL,
     degree_bound,
     finite_difference_degree,
     fit_univariate,
     scaling_values,
 )
 
-from oracles import wall_by_subsets
+from oracles import lagrange_fit, least_reproducing_degree, wall_by_subsets
 
 ENGINE = HurwitzEngine()
 
@@ -71,7 +71,7 @@ def test_scaling_values():
 def test_finite_difference_degree():
     assert finite_difference_degree([F(2), F(4), F(6), F(8)]) == 1
     assert finite_difference_degree([F(1), F(1), F(1)]) == 0
-    assert finite_difference_degree([F(1), F(1, 2), F(1, 3)]) is NOT_POLYNOMIAL
+    assert finite_difference_degree([F(1), F(1, 2), F(1, 3)]) is None
     assert finite_difference_degree([F(1), F(4), F(9), F(16), F(25)]) == 2
     with pytest.raises(ValueError):
         finite_difference_degree([F(1)])
@@ -82,6 +82,25 @@ def test_fit_univariate():
     assert fit_univariate([F(8), F(16)]) == [0, 8]
     assert fit_univariate([F(1), F(1)]) == [1]
     assert fit_univariate([F(1), F(4), F(9), F(16)]) == [0, 0, 1]
+    assert fit_univariate([F(5)]) == [5]
+    with pytest.raises(ValueError):
+        fit_univariate([])
+
+
+def test_fit_and_degree_equal_the_lagrange_reference():
+    rng = random.Random(31)
+    for _ in range(1500):
+        n, degree = rng.randint(1, 10), rng.randint(0, 9)
+        coeffs = [F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(degree + 1)]
+        values = [evaluate_polynomial(coeffs, t) for t in range(1, n + 1)]
+        shape = rng.random()
+        if shape < 0.25:
+            values[rng.randrange(n)] += F(rng.randint(1, 9), rng.randint(1, 4))
+        elif shape < 0.35:
+            values = [F(0)] * n
+        assert fit_univariate(values) == lagrange_fit(values), values
+        if n >= 2:
+            assert finite_difference_degree(values) == least_reproducing_degree(values), values
 
 
 def test_fit_reproduces_samples_exactly():
