@@ -3,7 +3,7 @@
 All values are exact rationals.  The double Hurwitz numbers come from
 the characters of the symmetric group (Frobenius' formula with
 Murnaghan-Nakayama characters, made connected by inclusion-exclusion);
-the pruned and modified pruned numbers come from a memoised enumeration
+the pruned and modified pruned numbers come from a layered enumeration
 of transitive transposition factorizations by coloured cycle type.
 The two share no code, so the pruned-core reconstruction of the full
 numbers compares two evaluators; a cut-and-join recursion for the

@@ -6,12 +6,13 @@ recomputes stored H values with the enumeration's full mode, the other
 evaluator of H.
 
 Each battery is a generator of its records beside the list of
-instances it checks; the budget check and the empty-battery check read
-that same list before any record is made.  One loop, :func:`_report`,
-emits the records of every battery and of ``cache check`` and writes
-their summary.  ``verify poly`` and ``fit`` judge a base point with one
-function, :func:`_judge`.  A command refuses by raising
-:class:`prunedhurwitz.cli.Refusal`, which :func:`prunedhurwitz.cli.main` reports.
+instances it checks; the budget check reads each instance as that list
+is built, and the empty-battery check reads the list, before any record
+is made.  One loop, :func:`_report`, emits the records of every battery
+and of ``cache check`` and writes their summary.  ``verify poly`` and
+``fit`` judge a base point with one function, :func:`_judge`.  A
+command refuses by raising :class:`prunedhurwitz.cli.Refusal`, which
+:func:`prunedhurwitz.cli.main` reports.
 
 :mod:`prunedhurwitz.cli` imports this module only when one of them
 runs, so ``--version``, ``compute`` and a budget refusal do not
@@ -95,22 +96,23 @@ def cmd_verify(args) -> int:
                 raise Refusal(f"the poly battery needs --t-max >= {need}")
             instances = [(0, mu, nu) for mu, nu in INTERIOR_BASE_POINTS]
             # the budget reads each point the scaling reaches
-            enumerated = [
-                (g, tuple(t * x for x in mu), tuple(t * x for x in nu))
-                for g, mu, nu in instances
-                for t in range(1, args.t_max + 1)
-            ]
+            for g, mu, nu in instances:
+                for t in range(1, args.t_max + 1):
+                    _check_budget(args, g, tuple(t * x for x in mu), tuple(t * x for x in nu))
         else:
             # the least number of parts of nu and the least m each battery needs
             min_nu_parts, min_m = {"main-theorem": (2, 0), "cut-and-join": (3, 1)}[args.which]
-            instances = enumerated = list(_instances(args, min_nu_parts, min_m))
+            # each instance's budget is checked as it is listed, so the
+            # first instance over it refuses before the rest are listed
+            instances = []
+            for g, mu, nu in _instances(args, min_nu_parts, min_m):
+                _check_budget(args, g, mu, nu)
+                instances.append((g, mu, nu))
             if not instances:
                 # an empty battery would report all_match: true having checked nothing
                 needs = f"l(nu) >= {min_nu_parts}" + (f" and m >= {min_m}" if min_m else "")
                 raise Refusal(f"the {args.which} battery has no instance with d <= {args.max_d}, "
                               f"g <= {args.max_g} and m <= {args.max_m} (it needs {needs})")
-        for g, mu, nu in enumerated:
-            _check_budget(args, g, mu, nu)
         battery = {"main-theorem": _main_theorem, "cut-and-join": _cut_and_join, "poly": _poly}
         records = battery[args.which](args, instances, _engine(args))
     return _report(records, {"command": "verify", "which": args.which}, args)

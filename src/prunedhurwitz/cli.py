@@ -3,8 +3,8 @@
 Reports are line-delimited JSON with stable key order; the timing field
 is the only non-deterministic part and ``--omit-timing`` drops it.
 Exit codes: 0 success / all match, 1 verified mismatch, 2 usage error,
-3 refusal (over the budget, or an input the library refuses, such as a
-search deeper than Python recurses, also under ``--force``), 4 wall
+3 refusal (over the budget, or an input the library refuses, a pruned
+count with more than 256 parts in mu, also under ``--force``), 4 wall
 refusal.
 
 This module keeps the parser, in which each ``verify`` battery is a
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     values.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR), metavar="PATH",
                         help=f"persistent value cache (default: ${CACHE_ENV_VAR})")
     values.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
-                        help="refuse enumerations whose bound on the memoised search work exceeds this")
+                        help="refuse enumerations whose bound on the search work exceeds this")
     values.add_argument("--force", action="store_true", help="override the budget guard")
     timing = argparse.ArgumentParser(add_help=False)
     timing.add_argument("--omit-timing", action="store_true",
@@ -242,8 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"{exc}\n")
         return exc.code
     except ValueError as exc:
-        # a parsed request the library still cannot take, such as a
-        # search deeper than Python recurses: refused, budget or not
+        # a parsed request the library still cannot take, a pruned
+        # count with more than 256 parts in mu: refused, budget or not
         sys.stderr.write(f"refusing: {exc}\n")
         return EXIT_BUDGET
 

@@ -52,15 +52,17 @@ def count_coloured(
     tables: MoveTables | None = None,
 ) -> tuple[int, int]:
     """The number of qualifying sequences of m >= 1 transpositions, and
-    the number of states memoised on the way.  A successor one move
+    the number of states reached on the way.  A successor one move
     before the end whose cycle type is not pre-final cannot finish and
-    is not memoised, so it is not counted among the states.
+    is not made, so it is not counted among the states.
 
-    The memo of completions lives for this call only: a state's count
-    depends on m, the target and the mode.  The move tables are read
-    from and added to ``tables`` when it is given, and live for this
-    call only when it is not; see :class:`MoveTables` for why sharing
-    them between calls is exact."""
+    The search runs forward one transposition at a time.  A layer maps
+    each state reached after k transpositions to the number of ways to
+    reach it; only the current layer and the next are held, and the
+    last moves are counted from the final one.  The move tables are
+    read from and added to ``tables`` when it is given, and live for
+    this call only when it is not; see :class:`MoveTables` for why
+    sharing them between calls is exact."""
     mu = tuple(sorted(mu, reverse=True))
     ncol = len(mu)
     if ncol > 256:
@@ -69,6 +71,8 @@ def count_coloured(
     # equal-size colours are consecutive; first[c] is the least of them
     first = [mu.index(size) for size in mu]
     symmetric = len(set(mu)) < ncol
+    # touches are clamped at 2, so a state's deficit is full - sum(touch)
+    full = 2 * ncol if track_touches else 0
     if tables is None:
         tables = MoveTables()
     rotations = tables.rotations
@@ -79,7 +83,6 @@ def count_coloured(
         prefinal = tables.prefinal[target] = prefinal_types(target)
     finals = tables.finals.setdefault(target, {})
     closers = tables.closers.setdefault(target, {})
-    memo: list[dict] = [{} for _ in range(m)]
 
     def least(w: bytes) -> tuple[bytes, int]:
         """The least rotation of w and its period."""
@@ -253,8 +256,9 @@ def count_coloured(
         r = finals[words] = (list(cuts.items()), list(joins.items()))
         return r
 
-    def last(words: tuple, touch: bytes, comp: bytes, short: int) -> int:
+    def last(words: tuple, touch: bytes, comp: bytes) -> int:
         """The transpositions that complete a state in one move."""
+        short = full - sum(touch)
         if short > 2:
             return 0
         cuts, joins = finals.get(words) or finishing(words)
@@ -277,61 +281,55 @@ def count_coloured(
             if all(t + (a == c) + (b == c) >= 2 for c, t in deficit)
         )
 
-    def completions(depth: int, words: tuple, touch: bytes, comp: bytes, short: int) -> int:
-        remaining = m - depth - 1
-        if remaining == 0:
-            return last(words, touch, comp, short)
-        if remaining == 1:
-            out = closers.get(words) or successors(words, prefinal)
-        else:
-            out = moves.get(words) or successors(words)
-        table = memo[depth + 1]
-        total = 0
-        for entries, step in zip(out, (1, -1)):
-            if abs(len(words) + step - ltarget) > remaining:
-                continue
-            for new_words, ca, cb, ways in entries:
-                new_touch, new_short = touch, short
-                if track_touches:
-                    ta, tb = touch[ca], touch[cb]
-                    if ca == cb:
-                        if ta < 2:
-                            new_short -= 2 - ta
-                            new_touch = touch[:ca] + b"\x02" + touch[ca + 1:]
-                    elif ta < 2 or tb < 2:
-                        new_short -= (ta < 2) + (tb < 2)
-                        bumped = bytearray(touch)
-                        bumped[ca] = ta + (ta < 2)
-                        bumped[cb] = tb + (tb < 2)
-                        new_touch = bytes(bumped)
-                    if new_short > 2 * remaining:
-                        continue
-                new_comp = comp
-                if step < 0 and comp[ca] != comp[cb]:
-                    lo, hi = sorted((comp[ca], comp[cb]))
-                    new_comp = comp.replace(bytes((hi,)), bytes((lo,)))
-                if symmetric:
-                    new_words, renaming = renamings.get(new_words) or relabel(new_words)
-                    if renaming is not None:
-                        if track_touches:
-                            new_touch = bytes(renaming(new_touch))
-                        # component labels: the least colour of each component
-                        seen: dict = {}
-                        new_comp = bytes([seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))])
-                key = (new_words, new_touch, new_comp)
-                n = table.get(key)
-                if n is None:
-                    n = table[key] = completions(depth + 1, new_words, new_touch, new_comp, new_short)
-                total += ways * n
-        return total
-
     root = tuple(bytes([c]) * size for c, size in enumerate(mu))
-    touch = bytes(ncol) if track_touches else b""
-    try:
-        count = completions(0, root, touch, bytes(range(ncol)), 2 * ncol if track_touches else 0)
-        return count, 1 + sum(map(len, memo))
-    finally:
-        # completions reaches itself through its closure; without this
-        # the memo, and tables built for this call, would wait for the
-        # cycle collector
-        del completions
+    layer = {(root, bytes(ncol) if track_touches else b"", bytes(range(ncol))): 1}
+    states = 1
+    for remaining in range(m - 1, 0, -1):
+        # one transposition from every state of the layer, with
+        # ``remaining`` moves after it
+        following: dict = {}
+        for (words, touch, comp), ways_in in layer.items():
+            short = full - sum(touch)
+            if remaining == 1:
+                out = closers.get(words) or successors(words, prefinal)
+            else:
+                out = moves.get(words) or successors(words)
+            for entries, step in zip(out, (1, -1)):
+                if abs(len(words) + step - ltarget) > remaining:
+                    continue
+                for new_words, ca, cb, ways in entries:
+                    new_touch = touch
+                    if track_touches:
+                        ta, tb = touch[ca], touch[cb]
+                        new_short = short
+                        if ca == cb:
+                            if ta < 2:
+                                new_short -= 2 - ta
+                                new_touch = touch[:ca] + b"\x02" + touch[ca + 1:]
+                        elif ta < 2 or tb < 2:
+                            new_short -= (ta < 2) + (tb < 2)
+                            bumped = bytearray(touch)
+                            bumped[ca] = ta + (ta < 2)
+                            bumped[cb] = tb + (tb < 2)
+                            new_touch = bytes(bumped)
+                        if new_short > 2 * remaining:
+                            continue
+                    new_comp = comp
+                    if step < 0 and comp[ca] != comp[cb]:
+                        lo, hi = sorted((comp[ca], comp[cb]))
+                        new_comp = comp.replace(bytes((hi,)), bytes((lo,)))
+                    if symmetric:
+                        new_words, renaming = renamings.get(new_words) or relabel(new_words)
+                        if renaming is not None:
+                            if track_touches:
+                                new_touch = bytes(renaming(new_touch))
+                            # component labels: the least colour of each component
+                            seen: dict = {}
+                            new_comp = bytes([
+                                seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))
+                            ])
+                    key = (new_words, new_touch, new_comp)
+                    following[key] = following.get(key, 0) + ways_in * ways
+        layer = following
+        states += len(layer)
+    return sum(ways_in * last(*state) for state, ways_in in layer.items()), states

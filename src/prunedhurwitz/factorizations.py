@@ -11,10 +11,10 @@ support of at least two of the transpositions.  Counts over all sigma1
 of type mu follow by conjugation invariance, and the Hurwitz-number
 normalisation is :func:`value_from_count`.
 
-The count is not taken leaf by leaf but over memoised search states
-(:func:`prunedhurwitz.coloured.count_coloured`, loaded on the first
-count).  Colour each point by the index of the sigma1-cycle holding
-it.  After k transpositions the state is
+The count is not taken leaf by leaf but over search states, one layer
+per transposition (:func:`prunedhurwitz.coloured.count_coloured`,
+loaded on the first count).  Colour each point by the index of the
+sigma1-cycle holding it.  After k transpositions the state is
 
 * the coloured cycle type of the running product P = tau_k ... tau_1
   sigma1: the multiset of P's cycles, each written as the cyclic word of
@@ -58,8 +58,8 @@ with the lengths its move removes and adds.  One move before the end
 only the successors of those types are generated: the cut lengths and
 the pairs of words to join are chosen from the word lengths before any
 word is built, so a successor that cannot finish is not made, renamed
-or memoised.  The work grows with the number of states, bounded by
-:func:`search_work_bound`, not with the count itself.
+or kept as a state.  The work grows with the number of states, bounded
+by :func:`search_work_bound`, not with the count itself.
 
 Move tables (:class:`MoveTables`).  The least rotations, successor
 lists and colour renamings are functions of a word or a word multiset
@@ -70,8 +70,8 @@ components.  A word multiset also fixes mu, since colour c occurs mu_c
 times in it.  So the tables built for one count are exact for every
 other, and a caller that makes many counts (a
 :class:`prunedhurwitz.hurwitz.HurwitzEngine`) hands the same tables to
-each; only the memo of completions, which depends on m, nu and the
-mode, is rebuilt per count.
+each; only the layers of states, which depend on m, nu and the mode,
+are rebuilt per count.
 
 Isomorphism classes (:func:`count_isomorphism_classes`) need no search
 of their own.  By Burnside's lemma over the cycle rotations they are N
@@ -85,7 +85,8 @@ module knows where the two differ.
 Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
-  so the single vertex has valency 2);
+  so the single vertex has valency 2).  The touches give this: one
+  transposition touches one cycle twice or two cycles once each;
 * m = 0: not pruned.  A checked request has m = 0 only at genus 0
   with mu = nu = (d), where the empty sequence qualifies in full mode;
   its one sigma1 cycle meets no transposition.  Counting it as pruned
@@ -165,21 +166,9 @@ def count_factorizations(
     if m == 0:
         # mu = nu = (d): the empty sequence, whose one sigma1 cycle no transposition meets
         return int(not pruned)
-    target = tuple(sorted(nu, reverse=True))
-    if pruned and m == 1 and len(mu) != 1:
-        return 0
-    track_touches = pruned and m > 1
-    if track_touches and 2 * len(mu) > 2 * m:
-        return 0
     from .coloured import count_coloured
 
-    try:
-        return count_coloured(mu, m, target, track_touches, tables)[0]
-    except RecursionError:
-        # the search recurses once per transposition
-        raise ValueError(
-            f"the search over m = {m} transpositions recurses deeper than Python allows"
-        ) from None
+    return count_coloured(mu, m, tuple(sorted(nu, reverse=True)), pruned, tables)[0]
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -201,6 +190,10 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     a word in which colour c appears mu_c times, one of
     d!/(mu_1! ... mu_l!).  The successor lists, built once per word
     multiset, cost at most P word operations per state as well.
+
+    The cap is at least W * 3^l * Bell(l), W = d!/(mu_1! ... mu_l!),
+    since C(mu) >= min(d!, W) = W; p(d), which takes O(d^2) to build, is
+    read only once P^k reaches that.
     """
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)
@@ -208,14 +201,17 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
         return 0  # the empty sum, returned before d! and p(d) are built
     pairs = d * (d - 1) // 2
     words = math.factorial(d) // math.prod(map(math.factorial, mu))
-    types = min(math.factorial(d), partition_count(d) * words)
-    states = types * 3 ** len(mu) * bell_number(len(mu))
+    labels = 3 ** len(mu) * bell_number(len(mu))
+    least_cap, states = words * labels, None
     # P^k passes the cap after a few k (or, for P < 2, never changes
     # again): every later term is the same
     total, power = 0, 1
     for k in range(m):
-        if power >= states or pairs < 2:
-            return pairs * (total + (m - k) * min(power, states))
+        if power >= least_cap or pairs < 2:
+            if states is None:
+                states = min(math.factorial(d), partition_count(d) * words) * labels
+            if power >= states or pairs < 2:
+                return pairs * (total + (m - k) * min(power, states))
         total += power
         power *= pairs
     return pairs * total

@@ -259,20 +259,43 @@ def test_the_corrected_variant_refuses_the_options_only_plain_reads(capsys, monk
     ]
 
 
-def test_search_deeper_than_python_recurses_is_refused_exit_3():
-    # within the budget, but m = 1000 is deeper than the search recurses:
-    # one stderr line and exit 3, --force or not, and no traceback
+def run_module(*argv, timeout=60):
+    """The CLI as a subprocess on this checkout's sources, with no cache
+    file from the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PRUNEDHURWITZ_CACHE", None)
-    argv = [sys.executable, "-m", "prunedhurwitz", "compute", "--genus", "500",
-            "--mu", "3", "--nu", "3", "--kind", "pruned", "--omit-timing"]
-    for extra in ([], ["--force"]):
-        run = subprocess.run(argv + extra, env=env, capture_output=True, text=True, timeout=60)
-        assert run.returncode == 3 and run.stdout == ""
-        assert run.stderr.splitlines() == [
-            "refusing: the search over m = 1000 transpositions recurses deeper than Python allows"
-        ]
+    return subprocess.run([sys.executable, "-m", "prunedhurwitz", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_a_deep_pruned_search_is_answered():
+    # m = 1000 is within the budget, and the search runs one layer per
+    # transposition: PH equals H, as every sequence is pruned for mu = (d)
+    argv = ["compute", "--genus", "500", "--mu", "3", "--nu", "3", "--omit-timing"]
+    pruned = run_module(*argv, "--kind", "pruned")
+    full = run_module(*argv, "--kind", "full")
+    assert pruned.returncode == full.returncode == 0 and pruned.stderr == ""
+    assert json.loads(pruned.stdout)["value"] == json.loads(full.stdout)["value"]
+
+
+@pytest.mark.parametrize("which", ["main-theorem", "cut-and-join"])
+def test_a_battery_refuses_at_its_first_instance_over_the_budget(which):
+    # each instance's budget is checked as it is listed: at --max-d 40
+    # the pairs of partitions number about 1.4e9 per genus, and the
+    # refusal comes at d = 9 with the line --max-d 9 gives
+    refusals = [run_module("verify", which, "--max-d", str(d), timeout=30) for d in (9, 40)]
+    assert [run.returncode for run in refusals] == [3, 3]
+    assert refusals[0].stderr == refusals[1].stderr and refusals[1].stdout == ""
+
+
+def test_fit_refuses_a_far_scaling_without_building_p_of_d():
+    # the scaled point (10000,15000)|(5000,20000) has d = 25,000; its
+    # bound never reaches the cap, so p(d) is not built
+    run = run_module("fit", "--mu", "2,3", "--nu", "1,4", "--t-max", "5000", "--omit-timing",
+                     timeout=10)
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("refusing: estimated search size ")
 
 
 def test_verify_budget_refusal_exit_3(capsys):
@@ -632,12 +655,8 @@ def test_warm_compute_does_not_enumerate(tmp_path, capsys, monkeypatch):
 def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
     # the CLI configures no logging: the warnings reach stderr through
     # logging's last-resort handler, one bare message line each
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PRUNEDHURWITZ_CACHE", None)
-    argv = [sys.executable, "-m", "prunedhurwitz", "compute", "--genus", "0",
-            "--mu", "2,3", "--nu", "1,4", "--omit-timing"]
-    clean = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    argv = ["compute", "--genus", "0", "--mu", "2,3", "--nu", "1,4", "--omit-timing"]
+    clean = run_module(*argv)
     assert clean.returncode == 0 and clean.stderr == ""
     cache = tmp_path / "bad.jsonl"
     cache.write_text(
@@ -645,8 +664,7 @@ def test_cache_warnings_are_bare_lines_on_stderr(tmp_path):
         '"conv": {"m0_pruned": false}}\n'
         "not json\n"
     )
-    run = subprocess.run(argv + ["--cache", str(cache)], env=env,
-                         capture_output=True, text=True, timeout=60)
+    run = run_module(*argv, "--cache", str(cache))
     assert run.returncode == 0
     assert run.stdout == clean.stdout
     assert run.stderr.splitlines() == [

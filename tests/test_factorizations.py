@@ -113,7 +113,7 @@ def test_count_factorizations_examples():
 
 
 def test_count_matches_naive_filter():
-    # the memoised counter against the naive product-and-filter
+    # the state counter against the naive product-and-filter
     # enumeration: every (g <= 1, d <= 4, m <= 4) case, both modes; the
     # m = 0 convention through the engine
     flagged = HurwitzEngine(Conventions(m0_pruned=True))
@@ -285,20 +285,30 @@ def test_search_work_bound_equals_the_literal_sum():
     assert search_work_bound(20_000, (3,), (3,)) == 1_079_958
 
 
-def test_search_deeper_than_python_recurses_is_a_value_error():
-    # (3)|(3) at g = 500 is m = 1000 levels deep; the bound admits it
-    assert search_work_bound(500, (3,), (3,)) <= DEFAULT_BUDGET
-    with pytest.raises(ValueError, match="m = 1000 "):
-        count_factorizations(500, (3,), (3,), pruned=True)
-    # the engine's shared tables stay sound after the aborted search
+def test_one_cycle_mu_is_pruned_at_every_positive_m():
+    # for mu = (d) every transposition lies in sigma1's one cycle and
+    # touches it twice, so every sequence is pruned once m >= 1:
+    # PH(g, (d), nu) = H(g, (d), nu), the second from the characters
     engine = HurwitzEngine()
-    with pytest.raises(ValueError, match="m = 1000 "):
-        engine.pruned(500, (3,), (3,))
-    assert engine.pruned(2, (3,), (3,)) == HurwitzEngine().pruned(2, (3,), (3,))
+    for d in range(1, 9):
+        for g in range(4):
+            for nu in partitions(d):
+                if 2 * g - 1 + len(nu) >= 1:
+                    assert engine.pruned(g, (d,), nu) == engine.double(g, (d,), nu), (g, d, nu)
+
+
+def test_a_deep_search_runs_layer_by_layer():
+    # m = 1000 and m = 4000 transpositions, within the budget: the
+    # search holds two layers of states, so its depth has no limit of
+    # its own; PH = H there, as mu = (d)
+    engine = HurwitzEngine()
+    for g, d in [(500, 3), (2000, 4)]:
+        assert search_work_bound(g, (d,), (d,)) <= DEFAULT_BUDGET
+        assert engine.pruned(g, (d,), (d,)) == engine.double(g, (d,), (d,)), (g, d)
 
 
 def test_search_work_bound_covers_the_visited_states():
-    # the engine's memoised states, each trying at most P moves, stay
+    # the engine's states, each trying at most P moves, stay
     # within the bound; both modes, every g <= 2, d <= 5, m <= 6
     for d in range(1, 6):
         pairs = d * (d - 1) // 2
@@ -351,13 +361,13 @@ def test_reach_beyond_the_permutation_search():
 
 
 def test_memo_state_count_pinned():
-    # the memoised states of four ladder rows (N first).  No value
+    # the states of four ladder rows (N first).  No value
     # shows a state split in two, so these counts are what catch a word
     # kept at another rotation than its least, or colours of distinct
     # sizes renamed into each other (exact, as any renaming is, but it
     # splits states)
     # a successor one move before the end whose cycle type is not
-    # pre-final is not memoised, as it cannot finish
+    # pre-final is not kept as a state, as it cannot finish
     assert count_coloured((3, 2, 1), 5, (4, 2), True) == (97_200, 249)
     assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 104)
     assert count_coloured((8,), 4, (8,), True) == (198_912, 15)
@@ -384,7 +394,8 @@ def test_prefinal_types_match_one_transposition():
 
 
 def test_memo_is_released_on_return():
-    # no reference cycle keeps a call's memo for the cycle collector
+    # no reference cycle keeps a call's layers of states for the
+    # cycle collector
     gc.collect()
     gc.disable()
     try:
