@@ -63,9 +63,9 @@ def _report(records, summary: dict, args) -> int:
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
-def _instances(args, min_nu_parts: int, min_m: int):
-    """(g, mu, nu) with d <= max_d, g <= max_g, min_m <= m <= max_m and
-    at least ``min_nu_parts`` parts in nu."""
+def _instances(args, min_nu_parts: int):
+    """(g, mu, nu) with d <= max_d, g <= max_g, m <= max_m and at least
+    ``min_nu_parts`` parts in nu."""
     from .combinatorics import partitions
 
     for d in range(1, args.max_d + 1):
@@ -74,7 +74,7 @@ def _instances(args, min_nu_parts: int, min_m: int):
             for mu in parts:
                 for nu in parts:
                     m = 2 * g - 2 + len(mu) + len(nu)
-                    if len(nu) >= min_nu_parts and min_m <= m <= args.max_m:
+                    if len(nu) >= min_nu_parts and m <= args.max_m:
                         yield g, mu, nu
 
 
@@ -100,19 +100,20 @@ def cmd_verify(args) -> int:
                 for t in range(1, args.t_max + 1):
                     _check_budget(args, g, tuple(t * x for x in mu), tuple(t * x for x in nu))
         else:
-            # the least number of parts of nu and the least m each battery needs
-            min_nu_parts, min_m = {"main-theorem": (2, 0), "cut-and-join": (3, 1)}[args.which]
+            # the least number of parts of nu each battery needs; as
+            # m = 2g - 2 + l(mu) + l(nu) >= l(nu) - 1, it bounds m from below
+            min_nu_parts = {"main-theorem": 2, "cut-and-join": 3}[args.which]
             # each instance's budget is checked as it is listed, so the
             # first instance over it refuses before the rest are listed
             instances = []
-            for g, mu, nu in _instances(args, min_nu_parts, min_m):
+            for g, mu, nu in _instances(args, min_nu_parts):
                 _check_budget(args, g, mu, nu)
                 instances.append((g, mu, nu))
             if not instances:
                 # an empty battery would report all_match: true having checked nothing
-                needs = f"l(nu) >= {min_nu_parts}" + (f" and m >= {min_m}" if min_m else "")
                 raise Refusal(f"the {args.which} battery has no instance with d <= {args.max_d}, "
-                              f"g <= {args.max_g} and m <= {args.max_m} (it needs {needs})")
+                              f"g <= {args.max_g} and m <= {args.max_m} (it needs "
+                              f"l(nu) >= {min_nu_parts}, so m >= {min_nu_parts - 1})")
         battery = {"main-theorem": _main_theorem, "cut-and-join": _cut_and_join, "poly": _poly}
         records = battery[args.which](args, instances, _engine(args))
     return _report(records, {"command": "verify", "which": args.which}, args)
@@ -138,18 +139,15 @@ def _main_theorem(args, instances, engine):
 def _cut_and_join(args, instances, engine):
     from .cutjoin import verify_recursion
 
+    reading = args.stability_reading or "literal"
     first_failure = True
     for g, mu, nu in instances:
-        report = verify_recursion(
-            g, mu, nu, engine,
-            stability_reading=args.stability_reading or "literal",
-            variant=args.variant,
-        )
+        report = verify_recursion(g, mu, nu, engine, reading, args.variant)
         yield {
             "type": "cut-and-join",
             "genus": g, "mu": list(mu), "nu": list(nu),
-            "variant": report.variant,
-            "stability_reading": report.stability_reading,
+            "variant": args.variant,
+            "stability_reading": reading,
             "lhs": _fraction_obj(report.lhs),
             "rhs": _fraction_obj(report.rhs),
             "cases": {k: _fraction_obj(v) for k, v in report.per_case_totals.items()},

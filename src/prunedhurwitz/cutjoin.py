@@ -52,12 +52,15 @@ convention (no Hurwitz value depends on it): "facecount" excludes
 exactly the cycle halves, "literal" excludes (genus, inherited faces)
 = (0, 2) instead.
 
-The split family is one loop for both variants, which choose only the
-oracle (``phat`` or ``ph``), the halves skipped (the stability rule,
-or the tree halves and one-cycle splits) and the integer factor of a
-term.  It visits split configurations with g1 <= g2; on a genus tie
-each unordered configuration is visited in both orders, so it enters
-with weight 1/2.
+Each statement reads one oracle: the plain one the modified pruned
+count, the corrected one PH.  The two differ only at mu = nu = (d), and
+every genus-drop and join core has at least two faces, as l(nu) >= 3,
+so the variants differ in the split family alone.  It is one loop for
+both, which choose only the halves skipped (the stability rule, or the
+tree halves and one-cycle splits) and the integer factor of a term.
+It visits split configurations with g1 <= g2; on a genus tie each
+unordered configuration is visited in both orders, so it enters with
+weight 1/2.
 
 The cores of the genus-drop and join families and the vertex splits
 of the split family are built once per call, each with its path
@@ -71,7 +74,7 @@ subset, every base-3 vertex assignment and every perimeter, which
 ``tests/oracles.py`` keeps as the reference.
 
 The evaluator refuses a negative genus, as every value entry does, and
-never asks its oracles for a degenerate value (a negative genus, an
+never asks its oracle for a degenerate value (a negative genus, an
 empty profile or unequal degrees), on which the engine's values raise.
 Configurations that would need one contribute zero and are not
 enumerated: a core or split half without vertices, a split half whose
@@ -92,7 +95,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .combinatorics import check_request
 from .hurwitz import HurwitzEngine
 
-PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
+Oracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
 
 GENUS_DROP = "GENUS_DROP"
 SPLIT = "SPLIT"
@@ -109,14 +112,9 @@ class RecursionTerm(NamedTuple):
 
 
 class RecursionReport(NamedTuple):
-    genus: int
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
     lhs: Fraction
     rhs: Fraction
     per_case_totals: dict[str, Fraction]
-    stability_reading: str
-    variant: str
     terms: list[RecursionTerm]
 
     @property
@@ -190,7 +188,7 @@ def _vertex_splits(mu: tuple, m: int, cap: int) -> list[tuple]:
 
 
 def _genus_drop_terms(
-    g: int, nu: tuple, phat: PhatOracle, cores: list[tuple]
+    g: int, nu: tuple, oracle: Oracle, cores: list[tuple]
 ) -> Iterator[RecursionTerm]:
     if g == 0:
         return  # every core would have genus -1
@@ -202,7 +200,7 @@ def _genus_drop_terms(
                 continue
             for alpha in range(1, budget):
                 beta = budget - alpha
-                value = phat(g - 1, mu_core, other_faces + (alpha, beta))
+                value = oracle(g - 1, mu_core, other_faces + (alpha, beta))
                 if value == 0:
                     continue
                 yield RecursionTerm(
@@ -213,7 +211,7 @@ def _genus_drop_terms(
 
 
 def _join_terms(
-    g: int, nu: tuple, phat: PhatOracle, cores: list[tuple]
+    g: int, nu: tuple, oracle: Oracle, cores: list[tuple]
 ) -> Iterator[RecursionTerm]:
     for i, j in combinations(range(len(nu)), 2):
         other_faces = tuple(nu[t] for t in range(len(nu)) if t not in (i, j))
@@ -221,7 +219,7 @@ def _join_terms(
             alpha = nu[i] + nu[j] - weight
             if alpha < 1:
                 continue
-            value = phat(g, mu_core, other_faces + (alpha,))
+            value = oracle(g, mu_core, other_faces + (alpha,))
             if value == 0:
                 continue
             yield RecursionTerm(
@@ -235,7 +233,7 @@ def _split_terms(
     g: int,
     nu: tuple,
     m: int,
-    oracle: PhatOracle,
+    oracle: Oracle,
     splits: list[tuple],
     variant: str,
     stability_reading: str,
@@ -300,18 +298,17 @@ def cut_and_join_terms(
     g: int,
     mu: Sequence[int],
     nu: Sequence[int],
-    phat: PhatOracle,
+    oracle: Oracle,
     stability_reading: str = "literal",
     variant: str = "plain",
-    ph: PhatOracle | None = None,
 ) -> Iterator[RecursionTerm]:
     """Every non-zero term of the recursion right-hand side, as an
     iterator; the arguments are checked by this call, before any term.
 
-    ``phat`` supplies modified pruned values.  The corrected variant
-    also needs ``ph`` (automorphism-weighted pruned values) for the
-    split halves and raises ``ValueError`` without it.  Only the plain
-    variant reads ``stability_reading``.
+    ``oracle`` supplies the values the statement is written in: modified
+    pruned values for the plain variant, automorphism-weighted pruned
+    values (PH) for the corrected one.  Only the plain variant reads
+    ``stability_reading``.
     """
     mu, nu = check_request(g, mu, nu)
     if len(nu) < 3:
@@ -323,20 +320,17 @@ def cut_and_join_terms(
         raise ValueError(
             f"unknown stability reading {stability_reading!r}; choose from {STABILITY_READINGS}"
         )
-    if variant == "corrected" and ph is None:
-        raise ValueError("the corrected variant needs the pruned oracle ph")
     # a genus drop leaves a face budget >= 2 and a join a perimeter >= 1:
     # the removed vertices of a core weigh at most the two largest faces
     # less one, and those of a split at most the largest face less two
     top = sorted(nu, reverse=True)
     cores = _cores(mu, m, top[0] + top[1] - 1)
     splits = _vertex_splits(mu, m, top[0] - 2)
-    oracle = phat if variant == "plain" else ph
     # generators: no oracle is asked for anything before the first term
     return chain(
-        _genus_drop_terms(g, nu, phat, cores),
+        _genus_drop_terms(g, nu, oracle, cores),
         _split_terms(g, nu, m, oracle, splits, variant, stability_reading),
-        _join_terms(g, nu, phat, cores),
+        _join_terms(g, nu, oracle, cores),
     )
 
 
@@ -350,25 +344,17 @@ def verify_recursion(
 ) -> RecursionReport:
     """Compare the recursion right-hand side with direct enumeration.
 
-    Never asserts; the report carries both sides, per-case totals and
-    every term for mismatch forensics.
+    The plain statement reads ``engine.phat``, the corrected one
+    ``engine.pruned``.  Never asserts; the report carries both sides,
+    per-case totals and every term for mismatch forensics.
     """
+    oracle = engine.phat if variant == "plain" else engine.pruned
     # checks every argument before the engine is asked for anything
-    rhs_terms = cut_and_join_terms(g, mu, nu, engine.phat, stability_reading, variant, engine.ph)
+    rhs_terms = cut_and_join_terms(g, mu, nu, oracle, stability_reading, variant)
     lhs = engine.pruned(g, mu, nu)
     totals = {GENUS_DROP: Fraction(0), SPLIT: Fraction(0), JOIN: Fraction(0)}
     terms = []
     for term in rhs_terms:
         totals[term.case] += term.value
         terms.append(term)
-    return RecursionReport(
-        genus=g,
-        mu=tuple(mu),
-        nu=tuple(nu),
-        lhs=lhs,
-        rhs=sum(totals.values(), Fraction(0)),
-        per_case_totals=totals,
-        stability_reading=stability_reading,
-        variant=variant,
-        terms=terms,
-    )
+    return RecursionReport(lhs, sum(totals.values(), Fraction(0)), totals, terms)

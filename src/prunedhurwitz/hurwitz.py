@@ -180,8 +180,8 @@ class HurwitzEngine:
     def modified_pruned(self, g: int, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
         return self.value(g, mu, nu, Kind.MODIFIED_PRUNED)
 
-    # the oracle names the identity evaluators are called with; like
-    # every value, they raise ValueError on a negative genus, an empty
-    # profile or unequal degrees
+    # the name of the modified pruned oracle the reconstruction and the
+    # plain cut-and-join statement are called with (the corrected one
+    # reads ``pruned``); like every value, it raises ValueError on a
+    # negative genus, an empty profile or unequal degrees
     phat = modified_pruned
-    ph = pruned

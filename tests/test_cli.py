@@ -371,6 +371,7 @@ def test_verify_forests_refuses_max_n_above_the_bound(capsys, monkeypatch):
     ("cut-and-join", "--max-g", "-1"),
     ("cut-and-join", "--max-m", "-1"),
     ("forests", "--max-n", "0"),
+    ("cut-and-join", "--max-m", "1"),  # l(nu) >= 3 gives m >= 2
 ])
 def test_empty_battery_is_a_usage_error(capsys, monkeypatch, argv):
     # refused before any evaluation, instead of reporting all_match:
@@ -383,6 +384,10 @@ def test_empty_battery_is_a_usage_error(capsys, monkeypatch, argv):
     code, rows, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and not rows
     assert err.count("\n") == 1, err
+    # the least m follows from the least l(nu): m >= l(nu) - 1
+    least_m = {"cut-and-join": "m >= 2", "main-theorem": "m >= 1"}.get(argv[0])
+    if least_m:
+        assert least_m in err, err
 
 
 def test_verify_poly(capsys):

@@ -66,11 +66,16 @@ def test_known_discrepancy_of_the_plain_statement():
     assert lhs == 48
     literal = rhs(0, (2, 2), (2, 1, 1), ENGINE.phat, "literal")
     facecount = rhs(0, (2, 2), (2, 1, 1), ENGINE.phat, "facecount")
-    corrected = rhs(
-        0, (2, 2), (2, 1, 1), ENGINE.phat, variant="corrected", ph=ENGINE.ph)
+    corrected = rhs(0, (2, 2), (2, 1, 1), ENGINE.pruned, variant="corrected")
     assert literal == 54
     assert facecount == 52
     assert corrected == 48
+    # the plain statement reads the modified count, and verify_recursion
+    # passes it: PH in its place gives 812,736
+    g, mu, nu = 1, (4, 2), (3, 1, 1, 1)
+    report = verify_recursion(g, mu, nu, ENGINE)
+    assert (report.lhs, report.rhs) == (812160, 812832)
+    assert rhs(g, mu, nu, ENGINE.pruned) == 812736
 
 
 def test_corrected_variant_matches_enumeration():
@@ -149,11 +154,10 @@ def test_preconditions():
     with pytest.raises(ValueError):
         rhs(0, (2, 2), (2, 1, 1), ENGINE.phat, variant="bogus")
     # the corrected split halves need the weighted count: the modified
-    # one in their place would give 10,416
-    with pytest.raises(ValueError):
-        rhs(1, (3, 2), (3, 1, 1), ENGINE.phat, variant="corrected")
+    # one in its place gives 10,416
+    assert rhs(1, (3, 2), (3, 1, 1), ENGINE.phat, variant="corrected") == 10416
     assert rhs(
-        1, (3, 2), (3, 1, 1), ENGINE.phat, variant="corrected", ph=ENGINE.ph
+        1, (3, 2), (3, 1, 1), ENGINE.pruned, variant="corrected"
     ) == ENGINE.pruned(1, (3, 2), (3, 1, 1)) == 10380
 
 
@@ -210,15 +214,19 @@ GENUS_TWO = [(2, mu, nu) for d in (3, 4) for mu in partitions(d)
 
 def test_term_streams_equal_the_filtered_enumeration():
     # case, params (in order) and value of every term, in order, for
-    # both variants and both readings, against the per-face filter
+    # both variants and both readings, against the per-face filter.  The
+    # library reads the one oracle of its variant, the filter reads phat
+    # for the genus-drop and join cores and its variant's oracle for the
+    # split halves: so the two oracles also agree on every core
     runs = [("plain", "literal"), ("plain", "facecount"), ("corrected", "literal")]
     for g, mu, nu in [*battery(max_d=5, max_g=1), *GENUS_TWO]:
         for mu_order in sorted(set(permutations(mu))):
             for variant, reading in runs:
-                for phat, ph in [(generic_oracle, generic_oracle), (ENGINE.phat, ENGINE.ph)]:
+                for phat, ph in [(generic_oracle, generic_oracle), (ENGINE.phat, ENGINE.pruned)]:
+                    oracle = phat if variant == "plain" else ph
                     got = [
                         (t.case, list(t.params.items()), t.value)
-                        for t in cut_and_join_terms(g, mu_order, nu, phat, reading, variant, ph)
+                        for t in cut_and_join_terms(g, mu_order, nu, oracle, reading, variant)
                     ]
                     want = [
                         (t.case, list(t.params.items()), t.value)
@@ -236,5 +244,5 @@ def test_oracle_is_never_asked_for_a_degenerate_value():
     for g, mu, nu in [*battery(max_d=5, max_g=1), *GENUS_TWO]:
         for variant in ("plain", "corrected"):
             for reading in ("literal", "facecount"):
-                for _ in cut_and_join_terms(g, mu, nu, oracle, reading, variant, oracle):
+                for _ in cut_and_join_terms(g, mu, nu, oracle, reading, variant):
                     pass

@@ -8,6 +8,7 @@ import pytest
 from prunedhurwitz import characters, hurwitz
 from prunedhurwitz.cache import CACHE_VERSION, evaluator_of
 from prunedhurwitz.combinatorics import partitions
+from prunedhurwitz.factorizations import classes_from_value
 from prunedhurwitz.hurwitz import Conventions, HurwitzEngine, Kind
 
 from oracles import fully_ramified_orbit_count, search_count
@@ -106,6 +107,17 @@ def test_modified_equals_pruned_unless_fully_ramified():
                     if m < 0 or m > 4:
                         continue
                     assert ENGINE.modified_pruned(g, mu, nu) == ENGINE.pruned(g, mu, nu)
+    # the closed form the modified value is read off leaves PH unchanged
+    # off mu = nu = (d), whatever the value: the plain and the corrected
+    # cut-and-join statements read the same genus-drop and join cores
+    for d in range(1, 9):
+        for g in range(4):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    if len(mu) == 1 and len(nu) == 1:
+                        continue
+                    for x in (Fraction(0), Fraction(1), Fraction(7, 3)):
+                        assert classes_from_value(g, mu, nu, x) == x, (g, mu, nu, x)
 
 
 def test_fully_ramified_family():
@@ -135,12 +147,11 @@ def test_modified_pruned_keeps_the_pruned_value():
 def test_phat_and_ph_raise_on_degenerate_arguments():
     # the evaluators never ask for these; the zero extension the
     # generate-and-filter references need lives in tests/oracles.py
-    for oracle in (ENGINE.phat, ENGINE.ph):
+    for oracle in (ENGINE.phat, ENGINE.pruned):
         for g, mu, nu in [(-1, (2,), (2,)), (0, (), (1,)), (0, (2,), ()), (0, (2,), (1,))]:
             with pytest.raises(ValueError):
                 oracle(g, mu, nu)
     assert ENGINE.phat(1, (3, 3), (4, 2)) == ENGINE.modified_pruned(1, (3, 3), (4, 2))
-    assert ENGINE.ph(0, (2, 2), (2, 1, 1)) == ENGINE.pruned(0, (2, 2), (2, 1, 1)) == 48
 
 
 def test_m0_convention_flag():

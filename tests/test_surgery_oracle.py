@@ -133,9 +133,11 @@ def classify_decompositions(g, mu, nu):
     return out
 
 
-def case_totals(g, mu, nu, **kwargs):
+def case_totals(g, mu, nu, variant="plain", **kwargs):
+    # each statement reads the oracle it is written in
+    oracle = ENGINE.phat if variant == "plain" else ENGINE.pruned
     totals = Counter()
-    for term in cut_and_join_terms(g, mu, nu, ENGINE.phat, ph=ENGINE.ph, **kwargs):
+    for term in cut_and_join_terms(g, mu, nu, oracle, variant=variant, **kwargs):
         totals[term.case] += term.value
     return totals
 
