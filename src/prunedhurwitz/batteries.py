@@ -36,6 +36,10 @@ from .cli import (
     _fraction_obj,
 )
 
+# the forests battery's largest --max-n; it walks all (n + 1)^(n - 1)
+# rooted forests on n vertices
+DEFAULT_ENUMERATION_BOUND = 8
+
 # poly battery: chamber-interior points (a,b | c,d) with c < a,b < d
 INTERIOR_BASE_POINTS = [
     ((2, 3), (1, 4)),
@@ -80,8 +84,6 @@ def _instances(args, min_nu_parts: int):
 
 def cmd_verify(args) -> int:
     if args.which == "forests":
-        from .forests import DEFAULT_ENUMERATION_BOUND
-
         if not 1 <= args.max_n <= DEFAULT_ENUMERATION_BOUND:
             raise Refusal(f"the forests battery enumerates 1 <= n <= {DEFAULT_ENUMERATION_BOUND}; "
                           f"got --max-n {args.max_n}")
@@ -222,9 +224,9 @@ def _poly(args, instances, engine):
 
 def cmd_cache_check(args) -> int:
     """Recompute an evenly spaced sample of the records the engine would
-    load from the cache: H by the enumeration's full mode, in the
-    orientation with the smaller search bound, the pruned values by one
-    engine without the cache."""
+    load from the cache by one count each, with one set of move tables:
+    H by the enumeration's full mode, the pruned values by its pruned
+    mode, as the engine computes them, in :func:`_enumerated`'s order."""
     if not args.cache:
         raise Refusal(f"cache check needs --cache or ${CACHE_ENV_VAR}")
     if args.sample < 1:
@@ -256,27 +258,19 @@ def _enumerated(g, mu, nu, tag):
 
 
 def _recomputed(sample):
-    from .factorizations import count_factorizations, value_from_count
-    from .hurwitz import HurwitzEngine, Kind
+    from .factorizations import MoveTables, count_factorizations, value_from_count
 
-    # the records' keys differ, so the engine's memo never answers one
-    # from another; only its move tables are shared, by every count
-    engine = HurwitzEngine()
+    tables = MoveTables()
     for (g, mu, nu, tag), stored in sample:
-        if tag == Kind.FULL.value:
-            frozen, target = _enumerated(g, mu, nu, tag)
-            n = count_factorizations(g, frozen, target, tables=engine._tables)
-            recomputed = value_from_count(n, frozen, target)
-            by = "enumeration"
-        else:
-            recomputed = engine.value(g, mu, nu, Kind(tag))
-            by = "engine"
+        frozen, target = _enumerated(g, mu, nu, tag)
+        n = count_factorizations(g, frozen, target, tag == "PH", tables=tables)
+        recomputed = value_from_count(n, frozen, target)
         yield {
             "type": "cache-check",
             "genus": g, "mu": list(mu), "nu": list(nu), "kind": tag,
             "stored": _fraction_obj(stored),
             "recomputed": _fraction_obj(recomputed),
-            "recomputed_by": by,
+            "recomputed_by": "engine" if tag == "PH" else "enumeration",
             "match": recomputed == stored,
         }
 

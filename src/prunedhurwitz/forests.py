@@ -23,7 +23,9 @@ suite keeps the sum of multinomials as its reference.  ``verify
 forests`` and the benchmark's ``battery`` check the closed form against
 :func:`enumerate_rooted_forests`, which generates the forests directly
 by a depth-first walk over parent choices; the test suite's oracle
-instead filters every parent map for acyclicity.
+instead filters every parent map for acyclicity.  The reconstruction's
+forest form sums over the trees it generates on one root.  The walk
+has no size cap: ``verify forests`` bounds its ``--max-n``.
 
 The walk tests a candidate parent u of v for a cycle without walking
 u's parent chain: it keeps the root of every vertex's tree, and u
@@ -36,8 +38,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Sequence
-
-DEFAULT_ENUMERATION_BOUND = 8
 
 
 class RootedForest:
@@ -84,8 +84,7 @@ def count_forests_with_degrees(degrees: Sequence[int], roots: Iterable[int]) -> 
 
 def enumerate_rooted_forests(n: int, roots: Iterable[int]) -> Iterator[RootedForest]:
     """Every rooted forest on n vertices with the given root set, in
-    lexicographic order of the parent tuple.  Refuses n above
-    ``DEFAULT_ENUMERATION_BOUND``.
+    lexicographic order of the parent tuple, generated lazily.
 
     The parents of the non-roots are assigned in increasing vertex order
     by an iterative depth-first walk, candidates in increasing order.
@@ -107,8 +106,6 @@ def enumerate_rooted_forests(n: int, roots: Iterable[int]) -> Iterator[RootedFor
     are placed by two nested loops.  The walk counts the out-degrees as
     it assigns and withdraws parents.
     """
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise ValueError(f"n={n} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     root_set = sorted(set(roots))
     if not root_set:
         raise ValueError("root set must be non-empty")

@@ -27,8 +27,13 @@ the removed vertices of I_i.  It is evaluated two independent ways:
 * by the forest polynomial (``reconstruct_double_hurwitz``): by the
   forest form of Cayley's formula it is r * (r + sum w)^(p - 1) for r
   roots and p vertices of weights w, here nu~_i * nu_i^(p_i - 1);
-* by explicit enumeration of rooted forests
-  (``reconstruct_via_forests``).
+* by explicit enumeration (``reconstruct_via_forests``) of the rooted
+  trees on one root of weight r = nu~_i and the p removed vertices,
+  each weighted r^outdeg(root) * prod w_v^outdeg(v).  Merging the r
+  root slots into one root maps the forests onto these trees, a
+  vertex under the merged root choosing one of its r slots, so the sum
+  is the same; it takes (p + 1)^(p - 1) trees, with p + 1 <= l(mu),
+  in place of r * (r + p)^(p - 1) forests.
 
 ``tests/oracles.py`` keeps the paper's sum over out-degree sequences
 of closed forest counts as the reference of both.
@@ -44,7 +49,7 @@ so callers are expected to stay on l(nu) >= 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import perm, prod
 from typing import Callable, Sequence
 
 from .combinatorics import check_request
@@ -63,20 +68,16 @@ def _cayley_block_factor(root_count: int, weights: Sequence[int]) -> int:
 
 
 def _forest_block_factor(root_count: int, weights: Sequence[int]) -> int:
-    """Same quantity by brute-force forest enumeration, weighting each
-    non-root vertex v by weights_v^(val(v) - 1) = weights_v^outdeg(v)."""
-    p = len(weights)
-    if p == 0:
+    """Same quantity by brute-force enumeration of the rooted trees on
+    one root of weight root_count (vertex 0) and the weighted vertices,
+    weighting each vertex v by its weight^outdeg(v); 1 for an empty
+    block."""
+    if not weights:
         return 1
-    n = root_count + p
-    total = 0
-    for forest in enumerate_rooted_forests(n, range(root_count)):
-        degs = forest.out_degrees()
-        w = 1
-        for j, weight in enumerate(weights):
-            w *= weight ** degs[root_count + j]
-        total += w
-    return total
+    return sum(
+        prod(map(pow, (root_count, *weights), tree.out_degrees()))
+        for tree in enumerate_rooted_forests(len(weights) + 1, [0])
+    )
 
 
 def _assignments(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:

@@ -93,13 +93,6 @@ def perm_type(p):
     return tuple(sorted((len(c) for c in perm_cycles(p)), reverse=True))
 
 
-def all_permutations_of_type(d, mu):
-    target = tuple(sorted(mu, reverse=True))
-    for images in iter_permutations(range(d)):
-        if perm_type(images) == target:
-            yield images
-
-
 def perm_inverse(p):
     inv = [0] * len(p)
     for i, v in enumerate(p):

@@ -266,7 +266,7 @@ def test_criterion_7_internal_consistency(engine):
 
 # 8 -------------------------------------------------------------------------
 
-def test_criterion_8_parallel_determinism(capsys):
+def test_criterion_8_determinism(capsys):
     batteries = [
         ["compute", "--genus", "1", "--mu", "2,2", "--nu", "2,1,1",
          "--kind", "pruned", "--omit-timing"],

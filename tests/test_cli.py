@@ -446,6 +446,17 @@ def test_a_refusal_is_one_stderr_line_and_its_exit_code(capsys, monkeypatch, arg
     assert out.out == "" and len(out.err.splitlines()) == 1, out.err
 
 
+def test_verify_main_theorem_reaches_past_eight_forest_vertices():
+    # faces with nu~_i + p_i > 8 (the forests battery's cap) are checked
+    # by trees on one merged root, so the battery runs to its summary
+    run = run_module("verify", "main-theorem", "--max-d", "10", "--max-g", "0", "--max-m", "2",
+                     "--omit-timing")
+    assert run.returncode == 0 and run.stderr == ""
+    rows = [json.loads(line) for line in run.stdout.splitlines()]
+    assert sum(row.get("type") == "main-theorem" for row in rows) == 141
+    assert rows[-1]["all_match"] is True
+
+
 def test_verify_main_theorem_small(capsys):
     code, rows, _ = run_cli(capsys, "verify", "main-theorem", "--max-d", "3", "--omit-timing")
     assert code == 0

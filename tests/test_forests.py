@@ -146,5 +146,3 @@ def test_validation():
         count_forests_with_degrees((0, 0), [])
     with pytest.raises(ValueError):
         count_forests_with_degrees((0, 0), [5])
-    with pytest.raises(ValueError):
-        list(enumerate_rooted_forests(9, [0]))

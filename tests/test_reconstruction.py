@@ -83,14 +83,23 @@ def test_degree_mismatch_rejected():
 def test_block_factor_forms_agree_with_generating_function():
     # the per-face regrafting factor three ways: the forest polynomial
     # r * (r + sum(weights))^(p-1), the paper's sum over out-degree
-    # sequences, and forest enumeration; every block here has at most
-    # 8 vertices, the enumeration's bound
+    # sequences, and the enumeration of trees on one root of weight r
     for roots in range(1, 5):
         for p in range(5):
             for weights in product(range(1, 4), repeat=p):
                 closed = _cayley_block_factor(roots, weights)
                 assert closed == block_factor_by_degrees(roots, weights), (roots, weights)
                 assert closed == _forest_block_factor(roots, weights), (roots, weights)
+
+
+def test_block_factor_forms_agree_past_eight_vertices():
+    # r + p reaches 17: the enumeration walks trees on the p + 1 <= 6
+    # vertices of the merged root and the block, however many roots
+    for roots in range(1, 13):
+        for weights in [(1,), (2, 5), (3, 1, 4), (5, 5, 5), (1, 1, 1, 1), (2, 7, 1, 8, 2)]:
+            closed = _cayley_block_factor(roots, weights)
+            assert closed == _forest_block_factor(roots, weights), (roots, weights)
+            assert closed == block_factor_by_degrees(roots, weights), (roots, weights)
 
 
 class CoefficientOracle:
