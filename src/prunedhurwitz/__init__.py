@@ -3,12 +3,12 @@
 All values are exact rationals.  The double Hurwitz numbers come from
 the characters of the symmetric group (Frobenius' formula with
 Murnaghan-Nakayama characters, made connected by inclusion-exclusion);
-the pruned and modified pruned numbers come from a layered enumeration
-of transitive transposition factorizations by coloured cycle type.
-The two share no code, so the pruned-core reconstruction of the full
-numbers compares two evaluators; a cut-and-join recursion for the
-pruned numbers and piecewise-polynomial scaling behaviour are checked
-as well.
+the pruned and modified pruned numbers from the full counts of a
+layered enumeration by coloured cycle type, by inclusion-exclusion
+over the leaves.  The two share no code, so the pruned-core
+reconstruction of the full numbers compares two evaluators; a
+cut-and-join recursion for the pruned numbers and piecewise-polynomial
+scaling behaviour are checked as well.
 """
 
 import importlib

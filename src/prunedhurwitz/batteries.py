@@ -1,9 +1,13 @@
 """The commands ``verify``, ``fit`` and ``cache check``: the identity
 batteries, the scaling fit and the recomputation of cached values.
-``verify main-theorem`` rebuilds each H from modified pruned values, so
-it compares two evaluators that share no code; ``cache check``
-recomputes stored H values with the enumeration's full mode, the other
-evaluator of H.
+``verify main-theorem`` rebuilds each H from modified pruned values,
+the leaf sum of the enumeration's full counts; as the reconstruction
+inverts the leaf sum for any values (tested on random ones), it checks
+the characters against those counts, not the pruning, which the test
+suite ties to its definition.  The corrected ``verify cut-and-join``
+fails on the leaf sum of random values, so it checks the values.
+``cache check`` recomputes stored H values with the enumeration's full
+mode, the other evaluator of H.
 
 Each battery is a generator of its records beside the list of
 instances it checks; the budget check reads each instance as that list

@@ -22,8 +22,8 @@ another code) or, from the library, ``ValueError`` (exit 3); :func:`main`
 alone turns either into one stderr line and the exit code.
 
 Values come from :class:`prunedhurwitz.hurwitz.HurwitzEngine`: H from
-the characters of S_d, PH from the coloured cycle-type engine and the
-modified PH as a closed form of PH.
+the characters of S_d, PH from the enumeration's full counts by the
+leaf sum and the modified PH as a closed form of PH.
 """
 
 from __future__ import annotations

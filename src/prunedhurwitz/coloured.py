@@ -1,11 +1,11 @@
 """The coloured cycle-type engine behind
-:func:`prunedhurwitz.factorizations.count_factorizations`.
-
-The state, why it is exact and the transitions are set out in the
-docstring of :mod:`prunedhurwitz.factorizations`, with the bound on
-the work.  The engine is a module of its own so that importing the
-package, or a command answered from the value cache, compiles none of
-it: :func:`count_factorizations` imports it on its first count.
+:func:`prunedhurwitz.factorizations.count_factorizations`: one full
+search (:func:`count_coloured`), and the pruned count as the leaf sum
+of the full searches of its cores (:func:`count_pruned`).  The state,
+why it is exact, the transitions and the leaf sum are set out in the
+docstring of :mod:`prunedhurwitz.factorizations`, with the bound on the
+work.  The engine is a module of its own so that importing the package,
+or a command answered from the value cache, compiles none of it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from operator import itemgetter
 
-from .combinatorics import Partition
+from .combinatorics import Partition, automorphism_factor, face_assignments
 from .factorizations import MoveTables
 
 
@@ -45,39 +45,26 @@ def prefinal_types(target: Partition) -> dict[Partition, tuple[tuple, tuple]]:
 
 
 def count_coloured(
-    mu: Partition,
-    m: int,
-    target: Partition,
-    track_touches: bool,
-    tables: MoveTables | None = None,
+    mu: Partition, m: int, target: Partition, tables: MoveTables | None = None
 ) -> tuple[int, int]:
-    """The number of qualifying sequences of m >= 1 transpositions, and
-    the number of states reached on the way.  A successor one move
-    before the end whose cycle type is not pre-final cannot finish and
-    is not made, so it is not counted among the states.
-
-    The search runs forward one transposition at a time.  A layer maps
-    each state reached after k transpositions to the number of ways to
-    reach it; only the current layer and the next are held, and the
-    last moves are counted from the final one.  The move tables are
-    read from and added to ``tables`` when it is given, and live for
-    this call only when it is not; see :class:`MoveTables` for why
-    sharing them between calls is exact."""
-    mu = tuple(sorted(mu, reverse=True))
+    """The number of transitive sequences of m >= 1 transpositions that
+    give the product the cycle type ``target``, and the number of states
+    reached, a successor one move before the end that cannot finish
+    being neither made nor counted; mu has at most 256 parts (colours
+    are bytes).  A layer maps each state (words, components) reached
+    after k transpositions to the number of ways to reach it; only the
+    current layer and the next are held, and the last moves are counted
+    from the final one.  The move tables are ``tables`` when given
+    (:class:`MoveTables`), and live for this call only when not."""
+    mu = _decreasing(mu)
     ncol = len(mu)
-    if ncol > 256:
-        raise ValueError("a colour word holds at most 256 colours")
     ltarget = len(target)
     # equal-size colours are consecutive; first[c] is the least of them
     first = [mu.index(size) for size in mu]
     symmetric = len(set(mu)) < ncol
-    # touches are clamped at 2, so a state's deficit is full - sum(touch)
-    full = 2 * ncol if track_touches else 0
     if tables is None:
         tables = MoveTables()
-    rotations = tables.rotations
-    renamings = tables.renamings
-    moves = tables.moves
+    rotations, renamings, moves = tables.rotations, tables.renamings, tables.moves
     prefinal = tables.prefinal.get(target)
     if prefinal is None:
         prefinal = tables.prefinal[target] = prefinal_types(target)
@@ -256,40 +243,27 @@ def count_coloured(
         r = finals[words] = (list(cuts.items()), list(joins.items()))
         return r
 
-    def last(words: tuple, touch: bytes, comp: bytes) -> int:
+    def last(words: tuple, comp: bytes) -> int:
         """The transpositions that complete a state in one move."""
-        short = full - sum(touch)
-        if short > 2:
-            return 0
         cuts, joins = finals.get(words) or finishing(words)
         if cuts:
-            if any(comp):
-                return 0
-            candidates = cuts
-        else:
-            labels = set(comp)
-            if len(labels) > 2:
-                return 0
-            candidates = joins if len(labels) == 1 else [
-                (pair, ways) for pair, ways in joins if comp[pair[0]] != comp[pair[1]]
-            ]
-        if not short:
-            return sum(ways for _, ways in candidates)
-        deficit = [(c, t) for c, t in enumerate(touch) if t < 2]
-        return sum(
-            ways for (a, b), ways in candidates
-            if all(t + (a == c) + (b == c) >= 2 for c, t in deficit)
-        )
+            # a cut joins no components
+            return 0 if any(comp) else sum(ways for _, ways in cuts)
+        labels = set(comp)
+        if len(labels) > 2:
+            return 0
+        if len(labels) == 1:
+            return sum(ways for _, ways in joins)
+        return sum(ways for (a, b), ways in joins if comp[a] != comp[b])
 
     root = tuple(bytes([c]) * size for c, size in enumerate(mu))
-    layer = {(root, bytes(ncol) if track_touches else b"", bytes(range(ncol))): 1}
+    layer = {(root, bytes(range(ncol))): 1}
     states = 1
     for remaining in range(m - 1, 0, -1):
         # one transposition from every state of the layer, with
         # ``remaining`` moves after it
         following: dict = {}
-        for (words, touch, comp), ways_in in layer.items():
-            short = full - sum(touch)
+        for (words, comp), ways_in in layer.items():
             if remaining == 1:
                 out = closers.get(words) or successors(words, prefinal)
             else:
@@ -298,22 +272,6 @@ def count_coloured(
                 if abs(len(words) + step - ltarget) > remaining:
                     continue
                 for new_words, ca, cb, ways in entries:
-                    new_touch = touch
-                    if track_touches:
-                        ta, tb = touch[ca], touch[cb]
-                        new_short = short
-                        if ca == cb:
-                            if ta < 2:
-                                new_short -= 2 - ta
-                                new_touch = touch[:ca] + b"\x02" + touch[ca + 1:]
-                        elif ta < 2 or tb < 2:
-                            new_short -= (ta < 2) + (tb < 2)
-                            bumped = bytearray(touch)
-                            bumped[ca] = ta + (ta < 2)
-                            bumped[cb] = tb + (tb < 2)
-                            new_touch = bytes(bumped)
-                        if new_short > 2 * remaining:
-                            continue
                     new_comp = comp
                     if step < 0 and comp[ca] != comp[cb]:
                         lo, hi = sorted((comp[ca], comp[cb]))
@@ -321,15 +279,45 @@ def count_coloured(
                     if symmetric:
                         new_words, renaming = renamings.get(new_words) or relabel(new_words)
                         if renaming is not None:
-                            if track_touches:
-                                new_touch = bytes(renaming(new_touch))
                             # component labels: the least colour of each component
                             seen: dict = {}
                             new_comp = bytes([
                                 seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))
                             ])
-                    key = (new_words, new_touch, new_comp)
+                    key = (new_words, new_comp)
                     following[key] = following.get(key, 0) + ways_in * ways
         layer = following
         states += len(layer)
     return sum(ways_in * last(*state) for state, ways_in in layer.items()), states
+
+
+def count_pruned(mu: Partition, nu: Partition, m: int, tables: MoveTables) -> int:
+    """The pruned count of m >= 1 transpositions with product type nu,
+    by the leaf sum (see :mod:`prunedhurwitz.factorizations`):
+
+        N_P = sum over the leaf sets L, each leaf i given a face k(i),
+              of (-1)^|L| m!/(m - |L|)! prod_{i in L} mu_i nu~_k(i)
+              A(nu~)/A(nu) N_F(g, mu minus L, nu~).
+
+    One full search per (core, nu~), all with ``tables``; N_F = 1 at
+    m' = 0, where the core is one part equal to its one face."""
+    if len(mu) == 2 and m == 1:
+        return 0  # the one transposition joins two leaves
+    # (core, nu~) -> the sum of its terms without A(nu~)/A(nu) and N_F
+    groups: dict[tuple[Partition, Partition], int] = {}
+    for (core, blocks), ways in face_assignments(_decreasing(mu), nu).items():
+        term = ways * math.perm(m, len(mu) - len(core))
+        nut = [face - sum(block) for face, block in zip(nu, blocks)]
+        for left, block in zip(nut, blocks):
+            term *= (-left) ** len(block) * math.prod(block)
+        key = (core, _decreasing(nut))
+        groups[key] = groups.get(key, 0) + term
+    total = 0
+    for (core, nut), term in groups.items():
+        depth = m - len(mu) + len(core)
+        full = count_coloured(core, depth, nut, tables)[0] if depth else 1
+        total += term * automorphism_factor(nut) * full
+    n, rest = divmod(total, automorphism_factor(nu))
+    if rest:
+        raise ArithmeticError("the leaf sum is not an integer count; bug")
+    return n

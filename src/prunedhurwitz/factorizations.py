@@ -11,36 +11,33 @@ support of at least two of the transpositions.  Counts over all sigma1
 of type mu follow by conjugation invariance, and the Hurwitz-number
 normalisation is :func:`value_from_count`.
 
-The count is not taken leaf by leaf but over search states, one layer
-per transposition (:func:`prunedhurwitz.coloured.count_coloured`,
-loaded on the first count).  Colour each point by the index of the
-sigma1-cycle holding it.  After k transpositions the state is
+The full count is not taken sequence by sequence but over search
+states, one layer per transposition
+(:func:`prunedhurwitz.coloured.count_coloured`, loaded on the first
+count).  Colour each point by the index of the sigma1-cycle holding
+it.  After k transpositions the state is
 
 * the coloured cycle type of the running product P = tau_k ... tau_1
   sigma1: the multiset of P's cycles, each written as the cyclic word of
   its points' colours and started at its least rotation;
-* in pruned mode, the touches of each colour clamped at 2 (a
-  transposition inside one sigma1-cycle touches it twice);
 * the partition of the colours into the components the transpositions
   have joined, each colour labelled by the least colour of its
   component.
 
 Why it is exact.  Below depth 0 the search reads only P's cycle type,
-the colour of each point, the touches and the components.  Conjugating
-the rest of a sequence and P by a permutation y that keeps every
-point's colour (y in S_mu1 x ... x S_mul) keeps all of them: the
-completions of P and of y P y^-1 are equally many.  Two products are
-conjugate by such a y exactly when they have the same coloured cycle
-type: map the cycles with equal words onto each other point by point.
-Renaming the colours, with the touches and components along, is exact
-too, since nothing below depth 0 reads a colour's name.  Equal-size
-colours are renamed in order of first appearance.  Any such renaming
-is exact, so no full canonical form is needed; colours of distinct
-sizes keep their names, which gave fewer states than renaming every
-colour.  For mu = (d) there is one colour and the state is the cycle
-type of P, the class-algebra cut-and-join of Goulden and Jackson
-("Transitive factorizations into transpositions and holomorphic
-mappings on the sphere", Proc. AMS, 1997).
+the colour of each point and the components.  Conjugating the rest of
+a sequence and P by a permutation y that keeps every point's colour
+(y in S_mu1 x ... x S_mul) keeps all of them: the completions of P and
+of y P y^-1 are equally many.  Two products are conjugate by such a y
+exactly when they have the same coloured cycle type: map the cycles
+with equal words onto each other point by point.  Renaming the
+colours, with the components along, is exact too, since nothing below
+depth 0 reads a colour's name.  Equal-size colours are renamed in order
+of first appearance.  Any such renaming is exact, so no full canonical
+form is needed; colours of distinct sizes keep their names, which gave
+fewer states than renaming every colour.  For mu = (d) there is one
+colour and the state is the cycle type of P, the class-algebra
+cut-and-join of Goulden and Jackson (Proc. AMS, 1997).
 
 Transitions.  Left-multiplying by (a b) cuts or joins cycles.  With
 a = w_i and b = w_j, i < j, on one cycle w, it splits into w[i:j] and
@@ -53,46 +50,41 @@ components: a cycle of P lies in one orbit of the group generated so
 far.  The last transposition is counted from the word lengths and
 colours without building a word.  Only a *pre-final* cycle type, one
 cut or one join away from nu, has a last move: nu - {L, L'} + {L + L'}
-or nu - {c} + {a, c - a}.  These types are listed once per nu, each
-with the lengths its move removes and adds.  One move before the end
+or nu - {c} + {a, c - a}, listed once per nu.  One move before the end
 only the successors of those types are generated: the cut lengths and
 the pairs of words to join are chosen from the word lengths before any
 word is built, so a successor that cannot finish is not made, renamed
 or kept as a state.  The work grows with the number of states, bounded
 by :func:`search_work_bound`, not with the count itself.
 
-Move tables (:class:`MoveTables`).  The least rotations, successor
-lists and colour renamings are functions of a word or a word multiset
-alone; the pre-final types of nu alone; and the last moves of a word
-multiset, and its successor lists restricted to pre-final types, of the
-word multiset and nu.  None reads m, the mode, the touches or the
-components.  A word multiset also fixes mu, since colour c occurs mu_c
-times in it.  So the tables built for one count are exact for every
-other, and a caller that makes many counts (a
-:class:`prunedhurwitz.hurwitz.HurwitzEngine`) hands the same tables to
-each; only the layers of states, which depend on m, nu and the mode,
-are rebuilt per count.
+Pruned counts are a sum of full ones
+(:func:`prunedhurwitz.coloured.count_pruned`).  A transposition inside
+a sigma1-cycle touches it twice.  For l(mu) >= 2 transitivity leaves
+no cycle untouched, so a cycle that is not pruned is a *leaf*, touched
+by one transposition (p x), p on it and x on another cycle.  Removing
+leaf i and that transposition leaves a transitive sequence of m - 1
+transpositions of the same genus, whose product has the mu_i points
+spliced out of the face through x: nu_k becomes nu~_k >= 1.  Back, the
+leaf takes a label, p (mu_i ways) and x (nu~_k ways); for a set L of
+leaves, m!/(m - |L|)! labels, x never on another leaf of L, and
+A(nu~)/A(nu) to match the products' cycles with the labelled faces.
+Inclusion-exclusion over L gives N_P from the core counts
+N_F(g, mu minus L, nu~); L = mu occurs only at m = 1, below.
 
-Isomorphism classes (:func:`count_isomorphism_classes`) need no search
-of their own.  By Burnside's lemma over the cycle rotations they are N
-itself, except for mu = (d): there every rotation fixes the empty
-sequence at m = 0, and for even d the half-turn fixes the (d/2)^m words
-of diameters when nu = (d); the proof is in that function's docstring.
-The same closed form, :func:`classes_from_value`, turns PH into the
-modified pruned value in :mod:`prunedhurwitz.hurwitz`, so only this
-module knows where the two differ.
+Isomorphism classes need no search of their own: they are the closed
+form :func:`classes_from_value` of N (:func:`count_isomorphism_classes`).
 
 Pruned-ness conventions at the degenerate edge counts:
 
 * m = 1: pruned iff sigma1 is a single cycle (the lone edge is a loop,
-  so the single vertex has valency 2).  The touches give this: one
-  transposition touches one cycle twice or two cycles once each;
+  so the single vertex has valency 2).  For l(mu) = 1 there is no
+  leaf, so N_P = N_F; for l(mu) = 2 the one move joins two leaves, and
+  N_P = 0 with no leaf sum;
 * m = 0: not pruned.  A checked request has m = 0 only at genus 0
-  with mu = nu = (d), where the empty sequence qualifies in full mode;
-  its one sigma1 cycle meets no transposition.  Counting it as pruned
-  is a convention of the engine
+  with mu = nu = (d), where its one sigma1 cycle meets no
+  transposition.  Counting it as pruned is a convention of the engine
   (:class:`prunedhurwitz.hurwitz.Conventions`), which answers m = 0 in
-  closed form and asks for no such count.
+  closed form.  A core of the leaf sum at m' = 0 has N_F = 1.
 """
 
 from __future__ import annotations
@@ -114,13 +106,13 @@ if TYPE_CHECKING:
 
 
 class MoveTables:
-    """The coloured engine's tables, kept across the counts they are
-    handed to (see the module docstring for why that is exact):
+    """The coloured engine's tables, kept across the searches they are
+    handed to:
 
     * ``rotations``: word -> (its least rotation, its period);
     * ``renamings``: word multiset -> (the multiset with equal-size
-      colours renamed in order of first appearance, the map taking a
-      colour vector along, or None);
+      colours renamed in order of first appearance, the map taking the
+      component labels along, or None);
     * ``moves``: word multiset -> its successor lists, cuts then joins;
     * ``prefinal``: target nu -> the cycle types one transposition
       takes to nu -> the lengths that move removes and adds
@@ -133,7 +125,12 @@ class MoveTables:
       only ones that can finish one move later, generated from the word
       lengths.
 
-    The tables only grow; they die with their holder.
+    Sharing them is exact: an entry reads only a word or a word
+    multiset, which fixes mu (colour c occurs mu_c times in it), and
+    nu; never m or the components.  So a caller of many searches (a
+    :class:`prunedhurwitz.hurwitz.HurwitzEngine`, a pruned count's
+    cores) hands the same tables to each.  They only grow, and die with
+    their holder.
     """
 
     __slots__ = ("rotations", "renamings", "moves", "prefinal", "finals", "closers")
@@ -166,9 +163,14 @@ def count_factorizations(
     if m == 0:
         # mu = nu = (d): the empty sequence, whose one sigma1 cycle no transposition meets
         return int(not pruned)
-    from .coloured import count_coloured
+    if len(mu) > 256:
+        raise ValueError("a colour word holds at most 256 colours")
+    from .coloured import count_coloured, count_pruned
 
-    return count_coloured(mu, m, tuple(sorted(nu, reverse=True)), pruned, tables)[0]
+    nu = tuple(sorted(nu, reverse=True))
+    if pruned:
+        return count_pruned(mu, nu, m, MoveTables() if tables is None else tables)
+    return count_coloured(mu, m, nu, tables)[0]
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
@@ -179,21 +181,26 @@ def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:
         P * sum over k < m of min(P^k, C(mu) * 3^l * Bell(l)),
         C(mu) = min(d!, p(d) * d! / (mu_1! ... mu_l!)).
 
-    Proof.  A state at depth k < m tries at most P grouped moves: the
-    grouping only merges the P transpositions.  So there are at most P^k
-    states at depth k.  A state is also a coloured cycle type with a
-    clamped touch vector (3^l of them) and a component partition
-    (Bell(l)).  A coloured cycle type is the type of some product
-    permutation, so there are at most d! of them; and it is fixed by
-    its cycle type (p(d) choices) together with its words, least
-    rotations, ordered by length and then by content and concatenated:
-    a word in which colour c appears mu_c times, one of
-    d!/(mu_1! ... mu_l!).  The successor lists, built once per word
-    multiset, cost at most P word operations per state as well.
+    Proof, for a full count.  A state at depth k < m tries at most P
+    grouped moves: the grouping only merges the P transpositions.  So
+    there are at most P^k states at depth k.  A state is also a coloured
+    cycle type with a component partition (Bell(l)).  A coloured cycle
+    type is the type of some product permutation, so there are at most
+    d! of them; and it is fixed by its cycle type (p(d) choices)
+    together with its words, least rotations, ordered by length and then
+    by content and concatenated: a word in which colour c appears mu_c
+    times, one of d!/(mu_1! ... mu_l!).  The successor lists, built once
+    per word multiset, cost at most P word operations per state as well.
 
     The cap is at least W * 3^l * Bell(l), W = d!/(mu_1! ... mu_l!),
     since C(mu) >= min(d!, W) = W; p(d), which takes O(d^2) to build, is
     read only once P^k reaches that.
+
+    The factor 3^l no longer counts touch vectors, which only a pruned
+    search that is gone had; it is kept so that no refusal moves.  A
+    pruned count runs one full search per core of its leaf sum: that
+    their summed work stays within the bound is covered by a test, not
+    by this proof.
     """
     d = sum(mu)
     m = 2 * g - 2 + len(mu) + len(nu)

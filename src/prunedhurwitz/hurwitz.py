@@ -6,26 +6,26 @@ formula with the content sums as the central characters of a
 transposition, made connected by inclusion-exclusion over the balanced
 blocks of the parts, one per sub-multiset.  No enumeration runs for it.
 
-The pruned numbers come from the coloured cycle-type engine.  With
-N(g, mu, nu) the number of qualifying transposition sequences for the
-*canonical* sigma1 (see :mod:`prunedhurwitz.factorizations`), the
-conjugation-invariance identity gives
+The pruned numbers come from the enumeration
+(:mod:`prunedhurwitz.factorizations`), whose full counts N_F give the
+pruned count N_P by an inclusion-exclusion over the leaves.  With N the
+number of qualifying transposition sequences for the *canonical*
+sigma1, the conjugation-invariance identity gives
 
-    PH(g, mu, nu) = N_pruned * A(mu) * A(nu) / Z(mu)
+    PH(g, mu, nu) = N_P * A(mu) * A(nu) / Z(mu)
 
-(and H the same with N_full, which the tests use as the characters'
+(and H the same with N_F, which the tests use as the characters'
 oracle), where A is the number of admissible cycle labellings and Z
-the centralizer order; this replaces the 1/d! normalisation over all
-sigma1 at an exponential saving.  The modified pruned number counts
-the same covers with weight one instead of 1/|Aut|; by Burnside's
-lemma it is a closed form of PH
+the centralizer order.  The modified pruned number counts the same
+covers with weight one instead of 1/|Aut|; by Burnside's lemma it is a
+closed form of PH
 (:func:`prunedhurwitz.factorizations.classes_from_value`), so the
 engine evaluates and stores only H and PH, and a modified pruned value
 is read off PH's memo entry, cache record or enumeration.
 
 So H and the modified pruned values it is rebuilt from by the main
-theorem share no code: ``verify main-theorem`` compares two
-evaluators.
+theorem share no code: ``verify main-theorem`` compares the characters
+with the enumeration's full counts.
 
 A request at m = 0 (genus 0, mu = nu = (d), the cover z -> z^d) is
 answered in closed form, by neither evaluator, and never stored: H is

@@ -13,8 +13,8 @@ mu goes in turn to the core or to a face i, and to face i only while
 the weight removed from it stays below nu_i; nu~_i = nu_i - (removed
 weight) then follows, and the core is non-empty, as |mu_I| = |nu~| >=
 l(nu).  Assignments that agree on the parts placed so far are merged
-with their multiplicities (``_assignments``), so repeated parts cost
-one configuration each.  The oracle is queried once per distinct
+with their multiplicities (``combinatorics.face_assignments``), so
+repeated parts cost one configuration each.  The oracle is queried once per distinct
 (core parts, nu~) pair, and each block factor once per (nu~_i,
 removed parts) pair of a call.  ``tests/oracles.py`` keeps the sum
 over every nu~ <= nu, every core and all n^p block maps, filtered by
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import perm, prod
 from typing import Callable, Sequence
 
-from .combinatorics import check_request
+from .combinatorics import check_request, face_assignments
 from .forests import enumerate_rooted_forests
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
@@ -80,31 +80,6 @@ def _forest_block_factor(root_count: int, weights: Sequence[int]) -> int:
     )
 
 
-def _assignments(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
-    """The ways to give each part of mu to the core or to a face, such
-    that every face keeps a perimeter nu~_i >= 1, as a map from (core
-    parts, removed parts per face) to the number of index assignments
-    that give it.
-
-    The parts are placed in turn, a part going to face i only while the
-    weight removed from face i stays below nu_i.  Assignments that
-    agree on the parts placed so far are merged, with their counts
-    added, so each distinct configuration is carried once.
-    """
-    states = {((), ((),) * len(nu)): 1}
-    for part in mu:
-        grown: dict = {}
-        for (core, blocks), count in states.items():
-            key = (core + (part,), blocks)
-            grown[key] = grown.get(key, 0) + count
-            for i, block in enumerate(blocks):
-                if sum(block) + part < nu[i]:
-                    key = (core, blocks[:i] + (block + (part,),) + blocks[i + 1:])
-                    grown[key] = grown.get(key, 0) + count
-        states = grown
-    return states
-
-
 def _reconstruct(
     g: int,
     mu: Sequence[int],
@@ -118,7 +93,7 @@ def _reconstruct(
     # (core parts, nu~) -> sum over its block assignments of the
     # product of the block factors
     inner: dict[tuple, int] = {}
-    for (core, blocks), count in _assignments(mu, nu).items():
+    for (core, blocks), count in face_assignments(mu, nu).items():
         nut = tuple(face - sum(block) for face, block in zip(nu, blocks))
         term = count
         for key in zip(nut, blocks):

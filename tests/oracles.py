@@ -817,6 +817,22 @@ def reconstruct_by_filtering(g, mu, nu, phat, block_factor):
     return total
 
 
+def leaf_sum(full):
+    """The pruned value as the inclusion-exclusion over the leaves of
+    the values ``full`` (a function of g, mu, nu): the reconstruction
+    sum by filtering with the block factor (-nu~_i)^p in place of the
+    forest count, and 0 at l(mu) = 2, m = 1, where the one transposition
+    joins two leaves.  At m = 0 it is ``full`` itself."""
+    from fractions import Fraction
+
+    def pruned(g, mu, nu):
+        if len(mu) == 2 and 2 * g + len(nu) == 1:
+            return Fraction(0)
+        return reconstruct_by_filtering(g, mu, nu, full, lambda r, weights: (-r) ** len(weights))
+
+    return pruned
+
+
 def degenerate(g, mu, nu):
     """Whether an oracle argument has a negative genus, an empty profile
     or unequal degrees: no Hurwitz number is defined there."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -277,6 +278,17 @@ def test_a_deep_pruned_search_is_answered():
     full = run_module(*argv, "--kind", "full")
     assert pruned.returncode == full.returncode == 0 and pruned.stderr == ""
     assert json.loads(pruned.stdout)["value"] == json.loads(full.stdout)["value"]
+
+
+def test_a_pruned_count_of_more_than_256_parts_is_refused_at_once():
+    # one byte per colour: refused under --force before the leaf sum
+    # walks the 300 parts' assignments to the faces
+    start = time.perf_counter()
+    run = run_module("compute", "--genus", "1", "--mu", ",".join(["1"] * 300),
+                     "--nu", "100,100,100", "--kind", "pruned", "--force", timeout=30)
+    assert time.perf_counter() - start < 5
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr == "refusing: a colour word holds at most 256 colours\n"
 
 
 @pytest.mark.parametrize("which", ["main-theorem", "cut-and-join"])

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
+from prunedhurwitz import coloured
 from prunedhurwitz.coloured import count_coloured, prefinal_types
 from prunedhurwitz.factorizations import (
     MoveTables,
@@ -307,20 +309,32 @@ def test_a_deep_search_runs_layer_by_layer():
         assert engine.pruned(g, (d,), (d,)) == engine.double(g, (d,), (d,)), (g, d)
 
 
-def test_search_work_bound_covers_the_visited_states():
-    # the engine's states, each trying at most P moves, stay
-    # within the bound; both modes, every g <= 2, d <= 5, m <= 6
+def test_search_work_bound_covers_the_visited_states(monkeypatch):
+    # the moves the engine can try, each search's states times its own
+    # P, stay within the bound: a full count's one search, and the sum
+    # over the core searches of a pruned count, which the bound's proof
+    # does not cover; every g <= 2, d <= 5, m <= 6
+    searches = []
+
+    def logged(mu, m, target, tables=None):
+        count, states = search(mu, m, target, tables)
+        searches.append(states * math.comb(sum(mu), 2))
+        return count, states
+
+    search = coloured.count_coloured
+    monkeypatch.setattr(coloured, "count_coloured", logged)
     for d in range(1, 6):
-        pairs = d * (d - 1) // 2
         for g in range(3):
             for mu in partitions(d):
                 for nu in partitions(d):
                     m = 2 * g - 2 + len(mu) + len(nu)
                     if not 1 <= m <= 6:
                         continue
-                    for touches in (False, True):
-                        _count, states = count_coloured(mu, m, nu, touches)
-                        assert states * pairs <= max(1, search_work_bound(g, mu, nu))
+                    bound = max(1, search_work_bound(g, mu, nu))
+                    for pruned in (False, True):
+                        searches.clear()
+                        count_factorizations(g, mu, nu, pruned)
+                        assert sum(searches) <= bound, (g, mu, nu, pruned)
 
 
 def test_count_matches_permutation_search():
@@ -361,23 +375,43 @@ def test_reach_beyond_the_permutation_search():
 
 
 def test_memo_state_count_pinned():
-    # the states of four ladder rows (N first).  No value
-    # shows a state split in two, so these counts are what catch a word
-    # kept at another rotation than its least, or colours of distinct
-    # sizes renamed into each other (exact, as any renaming is, but it
-    # splits states)
+    # the N of four ladder rows, and the states of full searches (N
+    # first).  No value shows a state split in two, so these counts are
+    # what catch a word kept at another rotation than its least, or
+    # colours of distinct sizes renamed into each other (exact, as any
+    # renaming is, but it splits states)
+    assert count_factorizations(1, (3, 2, 1), (4, 2), True) == 97_200
+    assert count_factorizations(2, (8,), (8,), True) == 198_912
+    assert count_factorizations(0, (3, 3, 3), (4, 4, 1), True) == 52_488
     # a successor one move before the end whose cycle type is not
     # pre-final is not kept as a state, as it cannot finish
-    assert count_coloured((3, 2, 1), 5, (4, 2), True) == (97_200, 249)
-    assert count_coloured((3, 3, 2), 4, (4, 2, 2), False) == (36_288, 104)
-    assert count_coloured((8,), 4, (8,), True) == (198_912, 15)
+    assert count_coloured((3, 2, 1), 5, (4, 2)) == (184_800, 119)
+    assert count_coloured((3, 3, 2), 4, (4, 2, 2)) == (36_288, 104)
+    assert count_coloured((8,), 4, (8,)) == (198_912, 15)
     tables = MoveTables()
-    assert count_coloured((3, 3, 3), 4, (4, 4, 1), True, tables) == (52_488, 105)
+    assert count_coloured((3, 3, 3), 4, (4, 4, 1), tables) == (93_312, 65)
     # nor is one built: the full lists are those of the states of depth
     # 0 and 1 (m = 4), and the states of depth 2 get the lists of their
     # pre-final successors alone
     assert len(tables.moves) == 6
     assert len(tables.closers[(4, 4, 1)]) == 25
+
+
+def test_pruned_counts_pinned():
+    # every pruned count with g <= 2, d <= 7 and 1 <= m <= 6, as the
+    # search that tracked each colour's touches gave them
+    tables = MoveTables()
+    counts = [
+        count_factorizations(g, mu, nu, True, tables=tables)
+        for g in range(3)
+        for d in range(1, 8)
+        for mu in partitions(d)
+        for nu in partitions(d)
+        if 1 <= 2 * g - 2 + len(mu) + len(nu) <= 6
+    ]
+    assert len(counts) == 653
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == \
+        "c0249ce026941d6ef4553aa3ca2904cd400495834835d2086587416b8f93f39f"
 
 
 def test_prefinal_types_match_one_transposition():
@@ -440,24 +474,12 @@ def test_shared_tables_are_exact_in_any_order():
         assert engine._tables.moves
 
 
-def test_pruned_count_reuses_the_full_count_tables():
-    # the pruned search visits only word multisets the full one did
-    tables = MoveTables()
-    count_factorizations(1, (3, 2, 1), (4, 2), False, tables=tables)
-    built = (tables.moves, tables.renamings, tables.rotations, tables.closers[(4, 2)])
-    sizes = [len(t) for t in built]
-    count_factorizations(1, (3, 2, 1), (4, 2), True, tables=tables)
-    assert sizes[0] > 0 and sizes[3] > 0
-    assert [len(t) for t in built] == sizes
-
-
 def test_successor_lists_match_every_transposition():
     # one set of tables counts every g <= 1, d <= 6 type; each full
     # successor list is every transposition applied to its word
     # multiset, and each list one move before the end is that kept to
     # the successors whose length type is pre-final.  The full mode
-    # alone: the pruned one visits no word multiset that it does not
-    # (see the test above) and takes four times as long here
+    # alone: a pruned count runs full searches of its cores
     tables = MoveTables()
     for d in range(1, 7):
         for g in range(2):

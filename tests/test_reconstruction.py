@@ -1,4 +1,6 @@
+import functools
 import gc
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -6,7 +8,8 @@ import pytest
 
 from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import HurwitzEngine
-from prunedhurwitz.cutjoin import verify_recursion
+from prunedhurwitz.cutjoin import cut_and_join_terms, verify_recursion
+from prunedhurwitz.factorizations import classes_from_value
 from prunedhurwitz.reconstruction import (
     _cayley_block_factor,
     _forest_block_factor,
@@ -18,6 +21,7 @@ from oracles import (
     block_factor_by_degrees,
     bounded_tuples,
     index_subsets,
+    leaf_sum,
     reconstruct_by_filtering,
     strict,
 )
@@ -191,3 +195,69 @@ def test_evaluators_leave_no_cycle_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def random_values(seed):
+    """Random rationals, one per (g, mu, nu) up to the order of parts."""
+    rng = random.Random(seed)
+    values = {}
+
+    def value(g, mu, nu):
+        key = g, tuple(sorted(mu)), tuple(sorted(nu))
+        if key not in values:
+            values[key] = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        return values[key]
+
+    return value
+
+
+def small_types(min_nu_parts):
+    return [
+        (g, mu, nu)
+        for g in range(2) for d in range(2, 7) for mu in partitions(d) for nu in partitions(d)
+        if len(nu) >= min_nu_parts
+    ]
+
+
+def test_the_reconstruction_inverts_the_leaf_sum():
+    # for any values f in place of H, the main theorem rebuilds f from
+    # the modified PH that the leaf sum makes of f: it is the inverse of
+    # the leaf sum, whatever f is.  So with PH from the leaf sum of the
+    # enumeration's full counts, verify main-theorem checks the
+    # characters against those counts, and the pruned-ness is tied to
+    # its definition by the permutation search and the pinned counts
+    # of test_factorizations
+    full = random_values(36)
+    pruned = leaf_sum(full)
+
+    def phat(g, mu, nu):
+        return classes_from_value(g, mu, nu, pruned(g, mu, nu))
+
+    types = small_types(2)
+    assert len(types) == 360
+    for g, mu, nu in types:
+        assert reconstruct_double_hurwitz(g, mu, nu, phat) == full(g, mu, nu), (g, mu, nu)
+
+
+def test_the_corrected_cut_and_join_is_not_formal():
+    # unlike the main theorem, the corrected cut-and-join does not hold
+    # for the leaf sum of any values: on random ones it fails at every
+    # instance, so verify cut-and-join checks the values themselves
+    pruned = functools.cache(leaf_sum(random_values(36)))
+    types = small_types(3)
+    assert len(types) == 236
+    for g, mu, nu in types:
+        rhs = sum(term.value for term in cut_and_join_terms(g, mu, nu, pruned, variant="corrected"))
+        assert rhs != pruned(g, mu, nu), (g, mu, nu)
+
+
+def test_the_leaf_sum_of_h_is_ph():
+    # the leaf sum of the characters' H against the engine's PH, which
+    # sums the enumeration's full counts: every g <= 1, d <= 6, m >= 1
+    pruned = functools.cache(leaf_sum(ENGINE.double))
+    for g in range(2):
+        for d in range(1, 7):
+            for mu in partitions(d):
+                for nu in partitions(d):
+                    if 2 * g - 2 + len(mu) + len(nu) >= 1:
+                        assert pruned(g, mu, nu) == ENGINE.pruned(g, mu, nu), (g, mu, nu)
