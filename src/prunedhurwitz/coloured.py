@@ -1,11 +1,14 @@
 """The coloured cycle-type engine behind
 :func:`prunedhurwitz.factorizations.count_factorizations`: one full
 search (:func:`count_coloured`), and the pruned count as the leaf sum
-of the full searches of its cores (:func:`count_pruned`).  The state,
-why it is exact, the transitions and the leaf sum are set out in the
-docstring of :mod:`prunedhurwitz.factorizations`, with the bound on the
-work.  The engine is a module of its own so that importing the package,
-or a command answered from the value cache, compiles none of it.
+of the full searches of its cores (:func:`count_pruned`), which is the
+main theorem's sum over face assignments
+(:func:`prunedhurwitz.reconstruction.face_sum`) with the leaf block
+factor.  The state, why it is exact, the transitions and the leaf sum
+are set out in the docstring of :mod:`prunedhurwitz.factorizations`,
+with the bound on the work.  The engine is a module of its own so that
+importing the package, or a command answered from the value cache,
+compiles none of it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import math
 from collections import Counter
 from operator import itemgetter
 
-from .combinatorics import Partition, automorphism_factor, face_assignments
-from .factorizations import MoveTables
+from .combinatorics import Partition
+from .factorizations import MoveTables, value_from_count
+from .reconstruction import face_sum
 
 
 def _decreasing(lengths) -> Partition:
@@ -113,10 +117,11 @@ def count_coloured(
 
     def word_cuts(w: bytes, lengths) -> list:
         """The cuts of one word that split off a piece of each of
-        ``lengths`` (each at most half of w), grouped:
-        ((piece, piece, a, b), ways).  A cut is a start and a length
-        over one period of w; the length n/2 takes fewer starts, since
-        each of its pairs has two."""
+        ``lengths`` (each at most half of w), grouped by the two pieces:
+        ((piece, piece), ways).  A cut is a start and a length over one
+        period of w; the length n/2 takes fewer starts, since each of
+        its pairs has two.  A cut merges no components, so its colours
+        are not kept."""
         grouped: dict[tuple, int] = {}
         n = len(w)
         period = least(w)[1]
@@ -129,8 +134,7 @@ def count_coloured(
                 ways = length // starts
             for s in range(starts):
                 x, y = least(ww[s:s + length])[0], least(ww[s + length:s + n])[0]
-                a, b = w[s], ww[s + length]
-                key = (min(x, y), max(x, y), min(a, b), max(a, b))
+                key = (x, y) if x < y else (y, x)
                 grouped[key] = grouped.get(key, 0) + ways
         return list(grouped.items())
 
@@ -152,12 +156,12 @@ def count_coloured(
 
     def successors(words: tuple, types: dict | None = None) -> tuple[list, list]:
         """The moves out of a word multiset, grouped, cuts then joins:
-        (successor words, colour a, colour b, ways), stored in
-        ``moves``.  Given ``types``, the target's pre-final types, only
-        the moves to a successor whose length type is among them, the
-        only ones that can finish one move later, stored in ``closers``:
-        the cut lengths and the pairs to join are chosen from the word
-        lengths before any word is built."""
+        (successor words, ways) and ((successor words, colour a, colour
+        b), ways), stored in ``moves``.  Given ``types``, the target's
+        pre-final types, only the moves to a successor whose length type
+        is among them, the only ones that can finish one move later,
+        stored in ``closers``: the cut lengths and the pairs to join are
+        chosen from the word lengths before any word is built."""
         cuts: dict[tuple, int] = {}
         joins: dict[tuple, int] = {}
         distinct = []  # (word, copies, index of the first copy)
@@ -184,8 +188,8 @@ def count_coloured(
             if types is not None:
                 pieces = [x for x in pieces if kept([n], [x, n - x])]
             rest = words[:at] + words[at + 1:]
-            for (x, y, a, b), ways in word_cuts(w, pieces):
-                key = (tuple(sorted(rest + (x, y))), a, b)
+            for (x, y), ways in word_cuts(w, pieces):
+                key = tuple(sorted(rest + (x, y)))
                 cuts[key] = cuts.get(key, 0) + k * ways
         for i, (u, ku, au) in enumerate(distinct):
             for v, kv, av in distinct[i:]:
@@ -202,36 +206,24 @@ def count_coloured(
                 for (joined, a, b), ways in word_joins(u, v):
                     key = (tuple(sorted(rest + (joined,))), a, b)
                     joins[key] = joins.get(key, 0) + pairs * ways
-        r = (moves if types is None else closers)[words] = (
-            [(new_words, a, b, ways) for (new_words, a, b), ways in cuts.items()],
-            [(new_words, a, b, ways) for (new_words, a, b), ways in joins.items()],
-        )
+        r = (moves if types is None else closers)[words] = (list(cuts.items()), list(joins.items()))
         return r
 
-    def finishing(words: tuple) -> tuple[list, list]:
+    def finishing(words: tuple) -> tuple[int, list]:
         """The last moves out of a word multiset that give P the cycle
-        type nu, grouped by colour pair: ((a, b), ways), cuts then
-        joins.  Only word lengths and colours are read: the type of the
-        lengths names the lengths the move removes and adds
-        (:func:`prefinal_types`), and a type that is not pre-final has
-        no last move."""
-        move = prefinal.get(_decreasing(map(len, words)))
-        if move is None:
-            r = finals[words] = ([], [])
-            return r
-        removed, added = move
-        cuts: dict[tuple, int] = {}
+        type nu: the number of cuts, and the joins grouped by colour
+        pair, ((a, b), ways).  Only word lengths and colours are read:
+        the type of the lengths names the lengths the move removes and
+        adds (:func:`prefinal_types`), and a type that is not pre-final
+        has no last move."""
+        removed, added = prefinal.get(_decreasing(map(len, words)), ((), ()))
+        cuts = 0
         joins: dict[tuple, int] = {}
         if len(removed) == 1:
             n, split = removed[0], added[0]
-            for w in words:
-                if len(w) == n:
-                    ww = w + w
-                    for s in range(n if 2 * split < n else split):
-                        a, b = w[s], ww[s + split]
-                        key = (a, b) if a < b else (b, a)
-                        cuts[key] = cuts.get(key, 0) + 1
-        else:
+            # a cut is a start and a length over the word, as in word_cuts
+            cuts = sum(len(w) == n for w in words) * (n if 2 * split < n else split)
+        elif removed:
             for i, u in enumerate(words):
                 for v in words[i + 1:]:
                     if (min(len(u), len(v)), max(len(u), len(v))) != removed:
@@ -240,7 +232,7 @@ def count_coloured(
                         for b, nb in Counter(v).items():
                             key = (a, b) if a < b else (b, a)
                             joins[key] = joins.get(key, 0) + na * nb
-        r = finals[words] = (list(cuts.items()), list(joins.items()))
+        r = finals[words] = (cuts, list(joins.items()))
         return r
 
     def last(words: tuple, comp: bytes) -> int:
@@ -248,7 +240,7 @@ def count_coloured(
         cuts, joins = finals.get(words) or finishing(words)
         if cuts:
             # a cut joins no components
-            return 0 if any(comp) else sum(ways for _, ways in cuts)
+            return 0 if any(comp) else cuts
         labels = set(comp)
         if len(labels) > 2:
             return 0
@@ -265,59 +257,61 @@ def count_coloured(
         following: dict = {}
         for (words, comp), ways_in in layer.items():
             if remaining == 1:
-                out = closers.get(words) or successors(words, prefinal)
+                cuts, joins = closers.get(words) or successors(words, prefinal)
             else:
-                out = moves.get(words) or successors(words)
-            for entries, step in zip(out, (1, -1)):
-                if abs(len(words) + step - ltarget) > remaining:
-                    continue
-                for new_words, ca, cb, ways in entries:
+                cuts, joins = moves.get(words) or successors(words)
+            reached = []  # (successor words, components, ways)
+            if abs(len(words) + 1 - ltarget) <= remaining:
+                reached += [(new_words, comp, ways) for new_words, ways in cuts]
+            if abs(len(words) - 1 - ltarget) <= remaining:
+                for (new_words, ca, cb), ways in joins:
                     new_comp = comp
-                    if step < 0 and comp[ca] != comp[cb]:
+                    if comp[ca] != comp[cb]:
                         lo, hi = sorted((comp[ca], comp[cb]))
                         new_comp = comp.replace(bytes((hi,)), bytes((lo,)))
-                    if symmetric:
-                        new_words, renaming = renamings.get(new_words) or relabel(new_words)
-                        if renaming is not None:
-                            # component labels: the least colour of each component
-                            seen: dict = {}
-                            new_comp = bytes([
-                                seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))
-                            ])
-                    key = (new_words, new_comp)
-                    following[key] = following.get(key, 0) + ways_in * ways
+                    reached.append((new_words, new_comp, ways))
+            for new_words, new_comp, ways in reached:
+                if symmetric:
+                    new_words, renaming = renamings.get(new_words) or relabel(new_words)
+                    if renaming is not None:
+                        # component labels: the least colour of each component
+                        seen: dict = {}
+                        new_comp = bytes([
+                            seen.setdefault(x, i) for i, x in enumerate(renaming(new_comp))
+                        ])
+                key = (new_words, new_comp)
+                following[key] = following.get(key, 0) + ways_in * ways
         layer = following
         states += len(layer)
     return sum(ways_in * last(*state) for state, ways_in in layer.items()), states
 
 
-def count_pruned(mu: Partition, nu: Partition, m: int, tables: MoveTables) -> int:
-    """The pruned count of m >= 1 transpositions with product type nu,
-    by the leaf sum (see :mod:`prunedhurwitz.factorizations`):
+def count_pruned(g: int, mu: Partition, nu: Partition, tables: MoveTables) -> int:
+    """The pruned count of g, mu and nu with m >= 1: the leaf sum in
+    value form (see :mod:`prunedhurwitz.factorizations`),
+    :func:`prunedhurwitz.reconstruction.face_sum` with the block factor
+    (-nu~_k)^p, over the value of one sequence.  Each H it reads is the
+    value of one full search per (core, nu~), all with ``tables``;
+    N_F = 1 at m' = 0, where the core is one part equal to its one
+    face."""
+    if len(mu) == 2 and 2 * g + len(nu) == 1:
+        return 0  # m = 1: the one transposition joins two leaves
+    mu = _decreasing(mu)
+    m = 2 * g - 2 + len(mu) + len(nu)
+    # (core, sorted nu~) -> H: reduced faces in other orders search once
+    values: dict = {}
 
-        N_P = sum over the leaf sets L, each leaf i given a face k(i),
-              of (-1)^|L| m!/(m - |L|)! prod_{i in L} mu_i nu~_k(i)
-              A(nu~)/A(nu) N_F(g, mu minus L, nu~).
-
-    One full search per (core, nu~), all with ``tables``; N_F = 1 at
-    m' = 0, where the core is one part equal to its one face."""
-    if len(mu) == 2 and m == 1:
-        return 0  # the one transposition joins two leaves
-    # (core, nu~) -> the sum of its terms without A(nu~)/A(nu) and N_F
-    groups: dict[tuple[Partition, Partition], int] = {}
-    for (core, blocks), ways in face_assignments(_decreasing(mu), nu).items():
-        term = ways * math.perm(m, len(mu) - len(core))
-        nut = [face - sum(block) for face, block in zip(nu, blocks)]
-        for left, block in zip(nut, blocks):
-            term *= (-left) ** len(block) * math.prod(block)
+    def full(g: int, core: Partition, nut: Partition):
         key = (core, _decreasing(nut))
-        groups[key] = groups.get(key, 0) + term
-    total = 0
-    for (core, nut), term in groups.items():
-        depth = m - len(mu) + len(core)
-        full = count_coloured(core, depth, nut, tables)[0] if depth else 1
-        total += term * automorphism_factor(nut) * full
-    n, rest = divmod(total, automorphism_factor(nu))
-    if rest:
+        value = values.get(key)
+        if value is None:
+            depth = m - len(mu) + len(core)
+            n = count_coloured(core, depth, key[1], tables)[0] if depth else 1
+            value = values[key] = value_from_count(n, core, nut)
+        return value
+
+    n = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
+    n /= value_from_count(1, mu, nu)
+    if n.denominator != 1:
         raise ArithmeticError("the leaf sum is not an integer count; bug")
-    return n
+    return n.numerator

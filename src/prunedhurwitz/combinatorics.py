@@ -7,6 +7,8 @@ All arithmetic is exact: Python ints and ``fractions.Fraction``.
 :func:`check_request` is the one rule for a value request (g, mu, nu);
 every entry to a value, the command line included, calls it.
 :func:`exact` turns an exact integer into decimal text and back.
+Every engine build compiles this module, so the walk over the faces a
+part of mu may join lives in :mod:`prunedhurwitz.reconstruction`.
 """
 
 from __future__ import annotations
@@ -106,31 +108,6 @@ def centralizer_order(p: Sequence[int]) -> int:
     for k, mult in Counter(p).items():
         out *= k**mult * math.factorial(mult)
     return out
-
-
-def face_assignments(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
-    """The ways to give each part of mu to the core or to a face, such
-    that every face keeps a perimeter nu~_i >= 1, as a map from (core
-    parts, removed parts per face) to the number of index assignments
-    that give it.
-
-    The parts are placed in turn, a part going to face i only while the
-    weight removed from face i stays below nu_i.  Assignments that
-    agree on the parts placed so far are merged, with their counts
-    added, so each distinct configuration is carried once.
-    """
-    states = {((), ((),) * len(nu)): 1}
-    for part in mu:
-        grown: dict = {}
-        for (core, blocks), count in states.items():
-            key = (core + (part,), blocks)
-            grown[key] = grown.get(key, 0) + count
-            for i, block in enumerate(blocks):
-                if sum(block) + part < nu[i]:
-                    key = (core, blocks[:i] + (block + (part,),) + blocks[i + 1:])
-                    grown[key] = grown.get(key, 0) + count
-        states = grown
-    return states
 
 
 def bell_number(n: int) -> int:

@@ -47,8 +47,10 @@ enumerated once: a word's cuts by start and length over one period of
 the word, its joins over one period of each word, identical successors
 grouped and weighted by their multiplicity.  A cut never merges
 components: a cycle of P lies in one orbit of the group generated so
-far.  The last transposition is counted from the word lengths and
-colours without building a word.  Only a *pre-final* cycle type, one
+far.  So a cut is grouped by its successor words alone, and only a
+join keeps the colours it joins.  The last transposition is counted
+without building a word: a cut from the word lengths alone, a join
+from the lengths and colours.  Only a *pre-final* cycle type, one
 cut or one join away from nu, has a last move: nu - {L, L'} + {L + L'}
 or nu - {c} + {a, c - a}, listed once per nu.  One move before the end
 only the successors of those types are generated: the cut lengths and
@@ -69,7 +71,11 @@ leaf takes a label, p (mu_i ways) and x (nu~_k ways); for a set L of
 leaves, m!/(m - |L|)! labels, x never on another leaf of L, and
 A(nu~)/A(nu) to match the products' cycles with the labelled faces.
 Inclusion-exclusion over L gives N_P from the core counts
-N_F(g, mu minus L, nu~); L = mu occurs only at m = 1, below.
+N_F(g, mu minus L, nu~); L = mu occurs only at m = 1, below.  In value
+form the mu_i and A(nu~)/A(nu) cancel: PH is the sum over L and k of
+m!/(m - |L|)! prod_{i in L} (-nu~_k(i)) H(g, mu minus L, nu~), the main
+theorem's sum (:func:`prunedhurwitz.reconstruction.face_sum`) with the
+block factor (-nu~_k)^p in place of the regrafting count.
 
 Isomorphism classes need no search of their own: they are the closed
 form :func:`classes_from_value` of N (:func:`count_isomorphism_classes`).
@@ -117,9 +123,9 @@ class MoveTables:
     * ``prefinal``: target nu -> the cycle types one transposition
       takes to nu -> the lengths that move removes and adds
       (:func:`prunedhurwitz.coloured.prefinal_types`);
-    * ``finals``: target nu -> word multiset -> the last moves that
-      give the product the cycle type nu (none unless the multiset's
-      length type is pre-final);
+    * ``finals``: target nu -> word multiset -> the last cuts, counted,
+      and joins, by colour pair, that give the product the cycle type
+      nu (none unless the multiset's length type is pre-final);
     * ``closers``: target nu -> word multiset -> its successor lists
       restricted to the successors whose length type is pre-final, the
       only ones that can finish one move later, generated from the word
@@ -169,7 +175,7 @@ def count_factorizations(
 
     nu = tuple(sorted(nu, reverse=True))
     if pruned:
-        return count_pruned(mu, nu, m, MoveTables() if tables is None else tables)
+        return count_pruned(g, mu, nu, MoveTables() if tables is None else tables)
     return count_coloured(mu, m, nu, tables)[0]
 
 

@@ -8,17 +8,19 @@ perimeters nu~ (1 <= nu~_i <= nu_i), the surviving vertex subset I with
 labels (one multinomial and a factorial per face), and regraft the
 removed vertices in every tree-like way.
 
-The sum visits only the configurations that contribute.  Each part of
-mu goes in turn to the core or to a face i, and to face i only while
-the weight removed from it stays below nu_i; nu~_i = nu_i - (removed
-weight) then follows, and the core is non-empty, as |mu_I| = |nu~| >=
-l(nu).  Assignments that agree on the parts placed so far are merged
-with their multiplicities (``combinatorics.face_assignments``), so
-repeated parts cost one configuration each.  The oracle is queried once per distinct
-(core parts, nu~) pair, and each block factor once per (nu~_i,
-removed parts) pair of a call.  ``tests/oracles.py`` keeps the sum
-over every nu~ <= nu, every core and all n^p block maps, filtered by
-weight, as the reference.
+The sum (:func:`face_sum`, for any oracle and block factor) visits
+only the configurations that contribute.  Each part of mu goes in turn
+to the core or to a face i, and to face i only while the weight removed
+from it stays below nu_i; nu~_i = nu_i - (removed weight) then follows,
+and the core is non-empty, as |mu_I| = |nu~| >= l(nu).  Assignments
+that agree on the parts placed so far are merged with their
+multiplicities, so repeated parts cost one configuration each.  The
+oracle is queried once per distinct (core parts, nu~) pair, and each
+block factor once per (nu~_i, removed parts) pair of a call.
+``tests/oracles.py`` keeps the sum over every nu~ <= nu, every core and
+all n^p block maps, filtered by weight, as the reference.  With the
+block factor (-nu~_i)^p_i and H as the oracle it is the leaf sum, its
+inverse, which gives PH (:func:`prunedhurwitz.coloured.count_pruned`).
 
 The regrafting count per face sums prod mu_v^(val(v) - 1) over the
 removed vertices v of every rooted forest on the nu~_i root slots and
@@ -52,8 +54,7 @@ from fractions import Fraction
 from math import perm, prod
 from typing import Callable, Sequence
 
-from .combinatorics import check_request, face_assignments
-from .forests import enumerate_rooted_forests
+from .combinatorics import check_request
 
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
 
@@ -74,26 +75,46 @@ def _forest_block_factor(root_count: int, weights: Sequence[int]) -> int:
     block."""
     if not weights:
         return 1
+    # imported here so that the leaf sum, which loads this module,
+    # compiles no forest code
+    from .forests import enumerate_rooted_forests
+
     return sum(
         prod(map(pow, (root_count, *weights), tree.out_degrees()))
         for tree in enumerate_rooted_forests(len(weights) + 1, [0])
     )
 
 
-def _reconstruct(
+def face_sum(
     g: int,
     mu: Sequence[int],
     nu: Sequence[int],
-    phat: PhatOracle,
+    oracle: PhatOracle,
     block_factor: Callable[[int, Sequence[int]], int],
 ) -> Fraction:
+    """The sum, over the ways to give each part of mu to the core or to
+    a face that keeps a perimeter nu~_i >= 1, of m!/(m - p)! *
+    prod_i block_factor(nu~_i, block_i) * oracle(g, core, nu~), with p
+    the number of parts given to faces."""
     mu, nu = check_request(g, mu, nu)
     m = 2 * g - 2 + len(mu) + len(nu)
+    # (core parts, parts removed per face) -> index assignments giving it
+    states = {((), ((),) * len(nu)): 1}
+    for part in mu:
+        grown: dict = {}
+        for (core, blocks), count in states.items():
+            key = (core + (part,), blocks)
+            grown[key] = grown.get(key, 0) + count
+            for i, block in enumerate(blocks):
+                if sum(block) + part < nu[i]:
+                    key = (core, blocks[:i] + (block + (part,),) + blocks[i + 1:])
+                    grown[key] = grown.get(key, 0) + count
+        states = grown
     factors: dict[tuple, int] = {}
     # (core parts, nu~) -> sum over its block assignments of the
     # product of the block factors
     inner: dict[tuple, int] = {}
-    for (core, blocks), count in face_assignments(mu, nu).items():
+    for (core, blocks), count in states.items():
         nut = tuple(face - sum(block) for face, block in zip(nu, blocks))
         term = count
         for key in zip(nut, blocks):
@@ -104,7 +125,7 @@ def _reconstruct(
         inner[core, nut] = inner.get((core, nut), 0) + term
     total = Fraction(0)
     for (core, nut), blocks_sum in inner.items():
-        core_value = phat(g, core, nut)
+        core_value = oracle(g, core, nut)
         if core_value:
             # the multinomial of the edge labels over the core and the
             # blocks, times l(mu_{I_i})! per block, is m!/(m - p)!
@@ -116,11 +137,11 @@ def reconstruct_double_hurwitz(
     g: int, mu: Sequence[int], nu: Sequence[int], phat: PhatOracle
 ) -> Fraction:
     """Evaluate the reconstruction sum with the forest polynomial."""
-    return _reconstruct(g, mu, nu, phat, _cayley_block_factor)
+    return face_sum(g, mu, nu, phat, _cayley_block_factor)
 
 
 def reconstruct_via_forests(
     g: int, mu: Sequence[int], nu: Sequence[int], phat: PhatOracle
 ) -> Fraction:
     """Evaluate the reconstruction sum by enumerating rooted forests."""
-    return _reconstruct(g, mu, nu, phat, _forest_block_factor)
+    return face_sum(g, mu, nu, phat, _forest_block_factor)

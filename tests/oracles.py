@@ -817,6 +817,12 @@ def reconstruct_by_filtering(g, mu, nu, phat, block_factor):
     return total
 
 
+def leaf_block_factor(r, weights):
+    """The leaf sum's block factor: (-r)^p for p leaves on a face of
+    reduced perimeter r."""
+    return (-r) ** len(weights)
+
+
 def leaf_sum(full):
     """The pruned value as the inclusion-exclusion over the leaves of
     the values ``full`` (a function of g, mu, nu): the reconstruction
@@ -828,7 +834,7 @@ def leaf_sum(full):
     def pruned(g, mu, nu):
         if len(mu) == 2 and 2 * g + len(nu) == 1:
             return Fraction(0)
-        return reconstruct_by_filtering(g, mu, nu, full, lambda r, weights: (-r) ** len(weights))
+        return reconstruct_by_filtering(g, mu, nu, full, leaf_block_factor)
 
     return pruned
 

@@ -130,11 +130,16 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "prunedhurwitz.batteries", "prunedhurwitz.reconstruction", "prunedhurwitz.forests",
     } <= main_theorem
     assert not main_theorem & {"prunedhurwitz.polynomiality", "prunedhurwitz.cutjoin"}
+    # a pruned count is the leaf sum, reconstruction.face_sum, whose
+    # block factor needs no forest
+    pruned = loaded_by_cli("compute", "--genus", "1", "--mu", "3,3", "--nu", "4,2",
+                           "--kind", "pruned")
+    assert {"prunedhurwitz.coloured", "prunedhurwitz.reconstruction"} <= pruned
+    assert not pruned & {"prunedhurwitz.forests", "prunedhurwitz.characters"}
     cut_and_join = loaded_by_cli("verify", "cut-and-join", "--max-d", "4", "--variant", "corrected")
     assert {"prunedhurwitz.batteries", "prunedhurwitz.cutjoin"} <= cut_and_join
     assert not cut_and_join & {
-        "prunedhurwitz.polynomiality", "prunedhurwitz.reconstruction",
-        "prunedhurwitz.forests", "prunedhurwitz.characters",
+        "prunedhurwitz.polynomiality", "prunedhurwitz.forests", "prunedhurwitz.characters",
     }
 
 

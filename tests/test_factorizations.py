@@ -337,6 +337,28 @@ def test_search_work_bound_covers_the_visited_states(monkeypatch):
                         assert sum(searches) <= bound, (g, mu, nu, pruned)
 
 
+def test_a_pruned_count_searches_each_core_once(monkeypatch):
+    # the leaf sum asks for H at each (core, nu~) with nu~ in the order
+    # of nu; reduced faces that are one multiset in other orders share
+    # one search, as the search reads nu~ sorted
+    searches = []
+
+    def logged(mu, m, target, tables=None):
+        searches.append((mu, m, target))
+        return search(mu, m, target, tables)
+
+    search = coloured.count_coloured
+    monkeypatch.setattr(coloured, "count_coloured", logged)
+    for g, mu, nu, count, expected in [
+        (0, (1,) * 8, (2, 2, 2, 2), 73_156_608_000, 5),
+        (0, (2, 2, 2, 1, 1), (3, 3, 2), 2_764_800, 11),
+        (1, (3, 2, 1), (4, 2), 97_200, 7),
+    ]:
+        searches.clear()
+        assert count_factorizations(g, mu, nu, True) == count
+        assert len(searches) == len(set(searches)) == expected, (g, mu, nu, searches)
+
+
 def test_count_matches_permutation_search():
     # the coloured cycle-type engine against the permutation search it
     # replaced, now an oracle: every ordering of mu, both modes, g <= 3,
@@ -488,20 +510,28 @@ def test_successor_lists_match_every_transposition():
                     count_factorizations(g, mu, nu, tables=tables)
 
     def grouped(lists):
-        moves = {(words, a, b): ways for entries in lists for words, a, b, ways in entries}
+        moves = {key: ways for entries in lists for key, ways in entries}
         assert len(moves) == sum(map(len, lists))
         return moves
 
+    def transpositions(words, kept=lambda successor: True):
+        # a cut, to one word more, merges no components, so the engine
+        # keys it by its successor alone: its colour pairs are summed
+        moves = Counter()
+        for (successor, a, b), ways in successor_lists(words).items():
+            if kept(successor):
+                moves[successor if len(successor) > len(words) else (successor, a, b)] += ways
+        return dict(moves)
+
     assert tables.moves and any(tables.closers.values())
     for words, lists in tables.moves.items():
-        assert grouped(lists) == successor_lists(words), words
+        assert grouped(lists) == transpositions(words), words
     for target, closers in tables.closers.items():
         prefinal = oracle_prefinal_types(target)
         for words, lists in closers.items():
-            assert grouped(lists) == {
-                key: ways for key, ways in successor_lists(words).items()
-                if tuple(sorted(map(len, key[0]), reverse=True)) in prefinal
-            }, (target, words)
+            assert grouped(lists) == transpositions(
+                words, lambda successor: tuple(sorted(map(len, successor), reverse=True)) in prefinal
+            ), (target, words)
 
 
 def test_engine_tables_die_with_the_engine():

@@ -13,6 +13,7 @@ from prunedhurwitz.factorizations import classes_from_value
 from prunedhurwitz.reconstruction import (
     _cayley_block_factor,
     _forest_block_factor,
+    face_sum,
     reconstruct_double_hurwitz,
     reconstruct_via_forests,
 )
@@ -21,6 +22,7 @@ from oracles import (
     block_factor_by_degrees,
     bounded_tuples,
     index_subsets,
+    leaf_block_factor,
     leaf_sum,
     reconstruct_by_filtering,
     strict,
@@ -128,9 +130,12 @@ class CoefficientOracle:
 
 
 def test_assignment_enumeration_equals_the_filtered_sum():
+    # the two forms of the main theorem, and the face sum with the leaf
+    # sum's block factor, which gives the pruned counts
     forms = [
         (reconstruct_double_hurwitz, _cayley_block_factor),
         (reconstruct_via_forests, _forest_block_factor),
+        (functools.partial(face_sum, block_factor=leaf_block_factor), leaf_block_factor),
     ]
     for d in range(1, 7):
         for nu in partitions(d):
@@ -143,7 +148,7 @@ def test_assignment_enumeration_equals_the_filtered_sum():
                         for form, factor in forms:
                             got = form(g, mu_order, nu, oracle)
                             want = reconstruct_by_filtering(g, mu_order, nu, oracle, factor)
-                            assert got == want, (g, mu_order, nu, form.__name__)
+                            assert got == want, (g, mu_order, nu, factor.__name__)
 
 
 def test_oracle_calls_at_most_one_per_core_and_reduced_faces():
