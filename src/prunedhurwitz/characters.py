@@ -14,7 +14,10 @@ count divided by d!, the z_mu and z_nu of the formula meet the
 labellings, and what remains is
 
     D(mu, nu, m) / (prod mu * prod nu),
-    D(mu, nu, m) = sum over lambda of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m.
+    D(mu, nu, m) = sum over lambda of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m
+                 = sum over the content values c of w_c c^m,
+with w_c the sum of chi^lambda(mu) chi^lambda(nu) over cont(lambda) = c;
+a column pair is summed over its shapes once, each m over O(d^2) values c.
 
 A tuple falls apart into its orbits.  Each orbit holds a block of the
 labelled parts of mu and nu with equal sums, its own points and its own
@@ -86,10 +89,8 @@ def _add_rim_hooks(shape: Partition, r: int):
 def _sub_multisets(parts: Partition) -> list[tuple[Partition, Partition, int]]:
     """(chosen, others, weight) for every sub-multiset of ``parts``,
     sorted descending, with ``weight`` the number of subsets of the
-    labelled parts that give it: the product over the part sizes s of
-    C(n_s, j_s), n_s parts of size s and j_s of them chosen.  Both
-    tuples are sorted descending; the sub-multiset of all the parts
-    comes last."""
+    labelled parts that give it (see the module).  Both tuples are
+    sorted descending; the sub-multiset of all the parts comes last."""
     subs: list[tuple[Partition, Partition, int]] = [((), (), 1)]
     # the runs of equal parts from the smallest size up, so prepending
     # keeps both tuples sorted
@@ -113,7 +114,7 @@ class CharacterTable:
 
     * ``columns``: mu (sorted descending) -> {lambda: chi^lambda(mu)},
       the non-zero characters only;
-    * ``sums``: (mu, nu, m) -> D(mu, nu, m);
+    * ``sums``: (mu, nu) with mu <= nu -> [(c, w_c)] over the w_c != 0;
     * ``connected``: (mu, nu, m) -> H * prod mu * prod nu, an integer.
 
     The tables only grow; they die with their holder.
@@ -123,7 +124,7 @@ class CharacterTable:
 
     def __init__(self) -> None:
         self.columns: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
-        self.sums: dict[tuple[Partition, Partition, int], int] = {}
+        self.sums: dict[tuple[Partition, Partition], list[tuple[int, int]]] = {}
         self.connected: dict[tuple[Partition, Partition, int], int] = {}
 
     def double_hurwitz(self, g: int, mu: Partition, nu: Partition) -> Fraction:
@@ -140,24 +141,23 @@ class CharacterTable:
             for below, chi in self.column(mu[1:]).items():
                 for shape, sign in _add_rim_hooks(below, mu[0]):
                     col[shape] = col.get(shape, 0) + sign * chi
-            col = {shape: chi for shape, chi in col.items() if chi}
-            self.columns[mu] = col
+            col = self.columns[mu] = {shape: chi for shape, chi in col.items() if chi}
         return col
 
     def _disconnected(self, mu: Partition, nu: Partition, m: int) -> int:
-        """D(mu, nu, m) = sum of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m."""
-        key = (mu, nu, m)
-        total = self.sums.get(key)
-        if total is None:
+        """D(mu, nu, m) = sum over the content values c of w_c c^m."""
+        key = (mu, nu) if mu <= nu else (nu, mu)
+        weights = self.sums.get(key)
+        if weights is None:
             a, b = self.column(mu), self.column(nu)
-            if len(b) < len(a):
-                a, b = b, a
-            total = 0
-            for shape, chi in a.items():
-                other = b.get(shape)
-                if other is not None:
-                    total += chi * other * content_sum(shape) ** m
-            self.sums[key] = total
+            by_content: dict[int, int] = {}
+            for shape in a.keys() & b.keys():
+                c = content_sum(shape)
+                by_content[c] = by_content.get(c, 0) + a[shape] * b[shape]
+            weights = self.sums[key] = [(c, w) for c, w in by_content.items() if w]
+        total = 0
+        for c, w in weights:
+            total += w * c**m
         return total
 
     def _connected(self, mu: Partition, nu: Partition, m: int) -> int:

@@ -17,8 +17,8 @@ import math
 from collections import Counter
 from operator import itemgetter
 
-from .combinatorics import Partition
-from .factorizations import MoveTables, value_from_count
+from .combinatorics import Partition, automorphism_factor
+from .factorizations import MoveTables
 from .reconstruction import face_sum
 
 
@@ -290,28 +290,28 @@ def count_pruned(g: int, mu: Partition, nu: Partition, tables: MoveTables) -> in
     """The pruned count of g, mu and nu with m >= 1: the leaf sum in
     value form (see :mod:`prunedhurwitz.factorizations`),
     :func:`prunedhurwitz.reconstruction.face_sum` with the block factor
-    (-nu~_k)^p, over the value of one sequence.  Each H it reads is the
-    value of one full search per (core, nu~), all with ``tables``;
-    N_F = 1 at m' = 0, where the core is one part equal to its one
-    face."""
+    (-nu~_k)^p, over the value of one sequence, A(nu) / prod mu.  Each
+    H it reads is the value of one full search per (core, nu~), all
+    with ``tables``; N_F = 1 at m' = 0, where the core is one part
+    equal to its one face."""
     if len(mu) == 2 and 2 * g + len(nu) == 1:
         return 0  # m = 1: the one transposition joins two leaves
     mu = _decreasing(mu)
-    m = 2 * g - 2 + len(mu) + len(nu)
-    # (core, sorted nu~) -> H: reduced faces in other orders search once
+    # (core, sorted nu~) -> H * prod mu, an integer; other face orders search once
     values: dict = {}
+    scale = math.prod(mu)
 
-    def full(g: int, core: Partition, nut: Partition):
+    def full(g: int, core: Partition, nut: Partition) -> int:
         key = (core, _decreasing(nut))
         value = values.get(key)
         if value is None:
-            depth = m - len(mu) + len(core)
+            depth = 2 * g - 2 + len(core) + len(nut)
             n = count_coloured(core, depth, key[1], tables)[0] if depth else 1
-            value = values[key] = value_from_count(n, core, nut)
+            value = values[key] = n * automorphism_factor(key[1]) * (scale // math.prod(core))
         return value
 
-    n = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
-    n /= value_from_count(1, mu, nu)
-    if n.denominator != 1:
+    total = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
+    n, rest = divmod(total, automorphism_factor(nu))
+    if rest:
         raise ArithmeticError("the leaf sum is not an integer count; bug")
-    return n.numerator
+    return n

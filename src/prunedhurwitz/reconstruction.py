@@ -123,14 +123,14 @@ def face_sum(
                 factor = factors[key] = block_factor(*key)
             term *= factor
         inner[core, nut] = inner.get((core, nut), 0) + term
-    total = Fraction(0)
+    total = 0
     for (core, nut), blocks_sum in inner.items():
         core_value = oracle(g, core, nut)
         if core_value:
             # the multinomial of the edge labels over the core and the
             # blocks, times l(mu_{I_i})! per block, is m!/(m - p)!
             total += core_value * (perm(m, len(mu) - len(core)) * blocks_sum)
-    return total
+    return Fraction(total)
 
 
 def reconstruct_double_hurwitz(

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations, product
 
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from prunedhurwitz.combinatorics import bell_number, partition_count, partitions
 
@@ -746,6 +746,104 @@ def genus_zero_tree_sum(mu, nu):
         )
         total += orderings * prod(abs(flow) for flow in flows.values())
     return total
+
+
+def disconnected_by_shapes(table, mu, nu, top):
+    """[D(mu, nu, m) for m = 0, ..., top], each D(mu, nu, m) the sum
+    over lambda of chi^lambda(mu) chi^lambda(nu) cont(lambda)^m, one
+    shape at a time, with the characters of ``table`` (a
+    ``CharacterTable``) and cont(lambda) summed over the boxes: the
+    per-shape sum the content-value weights replace."""
+    a, b = table.column(mu), table.column(nu)
+    terms = [
+        (chi * b[shape], sum(j - i for i, row in enumerate(shape) for j in range(row)))
+        for shape, chi in a.items()
+        if shape in b
+    ]
+    return [sum(w * c**m for w, c in terms) for m in range(top + 1)]
+
+
+def _minus(parts, removed):
+    """The multiset ``parts`` less ``removed``, sorted descending."""
+    rest = Counter(parts)
+    rest.subtract(removed)
+    return tuple(sorted(rest.elements(), reverse=True))
+
+
+def classical_cut_and_join(g, mu, nu, double):
+    """H(g, mu, nu) with m >= 1 from the values ``double`` (a function
+    of g and partitions sorted descending) at one transposition fewer:
+    the classical cut-and-join (Goulden and Jackson, "Transitive
+    factorizations into transpositions and holomorphic mappings on the
+    sphere", Proc. AMS 125, 1997; Goulden, Jackson and Vakil, Adv. Math.
+    198, 2005).
+
+    With sigma1 fixed, a transitive sequence tau_1, ..., tau_m whose
+    product has type nu is counted by N = H prod(mu) / A(nu), A(nu) the
+    product of the factorials of nu's multiplicities.  Before the last
+    transposition the product has a type rho, and tau_m
+
+    * joins two cycles a, b of rho in one orbit: genus g - 1,
+      rho = nu - {a + b} + {a, b}, in m_a m_b a b ways (C(m_a, 2) a^2
+      when a = b), m_k the multiplicities of rho;
+    * cuts a cycle c = a + b of rho: genus g, rho = nu - {a, b} + {c},
+      in m_c c ways (m_c c/2 when a = b);
+    * joins a cycle a of rho_A and a cycle b of rho_B, the products on
+      the two orbits A and B of sigma1 and tau_1, ..., tau_(m-1), with A
+      holding sigma1's first cycle: genera g_A + g_B = g, the labelled
+      cycles of sigma1 split between A and B, C(m - 1, m_A)
+      interleavings, in m_a(rho_A) m_b(rho_B) a b ways.
+
+    It reads ``double`` only, and no character itself."""
+    from fractions import Fraction
+
+    def aut(parts):
+        return prod(factorial(k) for k in Counter(parts).values())
+
+    counts = {}
+
+    def count(g, mu, nu):
+        key = (g, mu, nu)
+        if key not in counts:
+            counts[key] = 0 if g < 0 else double(g, mu, nu) * prod(mu) / aut(nu)
+        return counts[key]
+
+    m = 2 * g - 2 + len(mu) + len(nu)
+    if m < 1:
+        raise ValueError("the cut-and-join removes a transposition: m >= 1")
+    total = Fraction(0)
+    # (degree of A, rho_A, rho_B, ways) for every join of the two orbits
+    joins = []
+    for c in set(nu):
+        rest = _minus(nu, [c])
+        for a in range(1, c // 2 + 1):
+            rho = tuple(sorted(rest + (a, c - a), reverse=True))
+            n_a, n_b = rho.count(a), rho.count(c - a)
+            ways = n_a * (n_a - 1) // 2 * a * a if 2 * a == c else n_a * n_b * a * (c - a)
+            total += count(g - 1, mu, rho) * ways
+        for rest_a in {sub for r in range(len(rest) + 1) for sub in combinations(rest, r)}:
+            for a in range(1, c):
+                rho_a = tuple(sorted(rest_a + (a,), reverse=True))
+                rho_b = tuple(sorted(_minus(rest, rest_a) + (c - a,), reverse=True))
+                ways = rho_a.count(a) * rho_b.count(c - a) * a * (c - a)
+                joins.append((sum(rho_a), rho_a, rho_b, ways))
+    for a, b in set(combinations(nu, 2)):
+        rho = tuple(sorted(_minus(nu, [a, b]) + (a + b,), reverse=True))
+        total += count(g, mu, rho) * rho.count(a + b) * (a if a == b else a + b)
+    for size in range(len(mu) - 1):
+        for chosen in combinations(range(1, len(mu)), size):
+            mu_a = (mu[0],) + tuple(mu[i] for i in chosen)
+            mu_b = tuple(part for i, part in enumerate(mu) if i and i not in chosen)
+            for d_a, rho_a, rho_b, ways in joins:
+                if d_a != sum(mu_a):
+                    continue
+                for g_a in range(g + 1):
+                    m_a = 2 * g_a - 2 + len(mu_a) + len(rho_a)
+                    total += (
+                        comb(m - 1, m_a) * ways
+                        * count(g_a, mu_a, rho_a) * count(g - g_a, mu_b, rho_b)
+                    )
+    return total * aut(nu) / prod(mu)
 
 
 # -- the identity evaluators by generate-and-filter ----------------------------

@@ -4,12 +4,20 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from prunedhurwitz.characters import CharacterTable
-from prunedhurwitz.combinatorics import centralizer_order, partitions
+from prunedhurwitz.combinatorics import centralizer_order, partition_count, partitions
 from prunedhurwitz.factorizations import MoveTables, count_factorizations
 from prunedhurwitz.hurwitz import HurwitzEngine, value_from_count
 
-from oracles import genus_zero_tree_sum, hurwitz_genus_zero, trivalent_trees
+from oracles import (
+    classical_cut_and_join,
+    disconnected_by_shapes,
+    genus_zero_tree_sum,
+    hurwitz_genus_zero,
+    trivalent_trees,
+)
 
 
 def hook_length_dimension(shape):
@@ -33,6 +41,27 @@ def test_characters_are_orthogonal_and_give_the_dimensions():
                 a, b = table.column(mu), table.column(nu)
                 inner = sum(chi * b.get(shape, 0) for shape, chi in a.items())
                 assert inner == (centralizer_order(mu) if mu == nu else 0), (mu, nu)
+
+
+def test_content_value_sums_equal_the_per_shape_sums():
+    # D(mu, nu, m) = sum of w_c c^m over the content values, against the
+    # sum over the shapes: every column pair with d <= 10 and every
+    # 0 <= m <= 2d, 68,170 sums, on two tables filled in opposite orders
+    # and orientations; each keeps one entry per unordered pair
+    pairs = [(mu, nu) for d in range(1, 11) for mu in partitions(d) for nu in partitions(d)]
+    reference, forward, backward = CharacterTable(), CharacterTable(), CharacterTable()
+    expected = {
+        (mu, nu, m): value
+        for mu, nu in pairs
+        for m, value in enumerate(disconnected_by_shapes(reference, mu, nu, 2 * sum(mu)))
+    }
+    assert len(expected) == 68170
+    for mu, nu, m in expected:
+        assert forward._disconnected(mu, nu, m) == expected[mu, nu, m], (mu, nu, m)
+    for mu, nu, m in reversed(expected):
+        assert backward._disconnected(nu, mu, m) == expected[mu, nu, m], (mu, nu, m)
+    unordered = sum(math.comb(partition_count(d) + 1, 2) for d in range(1, 11))
+    assert len(forward.sums) == len(backward.sums) == unordered
 
 
 def test_characters_give_the_cover_z_to_the_d():
@@ -77,6 +106,34 @@ def test_the_characters_are_symmetric_in_the_two_profiles():
     assert pairs == 1704
 
 
+def test_the_classical_cut_and_join_holds_for_the_characters():
+    # H from the characters on both sides of the cut-and-join of the
+    # last transposition: every g <= 2, 2 <= d <= 7 and m >= 1, 1,293
+    # cases, on one table
+    table = CharacterTable()
+    cases = 0
+    for d in range(2, 8):
+        shapes = list(partitions(d))
+        for g in range(3):
+            for mu in shapes:
+                for nu in shapes:
+                    if 2 * g - 2 + len(mu) + len(nu) >= 1:
+                        rebuilt = classical_cut_and_join(g, mu, nu, table.double_hurwitz)
+                        assert rebuilt == table.double_hurwitz(g, mu, nu), (g, mu, nu)
+                        cases += 1
+    assert cases == 1293
+
+
+@pytest.mark.parametrize(
+    "g, mu, nu", [(3, (10, 10, 10), (12, 9, 9)), (1, (3,) * 8, (4,) * 6)]
+)
+def test_the_classical_cut_and_join_holds_past_the_enumeration(g, mu, nu):
+    # d = 30 and d = 24, with a fresh table each
+    table = CharacterTable()
+    rebuilt = classical_cut_and_join(g, mu, nu, table.double_hurwitz)
+    assert rebuilt == table.double_hurwitz(g, mu, nu)
+
+
 def test_pinned_values_beyond_the_enumeration():
     engine = HurwitzEngine()
     assert engine.double(1, (15, 15), (12, 18)) == 4_941_000
@@ -118,6 +175,7 @@ def test_hurwitz_genus_zero_formula_with_many_equal_parts():
     for d, value in [
         (12, 1108358535110767253913600000),
         (16, 6312858643783999809455019313374167040000000),
+        (24, 1982126635447442218712296539513990224921594509990430983190299331788800000000000),
     ]:
         nu = (2,) * (d // 2)
         assert HurwitzEngine().double(0, (1,) * d, nu) == hurwitz_genus_zero(nu) == value

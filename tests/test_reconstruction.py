@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from prunedhurwitz.characters import CharacterTable
 from prunedhurwitz.combinatorics import partitions
 from prunedhurwitz.hurwitz import HurwitzEngine
 from prunedhurwitz.cutjoin import cut_and_join_terms, verify_recursion
@@ -266,3 +267,18 @@ def test_the_leaf_sum_of_h_is_ph():
                 for nu in partitions(d):
                     if 2 * g - 2 + len(mu) + len(nu) >= 1:
                         assert pruned(g, mu, nu) == ENGINE.pruned(g, mu, nu), (g, mu, nu)
+
+
+def test_the_leaf_sum_of_the_characters_at_scale():
+    # face_sum with the leaf factor over the characters' H, past the
+    # enumeration's reach: each value was found by two methods, the
+    # leaf sum and the main theorem solved for its top term
+    table = CharacterTable()
+
+    def double(g, mu, nu):
+        return table.double_hurwitz(
+            g, tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True))
+        )
+
+    assert face_sum(2, (6, 6, 6), (9, 9), double, leaf_block_factor) == 336_236_588_352
+    assert face_sum(1, (12, 12), (9, 8, 7), double, leaf_block_factor) == 106_583_040
