@@ -115,7 +115,8 @@ class CharacterTable:
     * ``columns``: mu (sorted descending) -> {lambda: chi^lambda(mu)},
       the non-zero characters only;
     * ``sums``: (mu, nu) with mu <= nu -> [(c, w_c)] over the w_c != 0;
-    * ``connected``: (mu, nu, m) -> H * prod mu * prod nu, an integer.
+    * ``connected``: (mu, nu, m) with mu <= nu -> H * prod mu * prod nu,
+      an integer, one entry per unordered pair as H is symmetric.
 
     The tables only grow; they die with their holder.
     """
@@ -161,7 +162,7 @@ class CharacterTable:
         return total
 
     def _connected(self, mu: Partition, nu: Partition, m: int) -> int:
-        key = (mu, nu, m)
+        key = (mu, nu, m) if mu <= nu else (nu, mu, m)
         value = self.connected.get(key)
         if value is not None:
             return value

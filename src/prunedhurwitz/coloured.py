@@ -287,28 +287,23 @@ def count_coloured(
 
 
 def count_pruned(g: int, mu: Partition, nu: Partition, tables: MoveTables) -> int:
-    """The pruned count of g, mu and nu with m >= 1: the leaf sum in
-    value form (see :mod:`prunedhurwitz.factorizations`),
+    """The pruned count of g, mu and nu, both sorted descending, with
+    m >= 1: the leaf sum in value form (see
+    :mod:`prunedhurwitz.factorizations`),
     :func:`prunedhurwitz.reconstruction.face_sum` with the block factor
     (-nu~_k)^p, over the value of one sequence, A(nu) / prod mu.  Each
-    H it reads is the value of one full search per (core, nu~), all
-    with ``tables``; N_F = 1 at m' = 0, where the core is one part
+    H it reads, scaled to the integer H * prod mu, is the value of one
+    full search with ``tables``, which the face sum asks once per core
+    and multiset nu~; N_F = 1 at m' = 0, where the core is one part
     equal to its one face."""
     if len(mu) == 2 and 2 * g + len(nu) == 1:
         return 0  # m = 1: the one transposition joins two leaves
-    mu = _decreasing(mu)
-    # (core, sorted nu~) -> H * prod mu, an integer; other face orders search once
-    values: dict = {}
     scale = math.prod(mu)
 
     def full(g: int, core: Partition, nut: Partition) -> int:
-        key = (core, _decreasing(nut))
-        value = values.get(key)
-        if value is None:
-            depth = 2 * g - 2 + len(core) + len(nut)
-            n = count_coloured(core, depth, key[1], tables)[0] if depth else 1
-            value = values[key] = n * automorphism_factor(key[1]) * (scale // math.prod(core))
-        return value
+        depth = 2 * g - 2 + len(core) + len(nut)
+        n = count_coloured(core, depth, nut, tables)[0] if depth else 1
+        return n * automorphism_factor(nut) * (scale // math.prod(core))
 
     total = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
     n, rest = divmod(total, automorphism_factor(nu))

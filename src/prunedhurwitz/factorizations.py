@@ -164,7 +164,7 @@ def count_factorizations(
     :func:`prunedhurwitz.combinatorics.check_request`.  The move tables
     are ``tables`` when given, and built for this call only when not.
     """
-    mu, nu = check_request(g, mu, nu)
+    mu, nu = (tuple(sorted(p, reverse=True)) for p in check_request(g, mu, nu))
     m = 2 * g - 2 + len(mu) + len(nu)
     if m == 0:
         # mu = nu = (d): the empty sequence, whose one sigma1 cycle no transposition meets
@@ -173,7 +173,6 @@ def count_factorizations(
         raise ValueError("a colour word holds at most 256 colours")
     from .coloured import count_coloured, count_pruned
 
-    nu = tuple(sorted(nu, reverse=True))
     if pruned:
         return count_pruned(g, mu, nu, MoveTables() if tables is None else tables)
     return count_coloured(mu, m, nu, tables)[0]

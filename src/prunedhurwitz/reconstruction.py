@@ -15,8 +15,8 @@ from it stays below nu_i; nu~_i = nu_i - (removed weight) then follows,
 and the core is non-empty, as |mu_I| = |nu~| >= l(nu).  Assignments
 that agree on the parts placed so far are merged with their
 multiplicities, so repeated parts cost one configuration each.  The
-oracle is queried once per distinct (core parts, nu~) pair, and each
-block factor once per (nu~_i, removed parts) pair of a call.
+oracle is queried once per core and multiset nu~, sorted descending;
+each block factor once per (nu~_i, removed parts) pair of a call.
 ``tests/oracles.py`` keeps the sum over every nu~ <= nu, every core and
 all n^p block maps, filtered by weight, as the reference.  With the
 block factor (-nu~_i)^p_i and H as the oracle it is the leaf sum, its
@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 
 from .combinatorics import check_request
 
+# (g, core parts, nu~ sorted in decreasing order) -> a value of the multisets
 PhatOracle = Callable[[int, tuple[int, ...], tuple[int, ...]], Fraction]
 
 
@@ -95,7 +96,9 @@ def face_sum(
     """The sum, over the ways to give each part of mu to the core or to
     a face that keeps a perimeter nu~_i >= 1, of m!/(m - p)! *
     prod_i block_factor(nu~_i, block_i) * oracle(g, core, nu~), with p
-    the number of parts given to faces."""
+    the number of parts given to faces.  The oracle must be a function
+    of the multiset nu~, as H, PH and the modified PH are: it receives
+    nu~ sorted in decreasing order, once per core and multiset."""
     mu, nu = check_request(g, mu, nu)
     m = 2 * g - 2 + len(mu) + len(nu)
     # (core parts, parts removed per face) -> index assignments giving it
@@ -111,18 +114,19 @@ def face_sum(
                     grown[key] = grown.get(key, 0) + count
         states = grown
     factors: dict[tuple, int] = {}
-    # (core parts, nu~) -> sum over its block assignments of the
-    # product of the block factors
+    # (core parts, nu~ sorted) -> sum over its block assignments, in
+    # every face order, of the product of the block factors
     inner: dict[tuple, int] = {}
     for (core, blocks), count in states.items():
-        nut = tuple(face - sum(block) for face, block in zip(nu, blocks))
+        nut = [face - sum(block) for face, block in zip(nu, blocks)]
         term = count
         for key in zip(nut, blocks):
             factor = factors.get(key)
             if factor is None:
                 factor = factors[key] = block_factor(*key)
             term *= factor
-        inner[core, nut] = inner.get((core, nut), 0) + term
+        pair = (core, tuple(sorted(nut, reverse=True)))
+        inner[pair] = inner.get(pair, 0) + term
     total = 0
     for (core, nut), blocks_sum in inner.items():
         core_value = oracle(g, core, nut)

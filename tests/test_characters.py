@@ -106,6 +106,27 @@ def test_the_characters_are_symmetric_in_the_two_profiles():
     assert pairs == 1704
 
 
+def test_the_connected_counts_keep_one_entry_per_unordered_pair():
+    # every H with g <= 2, d <= 8 and m >= 1, 2,746 values, each profile
+    # pair asked in both orientations of one table: the connected counts
+    # are keyed with mu <= nu, so no key (mu, nu, m) stands beside
+    # (nu, mu, m), and each value equals that of a fresh table
+    table = CharacterTable()
+    values = {
+        (g, mu, nu): table.double_hurwitz(g, mu, nu)
+        for d in range(1, 9)
+        for g in range(3)
+        for mu in partitions(d)
+        for nu in partitions(d)
+        if 2 * g - 2 + len(mu) + len(nu) >= 1
+    }
+    assert len(values) == 2746
+    assert all(mu <= nu for mu, nu, _ in table.connected)
+    assert len(table.connected) == 1926
+    for (g, mu, nu), value in values.items():
+        assert CharacterTable().double_hurwitz(g, mu, nu) == value, (g, mu, nu)
+
+
 def test_the_classical_cut_and_join_holds_for_the_characters():
     # H from the characters on both sides of the cut-and-join of the
     # last transposition: every g <= 2, 2 <= d <= 7 and m >= 1, 1,293

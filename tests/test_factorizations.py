@@ -338,9 +338,9 @@ def test_search_work_bound_covers_the_visited_states(monkeypatch):
 
 
 def test_a_pruned_count_searches_each_core_once(monkeypatch):
-    # the leaf sum asks for H at each (core, nu~) with nu~ in the order
-    # of nu; reduced faces that are one multiset in other orders share
-    # one search, as the search reads nu~ sorted
+    # the face sum asks the leaf sum's oracle once per core and multiset
+    # nu~, handed over sorted, so reduced faces that are one multiset in
+    # other orders run one search, and the leaf sum keeps no memo
     searches = []
 
     def logged(mu, m, target, tables=None):

@@ -112,21 +112,25 @@ def test_block_factor_forms_agree_past_eight_vertices():
 class CoefficientOracle:
     """A stub oracle whose values make every coefficient of the sum
     readable: its value at (g, core, nu~) is (g + 1) * B**k, k the index
-    of (core, nu~) among the pairs the sum may query and B above any
-    coefficient, so two sums are equal iff every coefficient is.  A
-    query outside those pairs raises ``KeyError``."""
+    of (core, nu~ sorted descending) among the pairs the sum may query
+    and B above any coefficient, so two sums are equal iff every
+    coefficient is.  Like H, it is a function of the multiset nu~, which
+    it sorts on lookup: the face sum asks it in sorted order, the
+    filtered sum in the order of nu.  A query outside those pairs raises
+    ``KeyError``."""
 
     BASE = 10**40
 
     def __init__(self, mu, nu):
         pairs = {
-            (tuple(mu[i] for i in core), nut)
+            (tuple(mu[i] for i in core), tuple(sorted(nut, reverse=True)))
             for core in index_subsets(len(mu))
             for nut in bounded_tuples(nu)
         }
         self.index = {pair: k for k, pair in enumerate(sorted(pairs))}
 
     def __call__(self, g, core, nut):
+        nut = tuple(sorted(nut, reverse=True))
         return Fraction((g + 1) * self.BASE ** self.index[core, nut])
 
 
@@ -154,8 +158,8 @@ def test_assignment_enumeration_equals_the_filtered_sum():
 
 def test_oracle_calls_at_most_one_per_core_and_reduced_faces():
     # the generate-and-filter sum queried 711 (core, nu~) pairs here; the
-    # assignment enumeration queries each distinct pair with a block
-    # assignment once
+    # assignment enumeration queries each core and multiset nu~ with a
+    # block assignment once, nu~ sorted: 9 pairs
     calls = []
 
     def constant(g, mu, nu):
@@ -165,7 +169,8 @@ def test_oracle_calls_at_most_one_per_core_and_reduced_faces():
     for form in (reconstruct_double_hurwitz, reconstruct_via_forests):
         calls.clear()
         assert form(0, (1,) * 8, (3, 3, 2), constant) == 272773225
-        assert len(calls) == len(set(calls)) == 18
+        assert len(calls) == len(set(calls)) == 9
+        assert all(list(nut) == sorted(nut, reverse=True) for _, nut in calls)
 
 
 def test_oracle_is_never_asked_for_a_degenerate_value():
@@ -282,3 +287,5 @@ def test_the_leaf_sum_of_the_characters_at_scale():
 
     assert face_sum(2, (6, 6, 6), (9, 9), double, leaf_block_factor) == 336_236_588_352
     assert face_sum(1, (12, 12), (9, 8, 7), double, leaf_block_factor) == 106_583_040
+    assert face_sum(2, (10, 10, 10), (12, 9, 9), double, leaf_block_factor) == \
+        5_479_316_136_000_000
