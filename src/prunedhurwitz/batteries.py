@@ -262,7 +262,8 @@ def _enumerated(g, mu, nu, tag):
 
 
 def _recomputed(sample):
-    from .factorizations import MoveTables, count_factorizations, value_from_count
+    from .coloured import MoveTables
+    from .factorizations import count_factorizations, value_from_count
 
     tables = MoveTables()
     for (g, mu, nu, tag), stored in sample:

@@ -1,14 +1,11 @@
-"""The coloured cycle-type engine behind
-:func:`prunedhurwitz.factorizations.count_factorizations`: one full
-search (:func:`count_coloured`), and the pruned count as the leaf sum
-of the full searches of its cores (:func:`count_pruned`), which is the
-main theorem's sum over face assignments
-(:func:`prunedhurwitz.reconstruction.face_sum`) with the leaf block
-factor.  The state, why it is exact, the transitions and the leaf sum
-are set out in the docstring of :mod:`prunedhurwitz.factorizations`,
-with the bound on the work.  The engine is a module of its own so that
-importing the package, or a command answered from the value cache,
-compiles none of it.
+"""The coloured cycle-type engine: one full search
+(:func:`count_coloured`) and the move tables it reads and fills
+(:class:`MoveTables`).  What it counts, the state, why it is exact and
+the transitions are set out in the docstring of
+:mod:`prunedhurwitz.factorizations`, with the bound on the work and the
+leaf sum that makes a pruned count of these searches.  The engine is a
+module of its own so that importing the package, or a command answered
+from the value cache, compiles none of it.
 """
 
 from __future__ import annotations
@@ -17,13 +14,64 @@ import math
 from collections import Counter
 from operator import itemgetter
 
-from .combinatorics import Partition, automorphism_factor
-from .factorizations import MoveTables
-from .reconstruction import face_sum
+from .combinatorics import Partition
+
+
+class MoveTables:
+    """The engine's tables, kept across the searches they are handed
+    to:
+
+    * ``rotations``: word -> (its least rotation, its period);
+    * ``renamings``: word multiset -> (the multiset with equal-size
+      colours renamed in order of first appearance, the map taking the
+      component labels along, or None);
+    * ``moves``: word multiset -> its successor lists, cuts then joins;
+    * ``prefinal``: target nu -> the cycle types one transposition
+      takes to nu -> the lengths that move removes and adds
+      (:func:`prefinal_types`);
+    * ``finals``: target nu -> word multiset -> the last cuts, counted,
+      and joins, by colour pair, that give the product the cycle type
+      nu (none unless the multiset's length type is pre-final);
+    * ``closers``: target nu -> word multiset -> its successor lists
+      restricted to the successors whose length type is pre-final, the
+      only ones that can finish one move later, generated from the word
+      lengths.
+
+    Sharing them is exact: an entry reads only a word or a word
+    multiset, which fixes mu (colour c occurs mu_c times in it), and
+    nu; never m or the components.  So a caller of many searches (a
+    :class:`prunedhurwitz.hurwitz.HurwitzEngine`, a pruned count's
+    cores) hands the same tables to each.  They only grow, and die with
+    their holder.
+    """
+
+    __slots__ = ("rotations", "renamings", "moves", "prefinal", "finals", "closers")
+
+    def __init__(self) -> None:
+        self.rotations: dict[bytes, tuple[bytes, int]] = {}
+        self.renamings: dict[tuple, tuple[tuple, object]] = {}
+        self.moves: dict[tuple, tuple[list, list]] = {}
+        self.prefinal: dict[Partition, dict[Partition, tuple[tuple, tuple]]] = {}
+        self.finals: dict[Partition, dict[tuple, tuple[list, list]]] = {}
+        self.closers: dict[Partition, dict[tuple, tuple[list, list]]] = {}
 
 
 def _decreasing(lengths) -> Partition:
     return tuple(sorted(lengths, reverse=True))
+
+
+def _least_rotation(w: bytes) -> tuple[bytes, int]:
+    """The least rotation of w and its period, the first shift that
+    gives w back (a loop: ``min`` over a generator was 5% slower)."""
+    n = len(w)
+    ww = w + w
+    period = ww.find(w, 1)
+    best = w
+    for i in range(1, period):
+        rot = ww[i:i + n]
+        if rot < best:
+            best = rot
+    return best, period
 
 
 def prefinal_types(target: Partition) -> dict[Partition, tuple[tuple, tuple]]:
@@ -48,9 +96,7 @@ def prefinal_types(target: Partition) -> dict[Partition, tuple[tuple, tuple]]:
     return types
 
 
-def count_coloured(
-    mu: Partition, m: int, target: Partition, tables: MoveTables | None = None
-) -> tuple[int, int]:
+def count_coloured(mu: Partition, m: int, target: Partition, tables: MoveTables) -> tuple[int, int]:
     """The number of transitive sequences of m >= 1 transpositions that
     give the product the cycle type ``target``, and the number of states
     reached, a successor one move before the end that cannot finish
@@ -58,16 +104,13 @@ def count_coloured(
     are bytes).  A layer maps each state (words, components) reached
     after k transpositions to the number of ways to reach it; only the
     current layer and the next are held, and the last moves are counted
-    from the final one.  The move tables are ``tables`` when given
-    (:class:`MoveTables`), and live for this call only when not."""
+    from the final one.  The search reads and fills ``tables``."""
     mu = _decreasing(mu)
     ncol = len(mu)
     ltarget = len(target)
     # equal-size colours are consecutive; first[c] is the least of them
     first = [mu.index(size) for size in mu]
     symmetric = len(set(mu)) < ncol
-    if tables is None:
-        tables = MoveTables()
     rotations, renamings, moves = tables.rotations, tables.renamings, tables.moves
     prefinal = tables.prefinal.get(target)
     if prefinal is None:
@@ -79,16 +122,7 @@ def count_coloured(
         """The least rotation of w and its period."""
         r = rotations.get(w)
         if r is None:
-            n = len(w)
-            ww = w + w
-            best, period = w, n
-            for i in range(1, n):
-                rot = ww[i:i + n]
-                if rot < best:
-                    best = rot
-                elif rot == w and period == n:
-                    period = i
-            r = rotations[w] = (best, period)
+            r = rotations[w] = _least_rotation(w)
         return r
 
     def relabel(words: tuple) -> tuple[tuple, object]:
@@ -285,28 +319,3 @@ def count_coloured(
         states += len(layer)
     return sum(ways_in * last(*state) for state, ways_in in layer.items()), states
 
-
-def count_pruned(g: int, mu: Partition, nu: Partition, tables: MoveTables) -> int:
-    """The pruned count of g, mu and nu, both sorted descending, with
-    m >= 1: the leaf sum in value form (see
-    :mod:`prunedhurwitz.factorizations`),
-    :func:`prunedhurwitz.reconstruction.face_sum` with the block factor
-    (-nu~_k)^p, over the value of one sequence, A(nu) / prod mu.  Each
-    H it reads, scaled to the integer H * prod mu, is the value of one
-    full search with ``tables``, which the face sum asks once per core
-    and multiset nu~; N_F = 1 at m' = 0, where the core is one part
-    equal to its one face."""
-    if len(mu) == 2 and 2 * g + len(nu) == 1:
-        return 0  # m = 1: the one transposition joins two leaves
-    scale = math.prod(mu)
-
-    def full(g: int, core: Partition, nut: Partition) -> int:
-        depth = 2 * g - 2 + len(core) + len(nut)
-        n = count_coloured(core, depth, nut, tables)[0] if depth else 1
-        return n * automorphism_factor(nut) * (scale // math.prod(core))
-
-    total = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
-    n, rest = divmod(total, automorphism_factor(nu))
-    if rest:
-        raise ArithmeticError("the leaf sum is not an integer count; bug")
-    return n

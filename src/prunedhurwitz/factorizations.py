@@ -59,9 +59,9 @@ word is built, so a successor that cannot finish is not made, renamed
 or kept as a state.  The work grows with the number of states, bounded
 by :func:`search_work_bound`, not with the count itself.
 
-Pruned counts are a sum of full ones
-(:func:`prunedhurwitz.coloured.count_pruned`).  A transposition inside
-a sigma1-cycle touches it twice.  For l(mu) >= 2 transitivity leaves
+Pruned counts are a sum of full ones, the leaf sum that
+:func:`count_factorizations` takes.  A transposition inside a
+sigma1-cycle touches it twice.  For l(mu) >= 2 transitivity leaves
 no cycle untouched, so a cycle that is not pruned is a *leaf*, touched
 by one transposition (p x), p on it and x on another cycle.  Removing
 leaf i and that transposition leaves a transitive sequence of m - 1
@@ -110,44 +110,7 @@ from .combinatorics import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-
-class MoveTables:
-    """The coloured engine's tables, kept across the searches they are
-    handed to:
-
-    * ``rotations``: word -> (its least rotation, its period);
-    * ``renamings``: word multiset -> (the multiset with equal-size
-      colours renamed in order of first appearance, the map taking the
-      component labels along, or None);
-    * ``moves``: word multiset -> its successor lists, cuts then joins;
-    * ``prefinal``: target nu -> the cycle types one transposition
-      takes to nu -> the lengths that move removes and adds
-      (:func:`prunedhurwitz.coloured.prefinal_types`);
-    * ``finals``: target nu -> word multiset -> the last cuts, counted,
-      and joins, by colour pair, that give the product the cycle type
-      nu (none unless the multiset's length type is pre-final);
-    * ``closers``: target nu -> word multiset -> its successor lists
-      restricted to the successors whose length type is pre-final, the
-      only ones that can finish one move later, generated from the word
-      lengths.
-
-    Sharing them is exact: an entry reads only a word or a word
-    multiset, which fixes mu (colour c occurs mu_c times in it), and
-    nu; never m or the components.  So a caller of many searches (a
-    :class:`prunedhurwitz.hurwitz.HurwitzEngine`, a pruned count's
-    cores) hands the same tables to each.  They only grow, and die with
-    their holder.
-    """
-
-    __slots__ = ("rotations", "renamings", "moves", "prefinal", "finals", "closers")
-
-    def __init__(self) -> None:
-        self.rotations: dict[bytes, tuple[bytes, int]] = {}
-        self.renamings: dict[tuple, tuple[tuple, object]] = {}
-        self.moves: dict[tuple, tuple[list, list]] = {}
-        self.prefinal: dict[Partition, dict[Partition, tuple[tuple, tuple]]] = {}
-        self.finals: dict[Partition, dict[tuple, tuple[list, list]]] = {}
-        self.closers: dict[Partition, dict[tuple, tuple[list, list]]] = {}
+    from .coloured import MoveTables
 
 
 def count_factorizations(
@@ -161,8 +124,10 @@ def count_factorizations(
     """Number of qualifying transposition sequences with sigma1 frozen.
 
     The request is checked by
-    :func:`prunedhurwitz.combinatorics.check_request`.  The move tables
-    are ``tables`` when given, and built for this call only when not.
+    :func:`prunedhurwitz.combinatorics.check_request`.  A full count is
+    one search, and a pruned count the leaf sum of the full counts of
+    its cores (see the module docstring).  The searches share
+    ``tables`` when given, and tables built for this call when not.
     """
     mu, nu = (tuple(sorted(p, reverse=True)) for p in check_request(g, mu, nu))
     m = 2 * g - 2 + len(mu) + len(nu)
@@ -171,11 +136,30 @@ def count_factorizations(
         return int(not pruned)
     if len(mu) > 256:
         raise ValueError("a colour word holds at most 256 colours")
-    from .coloured import count_coloured, count_pruned
+    from .coloured import MoveTables, count_coloured
 
-    if pruned:
-        return count_pruned(g, mu, nu, MoveTables() if tables is None else tables)
-    return count_coloured(mu, m, nu, tables)[0]
+    if tables is None:
+        tables = MoveTables()
+    if not pruned:
+        return count_coloured(mu, m, nu, tables)[0]
+    if len(mu) == 2 and m == 1:
+        return 0  # the one transposition joins two leaves
+    from .reconstruction import face_sum
+
+    # the leaf sum in value form of each core's integer H * prod mu =
+    # N_F * A(nu~) * prod mu / prod core (N_F = 1 at m' = 0) is N_P * A(nu)
+    scale = math.prod(mu)
+
+    def full(g: int, core: Partition, nut: Partition) -> int:
+        depth = 2 * g - 2 + len(core) + len(nut)
+        n = count_coloured(core, depth, nut, tables)[0] if depth else 1
+        return n * automorphism_factor(nut) * (scale // math.prod(core))
+
+    total = face_sum(g, mu, nu, full, lambda left, block: (-left) ** len(block))
+    n, rest = divmod(total, automorphism_factor(nu))
+    if rest:
+        raise ArithmeticError("the leaf sum is not an integer count; bug")
+    return n
 
 
 def search_work_bound(g: int, mu: Sequence[int], nu: Sequence[int]) -> int:

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .combinatorics import check_request
 from .factorizations import (
-    MoveTables,
     classes_from_value,
     count_factorizations,
     # not called here; the benchmark's tracer (perfbench/spans.py) swaps it by this name
@@ -104,12 +103,12 @@ class HurwitzEngine:
     it warns once, and ``cache_path`` is set to None); a value at
     m = 0 is a closed form and is kept in neither.
     Evaluation is pure given the conventions, so concurrent duplicate
-    computation is harmless.  Every count the engine makes shares one
-    set of the coloured engine's move tables
-    (:class:`prunedhurwitz.factorizations.MoveTables`), which live as
-    long as the engine, and every H one table of characters
+    computation is harmless.  Every PH the engine counts shares one set
+    of the coloured engine's move tables
+    (:class:`prunedhurwitz.coloured.MoveTables`), built on the first PH,
+    and every H one table of characters
     (:class:`prunedhurwitz.characters.CharacterTable`), built on the
-    first H.
+    first H; both live as long as the engine.
     """
 
     def __init__(
@@ -120,7 +119,7 @@ class HurwitzEngine:
         self.conventions = conventions or Conventions()
         self.cache_path = cache_path
         self._values: dict[CacheKey, Fraction] = {}
-        self._tables = MoveTables()
+        self._tables = None
         self._characters = None
         if cache_path:
             from .cache import load_cache
@@ -156,6 +155,10 @@ class HurwitzEngine:
                     self._characters = CharacterTable()
                 val = self._characters.double_hurwitz(g, smu, snu)
             else:
+                if self._tables is None:
+                    from .coloured import MoveTables
+
+                    self._tables = MoveTables()
                 n = count_factorizations(g, smu, snu, pruned=True, tables=self._tables)
                 val = value_from_count(n, smu, snu)
             self._store(key, val)

@@ -20,7 +20,8 @@ each block factor once per (nu~_i, removed parts) pair of a call.
 ``tests/oracles.py`` keeps the sum over every nu~ <= nu, every core and
 all n^p block maps, filtered by weight, as the reference.  With the
 block factor (-nu~_i)^p_i and H as the oracle it is the leaf sum, its
-inverse, which gives PH (:func:`prunedhurwitz.coloured.count_pruned`).
+inverse, which gives PH (a pruned
+:func:`prunedhurwitz.factorizations.count_factorizations`).
 
 The regrafting count per face sums prod mu_v^(val(v) - 1) over the
 removed vertices v of every rooted forest on the nu~_i root slots and

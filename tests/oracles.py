@@ -123,6 +123,21 @@ def prefinal_types(nu):
     }
 
 
+def least_rotation(w):
+    """The least rotation of the word w and its period, by a walk over
+    every rotation: the period is the first shift that gives w back."""
+    n = len(w)
+    ww = w + w
+    best, period = w, n
+    for i in range(1, n):
+        rot = ww[i:i + n]
+        if rot < best:
+            best = rot
+        elif rot == w and period == n:
+            period = i
+    return best, period
+
+
 def successor_lists(words):
     """The coloured cycle types one transposition takes a word multiset
     to, counted: {(sorted least-rotation words, min colour, max

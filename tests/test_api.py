@@ -171,6 +171,18 @@ def test_each_kind_loads_only_its_evaluator():
     assert "prunedhurwitz.characters" not in pruned
 
 
+
+def test_only_a_pruned_count_loads_the_face_sum():
+    # the leaf sum is count_factorizations' pruned branch, and the search
+    # with its tables imports nothing of it
+    count = "from prunedhurwitz.factorizations import count_factorizations; count_factorizations"
+    full = loaded_by(f"{count}(1, (3, 3), (2, 4))")
+    assert "prunedhurwitz.coloured" in full
+    assert "prunedhurwitz.reconstruction" not in full
+    pruned = loaded_by(f"{count}(1, (3, 3), (2, 4), pruned=True)")
+    assert {"prunedhurwitz.coloured", "prunedhurwitz.reconstruction"} <= pruned
+
+
 REFUSED_REQUESTS = [
     # request, what the refusal names
     pytest.param((-1, (2, 2, 2), (2, 2, 2)), "genus must be non-negative", id="genus-three-faces"),

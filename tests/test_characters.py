@@ -8,7 +8,8 @@ import pytest
 
 from prunedhurwitz.characters import CharacterTable
 from prunedhurwitz.combinatorics import centralizer_order, partition_count, partitions
-from prunedhurwitz.factorizations import MoveTables, count_factorizations
+from prunedhurwitz.coloured import MoveTables
+from prunedhurwitz.factorizations import count_factorizations
 from prunedhurwitz.hurwitz import HurwitzEngine, value_from_count
 
 from oracles import (

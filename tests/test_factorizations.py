@@ -12,9 +12,8 @@ import pytest
 from prunedhurwitz.cli import DEFAULT_BUDGET
 from prunedhurwitz.combinatorics import automorphism_factor, centralizer_order, partitions
 from prunedhurwitz import coloured
-from prunedhurwitz.coloured import count_coloured, prefinal_types
+from prunedhurwitz.coloured import MoveTables, count_coloured, prefinal_types
 from prunedhurwitz.factorizations import (
-    MoveTables,
     count_factorizations,
     count_isomorphism_classes,
     search_work_bound,
@@ -34,6 +33,7 @@ from oracles import (
     is_pruned,
     is_transitive,
     iter_factorization_tuples,
+    least_rotation,
     naive_tuple_counts,
     one_part_double_hurwitz,
     pair_orbits,
@@ -311,19 +311,21 @@ def test_a_deep_search_runs_layer_by_layer():
 
 def test_search_work_bound_covers_the_visited_states(monkeypatch):
     # the moves the engine can try, each search's states times its own
-    # P, stay within the bound: a full count's one search, and the sum
-    # over the core searches of a pruned count, which the bound's proof
-    # does not cover; every g <= 2, d <= 5, m <= 6
+    # P, stay within the bound: a full count's one search, every
+    # g <= 2, d <= 5, m <= 6; and the sum over the core searches of a
+    # pruned count, which the bound's proof does not cover, every
+    # g <= 2, d <= 7, 1 <= m <= 6 (653 counts)
     searches = []
 
-    def logged(mu, m, target, tables=None):
+    def logged(mu, m, target, tables):
         count, states = search(mu, m, target, tables)
         searches.append(states * math.comb(sum(mu), 2))
         return count, states
 
     search = coloured.count_coloured
     monkeypatch.setattr(coloured, "count_coloured", logged)
-    for d in range(1, 6):
+    pruned_counts = 0
+    for d in range(1, 8):
         for g in range(3):
             for mu in partitions(d):
                 for nu in partitions(d):
@@ -332,9 +334,13 @@ def test_search_work_bound_covers_the_visited_states(monkeypatch):
                         continue
                     bound = max(1, search_work_bound(g, mu, nu))
                     for pruned in (False, True):
+                        if d > 5 and not pruned:
+                            continue
                         searches.clear()
                         count_factorizations(g, mu, nu, pruned)
                         assert sum(searches) <= bound, (g, mu, nu, pruned)
+                        pruned_counts += pruned
+    assert pruned_counts == 653
 
 
 def test_a_pruned_count_searches_each_core_once(monkeypatch):
@@ -343,7 +349,7 @@ def test_a_pruned_count_searches_each_core_once(monkeypatch):
     # other orders run one search, and the leaf sum keeps no memo
     searches = []
 
-    def logged(mu, m, target, tables=None):
+    def logged(mu, m, target, tables):
         searches.append((mu, m, target))
         return search(mu, m, target, tables)
 
@@ -407,9 +413,9 @@ def test_memo_state_count_pinned():
     assert count_factorizations(0, (3, 3, 3), (4, 4, 1), True) == 52_488
     # a successor one move before the end whose cycle type is not
     # pre-final is not kept as a state, as it cannot finish
-    assert count_coloured((3, 2, 1), 5, (4, 2)) == (184_800, 119)
-    assert count_coloured((3, 3, 2), 4, (4, 2, 2)) == (36_288, 104)
-    assert count_coloured((8,), 4, (8,)) == (198_912, 15)
+    assert count_coloured((3, 2, 1), 5, (4, 2), MoveTables()) == (184_800, 119)
+    assert count_coloured((3, 3, 2), 4, (4, 2, 2), MoveTables()) == (36_288, 104)
+    assert count_coloured((8,), 4, (8,), MoveTables()) == (198_912, 15)
     tables = MoveTables()
     assert count_coloured((3, 3, 3), 4, (4, 4, 1), tables) == (93_312, 65)
     # nor is one built: the full lists are those of the states of depth
@@ -434,6 +440,16 @@ def test_pruned_counts_pinned():
     assert len(counts) == 653
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == \
         "c0249ce026941d6ef4553aa3ca2904cd400495834835d2086587416b8f93f39f"
+
+
+def test_least_rotation_matches_every_rotation():
+    # the engine's period, the first shift that finds a word in its
+    # square, and its least rotation over one period, against the walk
+    # over every rotation: all 9,840 words of length <= 8 over 3 colours
+    words = [bytes(w) for n in range(1, 9) for w in product(range(3), repeat=n)]
+    assert len(words) == 9_840
+    for w in words:
+        assert coloured._least_rotation(w) == least_rotation(w), w
 
 
 def test_prefinal_types_match_one_transposition():
